@@ -16,7 +16,8 @@
 //! Chunks are CRC-framed and the feeder splits them under
 //! [`MAX_CHUNK_BYTES`], well below the wire's 1 MiB request cap.
 
-use store::{RegisterTuning, Sample, WalRecord};
+use store::codec::{self, Reader};
+use store::{record, WalRecord};
 
 use crate::ClusterError;
 
@@ -31,10 +32,6 @@ pub const MAX_CHUNK_BYTES: usize = 256 * 1024;
 
 const KIND_SNAPSHOTS: u8 = 1;
 const KIND_WAL_TAIL: u8 = 2;
-
-const REC_SAMPLES: u8 = 1;
-const REC_REGISTER: u8 = 2;
-const REC_EVICT: u8 = 3;
 
 /// One warm-standby feed chunk.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +63,7 @@ impl FeedChunk {
         match self {
             FeedChunk::Snapshots { source, covered_seq, streams } => {
                 out.push(KIND_SNAPSHOTS);
-                put_str(&mut out, source);
+                codec::put_str(&mut out, source);
                 out.extend_from_slice(&covered_seq.to_le_bytes());
                 out.extend_from_slice(&(streams.len() as u32).to_le_bytes());
                 for (id, next_minute, blob) in streams {
@@ -78,16 +75,15 @@ impl FeedChunk {
             }
             FeedChunk::WalTail { source, records } => {
                 out.push(KIND_WAL_TAIL);
-                put_str(&mut out, source);
+                codec::put_str(&mut out, source);
                 out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-                for (seq, record) in records {
+                for (seq, rec) in records {
                     out.extend_from_slice(&seq.to_le_bytes());
-                    put_record(&mut out, record);
+                    record::encode_payload(&mut out, rec);
                 }
             }
         }
-        let crc = store::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        codec::seal(&mut out);
         out
     }
 
@@ -98,52 +94,52 @@ impl FeedChunk {
     /// Returns [`ClusterError::Node`] for truncation, bad magic/CRC, or an
     /// unknown kind — the receiving server surfaces it as a wire error.
     pub fn decode(bytes: &[u8]) -> Result<FeedChunk, ClusterError> {
-        if bytes.len() < FEED_MAGIC.len() + 2 + 4 {
+        if bytes.len() < FEED_MAGIC.len() + 2 + codec::CRC_LEN {
             return Err(bad("feed chunk truncated"));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let crc = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-        if store::crc32(body) != crc {
-            return Err(bad("feed chunk CRC mismatch"));
-        }
-        let mut cur = Cur { buf: body, pos: 0 };
-        if cur.take(FEED_MAGIC.len())? != FEED_MAGIC {
+        let body = codec::unseal(bytes).ok_or_else(|| bad("feed chunk CRC mismatch"))?;
+        let mut r = Reader::new(body);
+        let malformed = |e: codec::Error| bad(&format!("feed chunk {e}"));
+        if r.bytes(FEED_MAGIC.len()).map_err(malformed)? != FEED_MAGIC {
             return Err(bad("bad feed magic"));
         }
-        let format = cur.u8()?;
+        let format = r.u8().map_err(malformed)?;
         if format != FEED_FORMAT {
             return Err(bad(&format!("unsupported feed format {format}")));
         }
-        let chunk = match cur.u8()? {
-            KIND_SNAPSHOTS => {
-                let source = cur.str()?;
-                let covered_seq = cur.u64()?;
-                let count = cur.u32()? as usize;
-                let mut streams = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let id = cur.u64()?;
-                    let next_minute = cur.u64()?;
-                    let len = cur.u32()? as usize;
-                    streams.push((id, next_minute, cur.take(len)?.to_vec()));
-                }
-                FeedChunk::Snapshots { source, covered_seq, streams }
-            }
-            KIND_WAL_TAIL => {
-                let source = cur.str()?;
-                let count = cur.u32()? as usize;
-                let mut records = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    let seq = cur.u64()?;
-                    records.push((seq, take_record(&mut cur)?));
-                }
-                FeedChunk::WalTail { source, records }
-            }
+        let chunk = match r.u8().map_err(malformed)? {
+            KIND_SNAPSHOTS => Self::decode_snapshots(&mut r).map_err(malformed)?,
+            KIND_WAL_TAIL => Self::decode_wal_tail(&mut r).map_err(malformed)?,
             other => return Err(bad(&format!("unknown feed chunk kind {other}"))),
         };
-        if cur.pos != cur.buf.len() {
-            return Err(bad("trailing bytes after feed chunk"));
-        }
+        r.finish().map_err(malformed)?;
         Ok(chunk)
+    }
+
+    fn decode_snapshots(r: &mut Reader<'_>) -> Result<FeedChunk, codec::Error> {
+        let source = r.str()?.to_owned();
+        let covered_seq = r.u64()?;
+        // id + next_minute + blob length: 20 bytes per stream at least.
+        let count = r.len(20)?;
+        let mut streams = Vec::with_capacity(count);
+        for _ in 0..count {
+            let (id, next_minute) = (r.u64()?, r.u64()?);
+            let len = r.u32()? as usize;
+            streams.push((id, next_minute, r.bytes(len)?.to_vec()));
+        }
+        Ok(FeedChunk::Snapshots { source, covered_seq, streams })
+    }
+
+    fn decode_wal_tail(r: &mut Reader<'_>) -> Result<FeedChunk, codec::Error> {
+        let source = r.str()?.to_owned();
+        // seq + kind + an empty sample batch's count: 13 bytes at least.
+        let count = r.len(13)?;
+        let mut records = Vec::with_capacity(count);
+        for _ in 0..count {
+            let seq = r.u64()?;
+            records.push((seq, record::decode_payload(r)?));
+        }
+        Ok(FeedChunk::WalTail { source, records })
     }
 
     /// Approximate encoded size, used by the feeder to split chunks under
@@ -170,115 +166,10 @@ fn bad(msg: &str) -> ClusterError {
     ClusterError::Node(msg.to_string())
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "node names are short");
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-fn put_record(out: &mut Vec<u8>, record: &WalRecord) {
-    match record {
-        WalRecord::Samples(samples) => {
-            out.push(REC_SAMPLES);
-            out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            for s in samples {
-                out.extend_from_slice(&s.stream.to_le_bytes());
-                match s.minute {
-                    Some(m) => {
-                        out.push(1);
-                        out.extend_from_slice(&m.to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
-                out.extend_from_slice(&s.value.to_bits().to_le_bytes());
-            }
-        }
-        WalRecord::Register { id, tuning } => {
-            out.push(REC_REGISTER);
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&tuning.train_size.to_le_bytes());
-            out.extend_from_slice(&tuning.qa_window.to_le_bytes());
-            out.extend_from_slice(&tuning.qa_period.to_le_bytes());
-            out.extend_from_slice(&tuning.qa_threshold.to_bits().to_le_bytes());
-            out.push(tuning.f32_history as u8);
-        }
-        WalRecord::Evict { id } => {
-            out.push(REC_EVICT);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-}
-
-fn take_record(cur: &mut Cur<'_>) -> Result<WalRecord, ClusterError> {
-    match cur.u8()? {
-        REC_SAMPLES => {
-            let count = cur.u32()? as usize;
-            let mut samples = Vec::with_capacity(count.min(65536));
-            for _ in 0..count {
-                let stream = cur.u64()?;
-                let minute = match cur.u8()? {
-                    0 => None,
-                    1 => Some(cur.u64()?),
-                    other => return Err(bad(&format!("bad minute flag {other}"))),
-                };
-                let value = f64::from_bits(cur.u64()?);
-                samples.push(Sample { stream, minute, value });
-            }
-            Ok(WalRecord::Samples(samples))
-        }
-        REC_REGISTER => {
-            let id = cur.u64()?;
-            let tuning = RegisterTuning {
-                train_size: cur.u32()?,
-                qa_window: cur.u32()?,
-                qa_period: cur.u32()?,
-                qa_threshold: f64::from_bits(cur.u64()?),
-                f32_history: cur.u8()? != 0,
-            };
-            Ok(WalRecord::Register { id, tuning })
-        }
-        REC_EVICT => Ok(WalRecord::Evict { id: cur.u64()? }),
-        other => Err(bad(&format!("unknown wal record kind {other}"))),
-    }
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.buf.len() - self.pos < n {
-            return Err(bad("feed chunk truncated"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ClusterError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ClusterError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, ClusterError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")) as usize;
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| bad("non-UTF-8 feed string"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use store::{RegisterTuning, Sample};
 
     #[test]
     fn both_kinds_round_trip() {

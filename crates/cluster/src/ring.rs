@@ -18,6 +18,8 @@
 //! version, so the newest ring wins everywhere regardless of delivery
 //! order. The codec frames the blob with a magic and a CRC-32 trailer.
 
+use store::codec::{self, Reader};
+
 use crate::ClusterError;
 
 /// Ring blob magic ("LARPRING").
@@ -25,6 +27,13 @@ pub const RING_MAGIC: &[u8; 8] = b"LARPRING";
 
 /// Ring blob format version.
 pub const RING_FORMAT: u8 = 1;
+
+/// Largest member list a decoded ring may carry.
+const MAX_NODES: usize = 4096;
+
+/// Largest circle (`members × vnodes` points) a decoded ring may rebuild:
+/// 16 MiB of points.
+const MAX_POINTS: u64 = 1 << 20;
 
 /// How a node's range moved to its heir — the distinction decides whether
 /// installing the ring must materialize state on the heir.
@@ -235,20 +244,19 @@ impl Ring {
         out.extend_from_slice(&self.vnodes.to_le_bytes());
         out.extend_from_slice(&(self.nodes.len() as u32).to_le_bytes());
         for n in &self.nodes {
-            put_str(&mut out, &n.name);
-            put_str(&mut out, &n.addr);
+            codec::put_str(&mut out, &n.name);
+            codec::put_str(&mut out, &n.addr);
         }
         out.extend_from_slice(&(self.inherited.len() as u32).to_le_bytes());
         for (from, to, kind) in &self.inherited {
-            put_str(&mut out, from);
-            put_str(&mut out, to);
+            codec::put_str(&mut out, from);
+            codec::put_str(&mut out, to);
             out.push(match kind {
                 HandoffKind::Drained => 0,
                 HandoffKind::Failed => 1,
             });
         }
-        let crc = store::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        codec::seal(&mut out);
         out
     }
 
@@ -258,46 +266,52 @@ impl Ring {
     /// # Errors
     ///
     /// Returns [`ClusterError::Ring`] for truncation, a bad magic or CRC,
-    /// or inheritance edges naming unknown nodes.
+    /// implausible member or vnode counts, or inheritance edges naming
+    /// unknown nodes.
     pub fn decode(bytes: &[u8]) -> Result<Ring, ClusterError> {
-        if bytes.len() < RING_MAGIC.len() + 1 + 8 + 4 + 4 + 4 + 4 {
+        if bytes.len() < RING_MAGIC.len() + 1 + 8 + 4 + 4 + 4 + codec::CRC_LEN {
             return Err(ClusterError::Ring("ring blob truncated".into()));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 4);
-        let crc = u32::from_le_bytes(trailer.try_into().expect("4-byte trailer"));
-        if store::crc32(body) != crc {
-            return Err(ClusterError::Ring("ring blob CRC mismatch".into()));
-        }
-        let mut cur = Cur { buf: body, pos: 0 };
-        if cur.take(RING_MAGIC.len())? != RING_MAGIC {
+        let body = codec::unseal(bytes)
+            .ok_or_else(|| ClusterError::Ring("ring blob CRC mismatch".into()))?;
+        let mut r = Reader::new(body);
+        let malformed = |e: codec::Error| ClusterError::Ring(format!("ring blob {e}"));
+        if r.bytes(RING_MAGIC.len()).map_err(malformed)? != RING_MAGIC {
             return Err(ClusterError::Ring("bad ring magic".into()));
         }
-        let format = cur.u8()?;
+        let format = r.u8().map_err(malformed)?;
         if format != RING_FORMAT {
             return Err(ClusterError::Ring(format!("unsupported ring format {format}")));
         }
-        let version = cur.u64()?;
-        let vnodes = cur.u32()?;
-        let node_count = cur.u32()? as usize;
-        if node_count > 4096 {
+        let version = r.u64().map_err(malformed)?;
+        let vnodes = r.u32().map_err(malformed)?;
+        // A member is at least two string lengths (4 bytes).
+        let node_count = r.len(4).map_err(malformed)?;
+        if node_count > MAX_NODES {
             return Err(ClusterError::Ring(format!("implausible node count {node_count}")));
+        }
+        // The circle is rebuilt from `node_count × vnodes` points: bound it
+        // before `Ring::new` reserves them.
+        if node_count as u64 * vnodes as u64 > MAX_POINTS {
+            return Err(ClusterError::Ring(format!("implausible vnode count {vnodes}")));
         }
         let mut nodes = Vec::with_capacity(node_count);
         for _ in 0..node_count {
-            let name = cur.str()?;
-            let addr = cur.str()?;
+            let name = r.str().map_err(malformed)?.to_owned();
+            let addr = r.str().map_err(malformed)?.to_owned();
             nodes.push(NodeInfo { name, addr });
         }
         let mut ring = Ring::new(version, vnodes, nodes)?;
-        let edge_count = cur.u32()? as usize;
+        // An edge is two string lengths and a kind byte (5 bytes).
+        let edge_count = r.len(5).map_err(malformed)?;
         if edge_count > node_count {
             return Err(ClusterError::Ring(format!("implausible edge count {edge_count}")));
         }
         let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
-            let from = cur.str()?;
-            let to = cur.str()?;
-            let kind = match cur.u8()? {
+            let from = r.str().map_err(malformed)?.to_owned();
+            let to = r.str().map_err(malformed)?.to_owned();
+            let kind = match r.u8().map_err(malformed)? {
                 0 => HandoffKind::Drained,
                 1 => HandoffKind::Failed,
                 other => {
@@ -313,56 +327,11 @@ impl Ring {
         }
         edges.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
         ring.inherited = edges;
-        if cur.pos != cur.buf.len() {
-            return Err(ClusterError::Ring("trailing bytes after ring blob".into()));
-        }
+        r.finish().map_err(malformed)?;
         Ok(ring)
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    debug_assert!(bytes.len() <= u16::MAX as usize, "node strings are short");
-    out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    out.extend_from_slice(bytes);
-}
-
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ClusterError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ClusterError::Ring("ring blob truncated".into()));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ClusterError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ClusterError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ClusterError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self) -> Result<String, ClusterError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ClusterError::Ring("non-UTF-8 string in ring blob".into()))
-    }
-}
-
-/// SplitMix64 finalizer — the avalanche behind both hash functions.
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

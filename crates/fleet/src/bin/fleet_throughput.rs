@@ -7,12 +7,10 @@
 //! JSON object on stdout. With `--duration SECONDS` the run is time-boxed
 //! instead: full rounds are pushed until the budget elapses (at least one
 //! round always runs, and rounds finish once started — sample accounting
-//! stays exact). With `--ab` the binary instead runs interleaved pairs of
-//! scratch-reuse and allocating engines (the `reuse_scratch` config knob) and
-//! reports the per-arm throughputs plus the median speedup. With
-//! `--ab-durability` the pairs are durability-on (WAL behind every ack,
-//! default `OnRotate` fsync) versus durability-off engines, reporting the
-//! throughput retained by the durable path — the WAL's full serving-path tax.
+//! stays exact). With `--ab-durability` the binary instead runs interleaved
+//! pairs of durability-on (WAL behind every ack, default `OnRotate` fsync)
+//! versus durability-off engines, reporting the throughput retained by the
+//! durable path — the WAL's full serving-path tax.
 //! With `--ab-retrain` the pairs are pool-retraining (`--retrain-threads`,
 //! default 2) versus inline engines; because the pool is contractually a pure
 //! scheduling change, the mode also checkpoints both arms and reports (and
@@ -44,8 +42,6 @@ struct Args {
     seed: u64,
     /// Wall-clock budget in seconds; caps the run at round granularity.
     duration: Option<f64>,
-    /// Interleaved A/B: alternate scratch-reuse and allocating engines.
-    ab: bool,
     /// Interleaved A/B: alternate durability-on and durability-off engines.
     ab_durability: bool,
     /// Interleaved A/B: alternate pool-retraining and inline engines.
@@ -61,7 +57,6 @@ fn parse_args() -> Args {
         shards: 4,
         seed: 2007,
         duration: None,
-        ab: false,
         ab_durability: false,
         ab_retrain: false,
         retrain_threads: 0,
@@ -78,7 +73,6 @@ fn parse_args() -> Args {
             "--samples" => args.samples = take("--samples"),
             "--shards" => args.shards = take("--shards") as usize,
             "--seed" => args.seed = take("--seed"),
-            "--ab" => args.ab = true,
             "--ab-durability" => args.ab_durability = true,
             "--ab-retrain" => args.ab_retrain = true,
             "--retrain-threads" => args.retrain_threads = take("--retrain-threads") as usize,
@@ -93,24 +87,23 @@ fn parse_args() -> Args {
             }
             other => panic!(
                 "unknown flag {other}; supported: --streams --samples --shards --seed --duration \
-                 --ab --ab-durability --ab-retrain --retrain-threads"
+                 --ab-durability --ab-retrain --retrain-threads"
             ),
         }
     }
     args
 }
 
-/// One complete lossless run with the given scratch policy and optional
-/// durability; returns samples/sec. Used by the interleaved A/B modes,
+/// One complete lossless run with optional durability; returns
+/// samples/sec. Used by the interleaved A/B modes,
 /// where per-push latency tracking would only add noise to the comparison.
-fn run_arm_with(args: &Args, reuse_scratch: bool, durability: Option<DurabilityConfig>) -> f64 {
+fn run_arm(args: &Args, durability: Option<DurabilityConfig>) -> f64 {
     let durable = durability.is_some();
     let engine = FleetEngine::new(FleetConfig {
         shards: args.shards,
         backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
-        reuse_scratch,
         durability,
         retrain_threads: args.retrain_threads,
         ..FleetConfig::default()
@@ -159,42 +152,6 @@ fn run_arm_with(args: &Args, reuse_scratch: bool, durability: Option<DurabilityC
     total as f64 / elapsed
 }
 
-fn run_arm(args: &Args, reuse_scratch: bool) -> f64 {
-    run_arm_with(args, reuse_scratch, None)
-}
-
-/// Interleaved A/B: alternate reuse/alloc engines so scheduler drift and
-/// thermal state land on both arms equally, then compare medians.
-fn run_ab(args: &Args) {
-    const PAIRS: usize = 3;
-    let mut reuse = Vec::with_capacity(PAIRS);
-    let mut alloc = Vec::with_capacity(PAIRS);
-    for _ in 0..PAIRS {
-        reuse.push(run_arm(args, true));
-        alloc.push(run_arm(args, false));
-    }
-    let median = |xs: &[f64]| {
-        let mut s = xs.to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-        s[s.len() / 2]
-    };
-    let (reuse_med, alloc_med) = (median(&reuse), median(&alloc));
-    let join = |xs: &[f64]| xs.iter().map(|v| format!("{v:.0}")).collect::<Vec<_>>().join(", ");
-    println!("{{");
-    println!("  \"mode\": \"ab\",");
-    println!("  \"streams\": {},", args.streams);
-    println!("  \"samples_per_stream\": {},", args.samples);
-    println!("  \"shards\": {},", args.shards);
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"pairs\": {PAIRS},");
-    println!("  \"reuse_scratch_sps\": [{}],", join(&reuse));
-    println!("  \"alloc_sps\": [{}],", join(&alloc));
-    println!("  \"reuse_scratch_median_sps\": {reuse_med:.0},");
-    println!("  \"alloc_median_sps\": {alloc_med:.0},");
-    println!("  \"speedup\": {:.3}", reuse_med / alloc_med);
-    println!("}}");
-}
-
 /// Interleaved A/B: durability-on versus durability-off. The headline
 /// number is `durable_retained` — the fraction of in-memory throughput the
 /// WAL-backed serving path keeps.
@@ -206,8 +163,8 @@ fn run_ab_durability(args: &Args) {
     let mut plain = Vec::with_capacity(PAIRS);
     for pair in 0..PAIRS {
         let dir = base.join(format!("pair{pair}"));
-        durable.push(run_arm_with(args, true, Some(DurabilityConfig::new(dir))));
-        plain.push(run_arm_with(args, true, None));
+        durable.push(run_arm(args, Some(DurabilityConfig::new(dir))));
+        plain.push(run_arm(args, None));
     }
     let _ = std::fs::remove_dir_all(&base);
     let median = |xs: &[f64]| {
@@ -321,10 +278,6 @@ fn run_ab_retrain(args: &Args) {
 
 fn main() {
     let args = parse_args();
-    if args.ab {
-        run_ab(&args);
-        return;
-    }
     if args.ab_durability {
         run_ab_durability(&args);
         return;

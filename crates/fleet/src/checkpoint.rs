@@ -22,6 +22,7 @@
 //! with different shard counts.
 
 use larp::GuardedLarp;
+use store::codec::{self, Reader};
 
 use crate::{FleetError, Result, StreamId};
 
@@ -61,56 +62,38 @@ pub(crate) fn encode(streams: &[(StreamId, u64, Vec<u8>)]) -> Vec<u8> {
 /// Rejects malformed input (bad magic/version, truncation, trailing bytes,
 /// duplicate or unsorted ids) with [`FleetError::Checkpoint`] — never panics.
 pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<StreamCheckpoint>> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8]> {
-        let end = pos.checked_add(n).ok_or_else(|| err("length overflow"))?;
-        if end > bytes.len() {
-            return Err(err(format!(
-                "truncated checkpoint: need {end} bytes, have {}",
-                bytes.len()
-            )));
-        }
-        let s = &bytes[*pos..end];
-        *pos = end;
-        Ok(s)
-    };
-    let take_u64 = |pos: &mut usize| -> Result<u64> {
-        let s = take(pos, 8)?;
-        Ok(u64::from_le_bytes(s.try_into().expect("slice is 8 bytes")))
-    };
-
-    if take(&mut pos, 8)? != MAGIC {
+    let mut r = Reader::new(bytes);
+    let malformed = |e: codec::Error| err(format!("checkpoint {e}"));
+    if r.bytes(MAGIC.len()).map_err(malformed)? != MAGIC {
         return Err(err("bad magic: not a fleet checkpoint"));
     }
-    let version = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("slice is 4 bytes"));
+    let version = r.u32().map_err(malformed)?;
     if version != VERSION {
         return Err(err(format!("unsupported checkpoint version {version}")));
     }
-    let count = take_u64(&mut pos)?;
+    let count = r.u64().map_err(malformed)?;
     // Each stream costs at least 24 header bytes: an OOM guard for corrupt counts.
-    if (count as u128) * 24 > (bytes.len() - pos) as u128 {
+    if count.saturating_mul(24) > r.remaining() as u64 {
         return Err(err(format!("corrupt stream count {count}")));
     }
 
     let mut out = Vec::with_capacity(count as usize);
     let mut prev: Option<StreamId> = None;
     for _ in 0..count {
-        let id = take_u64(&mut pos)?;
+        let id = r.u64().map_err(malformed)?;
         if prev.is_some_and(|p| p >= id) {
             return Err(err(format!("stream ids not strictly ascending at {id}")));
         }
         prev = Some(id);
-        let next_minute = take_u64(&mut pos)?;
-        let len = take_u64(&mut pos)?;
-        let snap =
-            take(&mut pos, usize::try_from(len).map_err(|_| err("snapshot length overflow"))?)?;
+        let next_minute = r.u64().map_err(malformed)?;
+        let len = r.u64().map_err(malformed)?;
+        let len = usize::try_from(len).map_err(|_| err("snapshot length overflow"))?;
+        let snap = r.bytes(len).map_err(malformed)?;
         let guarded =
             GuardedLarp::from_snapshot_bytes(snap).map_err(|e| err(format!("stream {id}: {e}")))?;
         out.push(StreamCheckpoint { id, next_minute, guarded });
     }
-    if pos != bytes.len() {
-        return Err(err(format!("{} trailing bytes after checkpoint", bytes.len() - pos)));
-    }
+    r.finish().map_err(malformed)?;
     Ok(out)
 }
 

@@ -102,11 +102,6 @@ pub struct FleetConfig {
     /// ([`crate::FleetEngine::events`]); overflow evicts the oldest events
     /// and counts them.
     pub event_capacity: usize,
-    /// Reuse one scratch arena per shard worker across every stream it
-    /// serves, making the steady-state feed path allocation-free. `false`
-    /// reverts to per-sample allocation — kept only as the control arm for
-    /// A/B throughput measurement (`fleet_throughput --ab`).
-    pub reuse_scratch: bool,
     /// Durable ingestion (WAL-before-ack + checkpoint/recovery). `None`
     /// keeps the engine purely in-memory, the previous behavior.
     pub durability: Option<DurabilityConfig>,
@@ -145,7 +140,6 @@ impl Default for FleetConfig {
             fleet_seed: 2007,
             batch_drain: 64,
             event_capacity: 1024,
-            reuse_scratch: true,
             durability: None,
             spill_dir: None,
             auto_hibernate_idle: None,

@@ -18,16 +18,16 @@
 //! crc     u32 CRC-32/IEEE over everything above
 //! ```
 //!
-//! Writes are atomic (tmp + rename + directory fsync). A corrupt checkpoint
+//! Writes are atomic ([`store::codec::write_atomic`]). A corrupt checkpoint
 //! degrades to WAL-only recovery — counted, never a panic.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::RwLock;
 
-use store::{crc32, TraceStore};
+use store::codec::{self, Reader};
+use store::TraceStore;
 
 use crate::config::DurabilityConfig;
 
@@ -133,25 +133,13 @@ pub(crate) enum CheckpointFile {
 
 /// Atomically writes the `STORCKP1`-wrapped checkpoint.
 pub(crate) fn write_checkpoint_file(path: &Path, seq: u64, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(28 + payload.len());
+    let mut buf = Vec::with_capacity(24 + payload.len() + codec::CRC_LEN);
     buf.extend_from_slice(CKPT_MAGIC);
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     buf.extend_from_slice(payload);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&buf)?;
-    f.sync_data()?;
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    codec::seal(&mut buf);
+    codec::write_atomic(path, &buf)
 }
 
 /// Reads and validates the checkpoint file. Corruption is a recoverable
@@ -162,20 +150,18 @@ pub(crate) fn read_checkpoint_file(path: &Path) -> std::io::Result<CheckpointFil
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CheckpointFile::Missing),
         Err(e) => return Err(e),
     };
-    if buf.len() < 28 || &buf[..8] != CKPT_MAGIC {
-        return Ok(CheckpointFile::Corrupt);
+    Ok(decode_checkpoint_file(&buf).unwrap_or(CheckpointFile::Corrupt))
+}
+
+fn decode_checkpoint_file(buf: &[u8]) -> Option<CheckpointFile> {
+    let mut r = Reader::new(codec::unseal(buf)?);
+    if r.bytes(CKPT_MAGIC.len()).ok()? != CKPT_MAGIC {
+        return None;
     }
-    let body = &buf[..buf.len() - 4];
-    let carried = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != carried {
-        return Ok(CheckpointFile::Corrupt);
-    }
-    let seq = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let len = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes")) as usize;
-    if body.len() - 24 != len {
-        return Ok(CheckpointFile::Corrupt);
-    }
-    Ok(CheckpointFile::Loaded { seq, payload: body[24..].to_vec() })
+    let seq = r.u64().ok()?;
+    let len = r.u64().ok()?;
+    let payload = r.rest();
+    (payload.len() as u64 == len).then(|| CheckpointFile::Loaded { seq, payload: payload.to_vec() })
 }
 
 #[cfg(test)]

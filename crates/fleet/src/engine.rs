@@ -381,12 +381,7 @@ impl FleetEngine {
                     .name(format!("fleet-shard-{i}"))
                     .spawn(move || {
                         let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(&s, id, tomb);
-                        s.shards[i].worker_loop(
-                            s.config.batch_drain,
-                            s.config.reuse_scratch,
-                            &wake,
-                            s.retrain.as_ref(),
-                        )
+                        s.shards[i].worker_loop(s.config.batch_drain, &wake, s.retrain.as_ref())
                     })
                     .map_err(|e| FleetError::Serving(format!("cannot spawn shard worker: {e}")))
             })
@@ -1702,34 +1697,6 @@ mod tests {
         assert!(!engine.contains(2));
         // A generous horizon evicts nothing.
         assert!(engine.sweep_idle(u64::MAX).is_empty());
-    }
-
-    #[test]
-    fn scratch_reuse_is_bit_identical_to_allocating_path() {
-        // The reuse_scratch knob trades allocation for none — never results.
-        // Drive the same workload through both arms and compare every
-        // stream's serving outcome exactly.
-        let run = |reuse_scratch: bool| {
-            let engine = FleetEngine::new(FleetConfig {
-                shards: 2,
-                backpressure: BackpressurePolicy::Block,
-                reuse_scratch,
-                ..FleetConfig::default()
-            })
-            .unwrap();
-            for id in 0..6u64 {
-                engine.register(id).unwrap();
-            }
-            for m in 0..120u64 {
-                let batch: Vec<(StreamId, f64)> = (0..6)
-                    .map(|id| (id, 40.0 + ((m * 7 + id) as f64 * 0.23).sin() * 9.0))
-                    .collect();
-                engine.push_batch(&batch);
-            }
-            engine.flush();
-            (0..6).map(|id| engine.stream_info(id).unwrap()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(true), run(false));
     }
 
     fn temp_store_dir(tag: &str) -> std::path::PathBuf {

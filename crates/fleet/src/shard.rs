@@ -458,9 +458,9 @@ impl ShardState {
     /// The worker loop: drain up to `batch_drain` samples, feed them, repeat
     /// until shutdown with an empty queue.
     ///
-    /// With `reuse_scratch` the worker owns one scratch arena and step buffer
-    /// shared across every stream it serves — slots only borrow them for the
-    /// duration of one sample, so the steady-state loop never allocates.
+    /// The worker owns one scratch arena and step buffer shared across every
+    /// stream it serves — slots only borrow them for the duration of one
+    /// sample, so the steady-state loop never allocates.
     ///
     /// `wake` restores a hibernated stream's serving stack from the engine's
     /// spill store (deserialize + re-attach observability); `None` means the
@@ -472,7 +472,6 @@ impl ShardState {
     pub(crate) fn worker_loop(
         &self,
         batch_drain: usize,
-        reuse_scratch: bool,
         wake: &dyn Fn(StreamId, &Tombstone) -> Option<GuardedLarp>,
         retrain: Option<&RetrainPool>,
     ) {
@@ -523,11 +522,7 @@ impl ShardState {
                             if let Some(pool) = retrain {
                                 slot.settle_retrain(&pool.stale);
                             }
-                            if reuse_scratch {
-                                slot.feed_with(job, &mut scratch, &mut steps);
-                            } else {
-                                slot.feed(job);
-                            }
+                            slot.feed_with(job, &mut scratch, &mut steps);
                             if let Some(pool) = retrain {
                                 slot.launch_retrain(pool);
                             }

@@ -9,6 +9,7 @@
 //! map to [`ErrorCode::MalformedPayload`] — never a panic.
 
 use larp::HealthState;
+use store::codec::{self, Reader};
 
 /// Response opcode bit: a reply to opcode `op` carries `REPLY_BIT | op`.
 pub const REPLY_BIT: u8 = 0x80;
@@ -510,8 +511,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     while end > 0 && !s.is_char_boundary(end) {
         end -= 1;
     }
-    put_u16(out, end as u16);
-    out.extend_from_slice(&s.as_bytes()[..end]);
+    codec::put_str(out, &s[..end]);
 }
 
 fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
@@ -527,88 +527,59 @@ fn health_to_u8(h: HealthState) -> u8 {
     }
 }
 
-/// Strict little-endian payload reader; every decode error carries the
-/// field name so wire bugs are diagnosable from the error response alone.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Describes a failed payload read by the field it was after. Called only
+/// on the failure branch, so the success path formats nothing.
+fn describe(e: codec::Error, what: impl std::fmt::Display) -> String {
+    match e {
+        codec::Error::Trailing(n) => format!("{n} trailing bytes after {what}"),
+        codec::Error::Utf8 => format!("{what} is not UTF-8"),
+        _ => format!("truncated payload reading {what}"),
+    }
 }
 
-type Malformed = String;
+/// Names the field a failed read was after (see [`describe`]).
+trait Field<T> {
+    fn field(self, what: &str) -> Result<T, String>;
+}
 
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+impl<T> Field<T> for Result<T, codec::Error> {
+    fn field(self, what: &str) -> Result<T, String> {
+        self.map_err(|e| describe(e, what))
     }
+}
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], Malformed> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("truncated payload reading {what}"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+fn get_string(r: &mut Reader<'_>, what: &str) -> Result<String, String> {
+    let s = r.str().field(what)?;
+    if s.len() > MAX_STRING {
+        return Err(format!("{what} length {} exceeds cap {MAX_STRING}", s.len()));
     }
+    Ok(s.to_owned())
+}
 
-    fn u8(&mut self, what: &str) -> Result<u8, Malformed> {
-        Ok(self.take(1, what)?[0])
+fn get_opt_f64(r: &mut Reader<'_>, what: &str) -> Result<Option<f64>, String> {
+    let flag = r.u8().field(what)?;
+    let value = r.f64().field(what)?;
+    match flag {
+        0 => Ok(None),
+        1 => Ok(Some(value)),
+        other => Err(format!("{what} presence flag {other} is neither 0 nor 1")),
     }
-    fn u16(&mut self, what: &str) -> Result<u16, Malformed> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().expect("2 bytes")))
-    }
-    fn u32(&mut self, what: &str) -> Result<u32, Malformed> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self, what: &str) -> Result<u64, Malformed> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-    fn f64(&mut self, what: &str) -> Result<f64, Malformed> {
-        Ok(f64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
+}
 
-    fn string(&mut self, what: &str) -> Result<String, Malformed> {
-        let len = self.u16(what)? as usize;
-        if len > MAX_STRING {
-            return Err(format!("{what} length {len} exceeds cap {MAX_STRING}"));
-        }
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| format!("{what} is not UTF-8"))
-    }
+fn get_outcome(r: &mut Reader<'_>) -> Result<PushOutcome, String> {
+    Ok(PushOutcome {
+        accepted: r.u64().field("accepted")?,
+        rejected: r.u64().field("rejected")?,
+        dropped: r.u64().field("dropped")?,
+    })
+}
 
-    /// Everything not yet consumed (trailing-blob fields).
-    fn rest(&mut self) -> Vec<u8> {
-        let out = self.buf[self.pos..].to_vec();
-        self.pos = self.buf.len();
-        out
-    }
-
-    fn opt_f64(&mut self, what: &str) -> Result<Option<f64>, Malformed> {
-        match self.u8(what)? {
-            0 => {
-                self.f64(what)?;
-                Ok(None)
-            }
-            1 => Ok(Some(self.f64(what)?)),
-            other => Err(format!("{what} presence flag {other} is neither 0 nor 1")),
-        }
-    }
-
-    fn health(&mut self, what: &str) -> Result<HealthState, Malformed> {
-        match self.u8(what)? {
-            0 => Ok(HealthState::Healthy),
-            1 => Ok(HealthState::Degraded),
-            2 => Ok(HealthState::Fallback),
-            other => Err(format!("{what} health discriminant {other} out of range")),
-        }
-    }
-
-    fn done(self, what: &str) -> Result<(), Malformed> {
-        if self.pos != self.buf.len() {
-            return Err(format!("{} trailing bytes after {what}", self.buf.len() - self.pos));
-        }
-        Ok(())
+fn get_health(r: &mut Reader<'_>, what: &str) -> Result<HealthState, String> {
+    match r.u8().field(what)? {
+        0 => Ok(HealthState::Healthy),
+        1 => Ok(HealthState::Degraded),
+        2 => Ok(HealthState::Fallback),
+        other => Err(format!("{what} health discriminant {other} out of range")),
     }
 }
 
@@ -703,88 +674,87 @@ impl Request {
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Request, (ErrorCode, String)> {
         let op = OpCode::from_u8(opcode)
             .ok_or((ErrorCode::UnknownOpcode, format!("opcode {opcode:#04x}")))?;
-        let mut c = Cur::new(payload);
-        let malformed = |m: Malformed| (ErrorCode::MalformedPayload, m);
+        Self::decode_payload(op, payload).map_err(|m| (ErrorCode::MalformedPayload, m))
+    }
+
+    fn decode_payload(op: OpCode, payload: &[u8]) -> Result<Request, String> {
+        let mut r = Reader::new(payload);
         let req = match op {
-            OpCode::Hello => Request::Hello { client: c.string("client name").map_err(malformed)? },
-            OpCode::Register => Request::Register { id: c.u64("stream id").map_err(malformed)? },
+            OpCode::Hello => Request::Hello { client: get_string(&mut r, "client name")? },
+            OpCode::Register => Request::Register { id: r.u64().field("stream id")? },
             OpCode::RegisterWith => Request::RegisterWith {
-                id: c.u64("stream id").map_err(malformed)?,
+                id: r.u64().field("stream id")?,
                 tuning: StreamTuning {
-                    train_size: c.u32("train_size").map_err(malformed)?,
-                    qa_window: c.u32("qa_window").map_err(malformed)?,
-                    qa_period: c.u32("qa_period").map_err(malformed)?,
-                    qa_threshold: c.f64("qa_threshold").map_err(malformed)?,
+                    train_size: r.u32().field("train_size")?,
+                    qa_window: r.u32().field("qa_window")?,
+                    qa_period: r.u32().field("qa_period")?,
+                    qa_threshold: r.f64().field("qa_threshold")?,
                 },
             },
             OpCode::Push => {
-                let id = c.u64("stream id").map_err(malformed)?;
-                let has_minute = c.u8("minute flag").map_err(malformed)?;
-                let minute = c.u64("minute").map_err(malformed)?;
-                let value = c.f64("value").map_err(malformed)?;
+                let id = r.u64().field("stream id")?;
+                let has_minute = r.u8().field("minute flag")?;
+                let minute = r.u64().field("minute")?;
+                let value = r.f64().field("value")?;
                 let minute = match has_minute {
                     0 => None,
                     1 => Some(minute),
-                    other => {
-                        return Err(malformed(format!("minute flag {other} is neither 0 nor 1")))
-                    }
+                    other => return Err(format!("minute flag {other} is neither 0 nor 1")),
                 };
                 Request::Push { id, minute, value }
             }
             OpCode::PushBatch => {
-                let count = c.u32("sample count").map_err(malformed)? as usize;
-                // Each sample is 16 bytes; the cursor bounds-checks, so a
+                let count = r.u32().field("sample count")? as usize;
+                // Each sample is 16 bytes; the reader bounds-checks, so a
                 // lying count fails on the first missing sample rather than
                 // pre-allocating `count` slots.
-                let mut samples = Vec::with_capacity(count.min(payload.len() / 16 + 1));
+                let mut samples = Vec::with_capacity(count.min(r.remaining() / 16));
                 for i in 0..count {
-                    let id = c.u64(&format!("sample {i} id")).map_err(malformed)?;
-                    let value = c.f64(&format!("sample {i} value")).map_err(malformed)?;
+                    let id = r.u64().map_err(|e| describe(e, format_args!("sample {i} id")))?;
+                    let value =
+                        r.f64().map_err(|e| describe(e, format_args!("sample {i} value")))?;
                     samples.push((id, value));
                 }
                 Request::PushBatch { samples }
             }
-            OpCode::Predict => Request::Predict { id: c.u64("stream id").map_err(malformed)? },
-            OpCode::StreamInfo => {
-                Request::StreamInfo { id: c.u64("stream id").map_err(malformed)? }
-            }
+            OpCode::Predict => Request::Predict { id: r.u64().field("stream id")? },
+            OpCode::StreamInfo => Request::StreamInfo { id: r.u64().field("stream id")? },
             OpCode::Health => Request::Health,
             OpCode::Checkpoint => Request::Checkpoint,
-            OpCode::Evict => Request::Evict { id: c.u64("stream id").map_err(malformed)? },
+            OpCode::Evict => Request::Evict { id: r.u64().field("stream id")? },
             OpCode::Shutdown => Request::Shutdown,
             OpCode::RingInfo => Request::RingInfo,
-            OpCode::RingUpdate => {
-                let version = c.u64("ring version").map_err(malformed)?;
-                let blob = c.rest();
-                return Ok(Request::RingUpdate { version, blob });
-            }
-            OpCode::MigrateOut => Request::MigrateOut {
-                id: c.u64("stream id").map_err(malformed)?,
-                dest: c.string("dest addr").map_err(malformed)?,
+            OpCode::RingUpdate => Request::RingUpdate {
+                version: r.u64().field("ring version")?,
+                blob: r.rest().to_vec(),
             },
-            OpCode::MigrateIn => {
-                let id = c.u64("stream id").map_err(malformed)?;
-                let next_minute = c.u64("next_minute").map_err(malformed)?;
-                let floor = c.u64("floor").map_err(malformed)?;
-                let snapshot = c.rest();
-                return Ok(Request::MigrateIn { id, next_minute, floor, snapshot });
-            }
-            OpCode::StandbyFeed => return Ok(Request::StandbyFeed { payload: payload.to_vec() }),
+            OpCode::MigrateOut => Request::MigrateOut {
+                id: r.u64().field("stream id")?,
+                dest: get_string(&mut r, "dest addr")?,
+            },
+            OpCode::MigrateIn => Request::MigrateIn {
+                id: r.u64().field("stream id")?,
+                next_minute: r.u64().field("next_minute")?,
+                floor: r.u64().field("floor")?,
+                snapshot: r.rest().to_vec(),
+            },
+            OpCode::StandbyFeed => Request::StandbyFeed { payload: r.rest().to_vec() },
             OpCode::PushSeq => {
-                let client = c.string("client name").map_err(malformed)?;
-                let count = c.u32("sample count").map_err(malformed)? as usize;
+                let client = get_string(&mut r, "client name")?;
+                let count = r.u32().field("sample count")? as usize;
                 // 24 bytes per sample; bounds-check instead of pre-allocating.
-                let mut samples = Vec::with_capacity(count.min(payload.len() / 24 + 1));
+                let mut samples = Vec::with_capacity(count.min(r.remaining() / 24));
                 for i in 0..count {
-                    let id = c.u64(&format!("sample {i} id")).map_err(malformed)?;
-                    let seq = c.u64(&format!("sample {i} seq")).map_err(malformed)?;
-                    let value = c.f64(&format!("sample {i} value")).map_err(malformed)?;
+                    let id = r.u64().map_err(|e| describe(e, format_args!("sample {i} id")))?;
+                    let seq = r.u64().map_err(|e| describe(e, format_args!("sample {i} seq")))?;
+                    let value =
+                        r.f64().map_err(|e| describe(e, format_args!("sample {i} value")))?;
                     samples.push((id, seq, value));
                 }
                 Request::PushSeq { client, samples }
             }
         };
-        c.done(op.name()).map_err(malformed)?;
+        r.finish().field(op.name())?;
         Ok(req)
     }
 }
@@ -900,104 +870,84 @@ impl Response {
     ///
     /// Returns a human-readable description of the first decode failure.
     pub fn decode(opcode: u8, payload: &[u8]) -> Result<Response, String> {
+        let mut r = Reader::new(payload);
         if opcode == ERROR_OPCODE {
-            let mut c = Cur::new(payload);
-            let code_word = c.u16("error code")?;
+            let code_word = r.u16().field("error code")?;
             let code = ErrorCode::from_u16(code_word)
                 .ok_or_else(|| format!("unknown error code {code_word}"))?;
-            let detail = c.string("error detail")?;
-            c.done("error")?;
+            let detail = get_string(&mut r, "error detail")?;
+            r.finish().field("error")?;
             return Ok(Response::Error { code, detail });
         }
         let op = OpCode::from_u8(opcode & !REPLY_BIT)
             .filter(|_| opcode & REPLY_BIT != 0)
             .ok_or_else(|| format!("unknown response opcode {opcode:#04x}"))?;
-        let mut c = Cur::new(payload);
         let resp = match op {
             OpCode::Hello => Response::Hello {
-                version: c.u8("server version")?,
-                shards: c.u16("shards")?,
-                streams: c.u64("streams")?,
+                version: r.u8().field("server version")?,
+                shards: r.u16().field("shards")?,
+                streams: r.u64().field("streams")?,
             },
             OpCode::Register => Response::Register,
             OpCode::RegisterWith => Response::RegisterWith,
-            OpCode::Push | OpCode::PushBatch => {
-                let o = PushOutcome {
-                    accepted: c.u64("accepted")?,
-                    rejected: c.u64("rejected")?,
-                    dropped: c.u64("dropped")?,
-                };
-                if op == OpCode::Push {
-                    Response::Push(o)
-                } else {
-                    Response::PushBatch(o)
-                }
-            }
+            OpCode::Push => Response::Push(get_outcome(&mut r)?),
+            OpCode::PushBatch => Response::PushBatch(get_outcome(&mut r)?),
             OpCode::Predict => Response::Predict(PredictReply {
-                forecast: c.opt_f64("forecast")?,
-                health: c.health("health")?,
-                steps: c.u64("steps")?,
-                forecasts: c.u64("forecasts")?,
+                forecast: get_opt_f64(&mut r, "forecast")?,
+                health: get_health(&mut r, "health")?,
+                steps: r.u64().field("steps")?,
+                forecasts: r.u64().field("forecasts")?,
             }),
             OpCode::StreamInfo => Response::StreamInfo(StreamInfoReply {
-                shard: c.u32("shard")?,
-                steps: c.u64("steps")?,
-                forecasts: c.u64("forecasts")?,
-                next_minute: c.u64("next_minute")?,
-                health: c.health("health")?,
-                last_forecast: c.opt_f64("last_forecast")?,
-                retrains: c.u64("retrains")?,
+                shard: r.u32().field("shard")?,
+                steps: r.u64().field("steps")?,
+                forecasts: r.u64().field("forecasts")?,
+                next_minute: r.u64().field("next_minute")?,
+                health: get_health(&mut r, "health")?,
+                last_forecast: get_opt_f64(&mut r, "last_forecast")?,
+                retrains: r.u64().field("retrains")?,
             }),
             OpCode::Health => Response::Health(HealthReply {
-                streams: c.u64("streams")?,
-                shards: c.u16("shards")?,
-                pushes: PushOutcome {
-                    accepted: c.u64("accepted")?,
-                    rejected: c.u64("rejected")?,
-                    dropped: c.u64("dropped")?,
-                },
-                steps: c.u64("steps")?,
-                forecasts: c.u64("forecasts")?,
-                nonfinite_forecasts: c.u64("nonfinite_forecasts")?,
-                retrains: c.u64("retrains")?,
-                degraded_streams: c.u64("degraded_streams")?,
-                quarantined_streams: c.u64("quarantined_streams")?,
-                queue_depth: c.u64("queue_depth")?,
-                unknown_dropped: c.u64("unknown_dropped")?,
+                streams: r.u64().field("streams")?,
+                shards: r.u16().field("shards")?,
+                pushes: get_outcome(&mut r)?,
+                steps: r.u64().field("steps")?,
+                forecasts: r.u64().field("forecasts")?,
+                nonfinite_forecasts: r.u64().field("nonfinite_forecasts")?,
+                retrains: r.u64().field("retrains")?,
+                degraded_streams: r.u64().field("degraded_streams")?,
+                quarantined_streams: r.u64().field("quarantined_streams")?,
+                queue_depth: r.u64().field("queue_depth")?,
+                unknown_dropped: r.u64().field("unknown_dropped")?,
             }),
-            OpCode::Checkpoint => return Ok(Response::Checkpoint(payload.to_vec())),
+            OpCode::Checkpoint => Response::Checkpoint(r.rest().to_vec()),
             OpCode::Evict => Response::Evict,
             OpCode::Shutdown => Response::Shutdown,
             OpCode::RingInfo => {
-                let version = c.u64("ring version")?;
-                return Ok(Response::Ring { version, blob: c.rest() });
+                Response::Ring { version: r.u64().field("ring version")?, blob: r.rest().to_vec() }
             }
             OpCode::RingUpdate => Response::RingUpdate,
-            OpCode::MigrateOut => {
-                let next_minute = c.u64("next_minute")?;
-                let floor = c.u64("floor")?;
-                return Ok(Response::MigrateOut { next_minute, floor, snapshot: c.rest() });
-            }
+            OpCode::MigrateOut => Response::MigrateOut {
+                next_minute: r.u64().field("next_minute")?,
+                floor: r.u64().field("floor")?,
+                snapshot: r.rest().to_vec(),
+            },
             OpCode::MigrateIn => Response::MigrateIn,
             OpCode::StandbyFeed => Response::StandbyFeed,
             OpCode::PushSeq => {
-                let outcome = PushOutcome {
-                    accepted: c.u64("accepted")?,
-                    rejected: c.u64("rejected")?,
-                    dropped: c.u64("dropped")?,
-                };
-                let deduped = c.u64("deduped")?;
-                let count = c.u32("echo count")? as usize;
-                let mut last_seqs = Vec::with_capacity(count.min(payload.len() / 16 + 1));
+                let outcome = get_outcome(&mut r)?;
+                let deduped = r.u64().field("deduped")?;
+                let count = r.u32().field("echo count")? as usize;
+                let mut last_seqs = Vec::with_capacity(count.min(r.remaining() / 16));
                 for i in 0..count {
-                    let id = c.u64(&format!("echo {i} id"))?;
-                    let seq = c.u64(&format!("echo {i} seq"))?;
+                    let id = r.u64().map_err(|e| describe(e, format_args!("echo {i} id")))?;
+                    let seq = r.u64().map_err(|e| describe(e, format_args!("echo {i} seq")))?;
                     last_seqs.push((id, seq));
                 }
                 Response::PushSeq(PushSeqOutcome { outcome, deduped, last_seqs })
             }
         };
-        c.done(op.name())?;
+        r.finish().field(op.name())?;
         Ok(resp)
     }
 }
@@ -1156,7 +1106,10 @@ mod tests {
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
         payload.extend_from_slice(&[0u8; 16]); // one real sample
         match Request::decode(OpCode::PushBatch as u8, &payload) {
-            Err((ErrorCode::MalformedPayload, _)) => {}
+            // The detail names the field and the sample index.
+            Err((ErrorCode::MalformedPayload, detail)) => {
+                assert_eq!(detail, "truncated payload reading sample 1 id")
+            }
             other => panic!("expected MalformedPayload, got {other:?}"),
         }
     }

@@ -11,7 +11,7 @@
 //!   reserved   u16    must be 0 (future flags; non-zero is rejected)
 //!   request_id u64    client-chosen, echoed verbatim in the response
 //!   payload    ...    opcode-specific encoding (see [`crate::msg`])
-//! crc32      u32    CRC-32/IEEE over the body
+//! crc32      u32    CRC-32/IEEE over the body (store::codec::crc32)
 //! ```
 //!
 //! The fixed body header is [`HEADER_LEN`] bytes; `len` must be at least
@@ -24,6 +24,8 @@
 //! Decoding never panics: every malformed input maps to a [`WireError`].
 
 use std::io::{Read, Write};
+
+use store::codec::crc32;
 
 /// Wire protocol version. Bump on any incompatible frame or payload change;
 /// the server rejects frames whose version it does not speak with
@@ -105,32 +107,6 @@ impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
     }
-}
-
-/// CRC-32/IEEE (reflected, polynomial 0xEDB88320), the Ethernet/zip CRC.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
 }
 
 /// Encodes one frame.
@@ -297,13 +273,6 @@ mod tests {
 
     fn frame(opcode: u8, request_id: u64, payload: &[u8]) -> Frame {
         Frame { opcode, request_id, payload: payload.to_vec() }
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

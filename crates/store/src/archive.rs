@@ -14,17 +14,16 @@
 //! crc     u32 CRC-32/IEEE over everything above
 //! ```
 //!
-//! Writes are atomic (tmp + rename + directory fsync). Reads return
+//! Writes are atomic ([`codec::write_atomic`]). Reads return
 //! `Ok(None)` for a missing file and `Err(Corrupt)` for one that fails
 //! validation — callers degrade to an empty archive and count it, they do
 //! not crash.
 
-use std::fs::{self, File};
-use std::io::Write;
+use std::fs;
 use std::path::Path;
 
-use crate::crc::crc32;
-use crate::memtable::{take_u32, take_u64, Memtable};
+use crate::codec::{self, Reader};
+use crate::memtable::Memtable;
 use crate::tiers::TieredArchive;
 use crate::{Result, StoreError};
 
@@ -69,19 +68,8 @@ pub fn write_archive(path: &Path, snapshot: &ArchiveSnapshot) -> Result<()> {
         buf.extend_from_slice(&s.next_minute.to_le_bytes());
         s.archive.encode_into(&mut buf);
     }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-
-    let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp)?;
-    f.write_all(&buf)?;
-    f.sync_data()?;
-    fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    codec::seal(&mut buf);
+    codec::write_atomic(path, &buf)?;
     Ok(())
 }
 
@@ -104,38 +92,29 @@ fn decode_archive(buf: &[u8]) -> Result<ArchiveSnapshot> {
     if &buf[..8] != ARCH_MAGIC {
         return Err(corrupt("bad magic"));
     }
-    let body = &buf[..buf.len() - 4];
-    let carried = u32::from_le_bytes(buf[buf.len() - 4..].try_into().expect("4 bytes"));
-    if crc32(body) != carried {
-        return Err(corrupt("crc mismatch"));
-    }
-    let mut pos = 8usize;
-    let version = take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated"))?;
+    let body = codec::unseal(buf).ok_or_else(|| corrupt("crc mismatch"))?;
+    let mut r = Reader::new(&body[8..]);
+    let bad = |what: &'static str| move |e: codec::Error| corrupt(&format!("{what}: {e}"));
+    let version = r.u32().map_err(bad("version"))?;
     if version != ARCH_VERSION {
         return Err(corrupt(&format!("unsupported version {version}")));
     }
-    let seq = take_u64(body, &mut pos).ok_or_else(|| corrupt("truncated"))?;
-    let memtable = Memtable::decode(body, &mut pos).ok_or_else(|| corrupt("bad memtable"))?;
-    let count = take_u32(body, &mut pos).ok_or_else(|| corrupt("truncated"))? as usize;
-    if count.checked_mul(16).is_none_or(|n| n > body.len().saturating_sub(pos)) {
-        return Err(corrupt("stream count out of bounds"));
-    }
+    let seq = r.u64().map_err(bad("seq"))?;
+    let memtable = Memtable::decode(&mut r).map_err(bad("memtable"))?;
+    let count = r.len(16).map_err(bad("stream count"))?;
     let mut streams = Vec::with_capacity(count);
     let mut prev: Option<u64> = None;
     for _ in 0..count {
-        let id = take_u64(body, &mut pos).ok_or_else(|| corrupt("truncated"))?;
+        let id = r.u64().map_err(bad("stream id"))?;
         if prev.is_some_and(|p| p >= id) {
             return Err(corrupt("stream ids not strictly ascending"));
         }
         prev = Some(id);
-        let next_minute = take_u64(body, &mut pos).ok_or_else(|| corrupt("truncated"))?;
-        let archive =
-            TieredArchive::decode(body, &mut pos).ok_or_else(|| corrupt("bad tier state"))?;
+        let next_minute = r.u64().map_err(bad("next_minute"))?;
+        let archive = TieredArchive::decode(&mut r).map_err(bad("tier state"))?;
         streams.push(StreamSnapshot { id, next_minute, archive });
     }
-    if pos != body.len() {
-        return Err(corrupt("trailing bytes"));
-    }
+    r.finish().map_err(bad("streams"))?;
     Ok(ArchiveSnapshot { seq, memtable, streams })
 }
 

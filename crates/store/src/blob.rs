@@ -23,7 +23,8 @@ use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-use crate::{crc32, Result, StoreError};
+use crate::codec::crc32;
+use crate::{Result, StoreError};
 
 /// Per-frame header: id (8) + payload length (4) + payload CRC (4).
 const FRAME_HEADER: u64 = 16;

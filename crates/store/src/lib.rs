@@ -18,6 +18,10 @@
 //!   compactor consolidates memtable samples upward so long histories cost
 //!   coarse rows, not raw samples.
 //!
+//! Every CRC-framed format in the workspace — these files, the netserve
+//! wire, the cluster's feed chunks and rings — frames its bytes through
+//! [`codec`]: one CRC-32, one checked reader, one atomic file writer.
+//!
 //! [`TraceStore`] binds the three together behind one handle and persists
 //! the memtable + archives as a CRC-checked sidecar next to each checkpoint,
 //! so a restart rebuilds the full query surface from checkpoint + WAL tail.
@@ -30,7 +34,7 @@
 
 pub mod archive;
 pub mod blob;
-pub mod crc;
+pub mod codec;
 pub mod memtable;
 pub mod record;
 pub mod store;
@@ -38,7 +42,6 @@ pub mod tiers;
 pub mod wal;
 
 pub use blob::BlobStore;
-pub use crc::crc32;
 pub use memtable::Memtable;
 pub use record::{RegisterTuning, Sample, WalRecord, MAX_RECORD_PAYLOAD};
 pub use store::{Recovered, StoreOptions, StoreStats, TraceStore};

@@ -8,6 +8,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use crate::codec::{self, Reader};
+
 /// Per-stream bounded rings of the newest raw samples.
 #[derive(Debug, Clone)]
 pub struct Memtable {
@@ -82,50 +84,30 @@ impl Memtable {
         }
     }
 
-    /// Decodes from `bytes` starting at `*pos`, advancing it past the
-    /// memtable. `None` on any malformed input (never panics).
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<Memtable> {
-        let rows_per_stream = take_u32(bytes, pos)? as usize;
+    /// Decodes a memtable from `r`, leaving it just past the encoding.
+    /// Forged counts are refused before anything is allocated for them.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Memtable, codec::Error> {
+        let rows_per_stream = r.u32()? as usize;
         if rows_per_stream == 0 {
-            return None;
+            return Err(codec::Error::Invalid);
         }
-        let streams = take_u32(bytes, pos)? as usize;
-        // A stream entry is at least id + count (12 bytes): bound before
-        // trusting the count.
-        if streams.checked_mul(12)? > bytes.len().saturating_sub(*pos) {
-            return None;
-        }
+        // A stream entry is at least id + count (12 bytes), a row 16.
+        let streams = r.len(12)?;
         let mut table = Memtable::new(rows_per_stream);
         for _ in 0..streams {
-            let id = take_u64(bytes, pos)?;
-            let rows = take_u32(bytes, pos)? as usize;
-            if rows > rows_per_stream || rows.checked_mul(16)? > bytes.len().saturating_sub(*pos) {
-                return None;
+            let id = r.u64()?;
+            let rows = r.len(16)?;
+            if rows > rows_per_stream {
+                return Err(codec::Error::Invalid);
             }
             let mut ring = VecDeque::with_capacity(rows);
             for _ in 0..rows {
-                let minute = take_u64(bytes, pos)?;
-                let value = f64::from_bits(take_u64(bytes, pos)?);
-                ring.push_back((minute, value));
+                ring.push_back((r.u64()?, r.f64()?));
             }
             table.map.insert(id, ring);
         }
-        Some(table)
+        Ok(table)
     }
-}
-
-pub(crate) fn take_u32(bytes: &[u8], pos: &mut usize) -> Option<u32> {
-    let end = pos.checked_add(4)?;
-    let s = bytes.get(*pos..end)?;
-    *pos = end;
-    Some(u32::from_le_bytes(s.try_into().expect("4 bytes")))
-}
-
-pub(crate) fn take_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
-    let end = pos.checked_add(8)?;
-    let s = bytes.get(*pos..end)?;
-    *pos = end;
-    Some(u64::from_le_bytes(s.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]
@@ -158,9 +140,9 @@ mod tests {
         }
         let mut bytes = Vec::new();
         t.encode_into(&mut bytes);
-        let mut pos = 0;
-        let back = Memtable::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::new(&bytes);
+        let back = Memtable::decode(&mut r).unwrap();
+        r.finish().unwrap();
         assert_eq!(back.streams(), 3);
         for stream in [9u64, 2, 5] {
             assert_eq!(back.query(stream, 0, 100), t.query(stream, 0, 100));
@@ -179,12 +161,12 @@ mod tests {
         t.encode_into(&mut bytes);
         // Forge the stream count.
         bytes[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Memtable::decode(&bytes, &mut 0).is_none());
+        assert_eq!(Memtable::decode(&mut Reader::new(&bytes)).unwrap_err(), codec::Error::Count);
         // Truncations never panic.
         let mut good = Vec::new();
         t.encode_into(&mut good);
         for cut in 0..good.len() {
-            let _ = Memtable::decode(&good[..cut], &mut 0);
+            assert!(Memtable::decode(&mut Reader::new(&good[..cut])).is_err());
         }
     }
 }

@@ -25,8 +25,11 @@
 //! before anything is sliced, and the sample count is cross-checked against
 //! the remaining payload bytes before the vector is reserved — a forged
 //! count costs the reader a comparison, not memory.
+//!
+//! `kind` + payload on its own is [`encode_payload`]/[`decode_payload`]:
+//! the unit the cluster's `LARPFEED` chunks embed, byte for byte.
 
-use crate::crc::crc32;
+use crate::codec::{self, Reader};
 
 /// Fixed body-header length: seq + kind.
 pub const RECORD_HEADER_LEN: usize = 9;
@@ -125,13 +128,60 @@ impl std::fmt::Display for RecordError {
 /// (cleared first). The hot append path: no intermediate [`WalRecord`] is
 /// built.
 pub fn encode_samples_into(out: &mut Vec<u8>, seq: u64, samples: &[Sample]) {
-    out.clear();
     let payload_len: usize = 4 + samples
         .iter()
         .map(|s| MIN_SAMPLE_LEN + if s.minute.is_some() { 8 } else { 0 })
         .sum::<usize>();
-    reserve_frame(out, payload_len);
-    begin_body(out, seq, KIND_SAMPLES);
+    frame_into(out, seq, payload_len, |out| put_samples(out, samples));
+}
+
+/// Encodes one `Register` record into `out` (cleared first).
+pub fn encode_register_into(out: &mut Vec<u8>, seq: u64, id: u64, tuning: &RegisterTuning) {
+    frame_into(out, seq, 8 + 4 + 4 + 4 + 8 + 1, |out| put_register(out, id, tuning));
+}
+
+/// Encodes one `Evict` record into `out` (cleared first).
+pub fn encode_evict_into(out: &mut Vec<u8>, seq: u64, id: u64) {
+    frame_into(out, seq, 8, |out| put_evict(out, id));
+}
+
+/// Encodes any record (convenience over the `_into` functions).
+pub fn encode(seq: u64, record: &WalRecord) -> Vec<u8> {
+    let mut out = Vec::new();
+    frame_into(&mut out, seq, 0, |out| encode_payload(out, record));
+    out
+}
+
+/// Appends one record's `kind` byte and payload: the bytes a record body
+/// holds after its `seq`. The cluster's `LARPFEED` WAL-tail chunks embed
+/// records in exactly this encoding.
+pub fn encode_payload(out: &mut Vec<u8>, record: &WalRecord) {
+    match record {
+        WalRecord::Samples(samples) => put_samples(out, samples),
+        WalRecord::Register { id, tuning } => put_register(out, *id, tuning),
+        WalRecord::Evict { id } => put_evict(out, *id),
+    }
+}
+
+/// Clears `out` and writes one whole frame: length, `seq`, whatever `put`
+/// appends (kind + payload, `payload_len` bytes past the kind, used only to
+/// reserve), CRC.
+fn frame_into(out: &mut Vec<u8>, seq: u64, payload_len: usize, put: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.reserve(4 + RECORD_HEADER_LEN + payload_len + codec::CRC_LEN);
+    // Length placeholder, patched once the body is written.
+    out.extend_from_slice(&0u32.to_le_bytes());
+    out.extend_from_slice(&seq.to_le_bytes());
+    put(out);
+    let body_len = out.len() - 4;
+    assert!(body_len <= RECORD_HEADER_LEN + MAX_RECORD_PAYLOAD, "record exceeds payload cap");
+    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = codec::crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+fn put_samples(out: &mut Vec<u8>, samples: &[Sample]) {
+    out.push(KIND_SAMPLES);
     out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
     for s in samples {
         out.extend_from_slice(&s.stream.to_le_bytes());
@@ -144,60 +194,21 @@ pub fn encode_samples_into(out: &mut Vec<u8>, seq: u64, samples: &[Sample]) {
         }
         out.extend_from_slice(&s.value.to_bits().to_le_bytes());
     }
-    finish_frame(out);
 }
 
-/// Encodes one `Register` record into `out` (cleared first).
-pub fn encode_register_into(out: &mut Vec<u8>, seq: u64, id: u64, tuning: &RegisterTuning) {
-    out.clear();
-    reserve_frame(out, 8 + 4 + 4 + 4 + 8 + 1);
-    begin_body(out, seq, KIND_REGISTER);
+fn put_register(out: &mut Vec<u8>, id: u64, tuning: &RegisterTuning) {
+    out.push(KIND_REGISTER);
     out.extend_from_slice(&id.to_le_bytes());
     out.extend_from_slice(&tuning.train_size.to_le_bytes());
     out.extend_from_slice(&tuning.qa_window.to_le_bytes());
     out.extend_from_slice(&tuning.qa_period.to_le_bytes());
     out.extend_from_slice(&tuning.qa_threshold.to_bits().to_le_bytes());
     out.push(tuning.f32_history as u8);
-    finish_frame(out);
 }
 
-/// Encodes one `Evict` record into `out` (cleared first).
-pub fn encode_evict_into(out: &mut Vec<u8>, seq: u64, id: u64) {
-    out.clear();
-    reserve_frame(out, 8);
-    begin_body(out, seq, KIND_EVICT);
+fn put_evict(out: &mut Vec<u8>, id: u64) {
+    out.push(KIND_EVICT);
     out.extend_from_slice(&id.to_le_bytes());
-    finish_frame(out);
-}
-
-/// Encodes any record (convenience over the `_into` functions).
-pub fn encode(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    match record {
-        WalRecord::Samples(samples) => encode_samples_into(&mut out, seq, samples),
-        WalRecord::Register { id, tuning } => encode_register_into(&mut out, seq, *id, tuning),
-        WalRecord::Evict { id } => encode_evict_into(&mut out, seq, *id),
-    }
-    out
-}
-
-fn reserve_frame(out: &mut Vec<u8>, payload_len: usize) {
-    out.reserve(4 + RECORD_HEADER_LEN + payload_len + 4);
-    // Length placeholder, patched by finish_frame.
-    out.extend_from_slice(&0u32.to_le_bytes());
-}
-
-fn begin_body(out: &mut Vec<u8>, seq: u64, kind: u8) {
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.push(kind);
-}
-
-fn finish_frame(out: &mut Vec<u8>) {
-    let body_len = out.len() - 4;
-    assert!(body_len <= RECORD_HEADER_LEN + MAX_RECORD_PAYLOAD, "record exceeds payload cap");
-    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Decodes one record from the front of `buf`, returning the sequence
@@ -210,101 +221,68 @@ pub fn decode(
     buf: &[u8],
     max_payload: usize,
 ) -> std::result::Result<(u64, WalRecord, usize), RecordError> {
-    if buf.len() < 4 {
-        return Err(RecordError::Truncated);
-    }
-    let body_len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
+    let declared = Reader::new(buf).u32().map_err(|_| RecordError::Truncated)?;
+    let body_len = declared as usize;
     if body_len < RECORD_HEADER_LEN || body_len > RECORD_HEADER_LEN + max_payload {
-        return Err(RecordError::BadLength(body_len as u32));
+        return Err(RecordError::BadLength(declared));
     }
-    let total = 4 + body_len + 4;
-    if buf.len() < total {
-        return Err(RecordError::Truncated);
+    let total = 4 + body_len + codec::CRC_LEN;
+    let framed = buf.get(4..total).ok_or(RecordError::Truncated)?;
+    let body = codec::unseal(framed).ok_or(RecordError::BadCrc)?;
+    let mut r = Reader::new(body);
+    let decoded = r.u64().and_then(|seq| Ok((seq, decode_payload(&mut r)?)));
+    match decoded.and_then(|ok| r.finish().map(|()| ok)) {
+        Ok((seq, record)) => Ok((seq, record, total)),
+        // Trailing payload bytes mean the record was not written by this
+        // codec, as does anything else the payload decoder refuses.
+        Err(_) => Err(RecordError::BadPayload),
     }
-    let body = &buf[4..4 + body_len];
-    let carried = u32::from_le_bytes(buf[4 + body_len..total].try_into().expect("4 bytes"));
-    if crc32(body) != carried {
-        return Err(RecordError::BadCrc);
-    }
-    let seq = u64::from_le_bytes(body[..8].try_into().expect("8 bytes"));
-    let kind = body[8];
-    let payload = &body[RECORD_HEADER_LEN..];
-    let record = decode_payload(kind, payload).ok_or(RecordError::BadPayload)?;
-    Ok((seq, record, total))
 }
 
-/// Decodes a CRC-verified payload; `None` for anything undecodable.
-fn decode_payload(kind: u8, payload: &[u8]) -> Option<WalRecord> {
-    let mut pos = 0usize;
-    let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-        let end = pos.checked_add(n)?;
-        let s = payload.get(*pos..end)?;
-        *pos = end;
-        Some(s)
-    };
-    let take_u64 =
-        |pos: &mut usize| take(pos, 8).map(|s| u64::from_le_bytes(s.try_into().expect("8 bytes")));
-    let take_u32 =
-        |pos: &mut usize| take(pos, 4).map(|s| u32::from_le_bytes(s.try_into().expect("4 bytes")));
-
-    let record = match kind {
+/// Decodes one record's `kind` byte and payload (the [`encode_payload`]
+/// encoding), leaving `r` just past it.
+pub fn decode_payload(r: &mut Reader<'_>) -> std::result::Result<WalRecord, codec::Error> {
+    let record = match r.u8()? {
         KIND_SAMPLES => {
-            let count = take_u32(&mut pos)? as usize;
-            // A forged count cannot out-allocate the payload it arrived in.
-            if count * MIN_SAMPLE_LEN > payload.len().saturating_sub(pos) {
-                return None;
-            }
+            // A forged count cannot out-allocate the bytes it arrived in.
+            let count = r.len(MIN_SAMPLE_LEN)?;
             let mut samples = Vec::with_capacity(count);
             for _ in 0..count {
-                let stream = take_u64(&mut pos)?;
-                let minute = match take(&mut pos, 1)?[0] {
+                let stream = r.u64()?;
+                let minute = match r.u8()? {
                     0 => None,
-                    1 => Some(take_u64(&mut pos)?),
-                    _ => return None,
+                    1 => Some(r.u64()?),
+                    _ => return Err(codec::Error::Invalid),
                 };
-                let value = f64::from_bits(take_u64(&mut pos)?);
-                samples.push(Sample { stream, minute, value });
+                samples.push(Sample { stream, minute, value: r.f64()? });
             }
             WalRecord::Samples(samples)
         }
         KIND_REGISTER => {
-            let id = take_u64(&mut pos)?;
-            let train_size = take_u32(&mut pos)?;
-            let qa_window = take_u32(&mut pos)?;
-            let qa_period = take_u32(&mut pos)?;
-            let qa_threshold = f64::from_bits(take_u64(&mut pos)?);
-            // Trailing flag byte added for f32-history streams; a record
-            // written before the flag existed simply ends here.
-            let f32_history = if pos < payload.len() {
-                match take(&mut pos, 1)?[0] {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                }
-            } else {
-                false
+            let id = r.u64()?;
+            let (train_size, qa_window, qa_period) = (r.u32()?, r.u32()?, r.u32()?);
+            let qa_threshold = r.f64()?;
+            // Trailing flag byte added for f32-history streams; a WAL
+            // record written before the flag existed simply ends here.
+            let f32_history = match (r.remaining() > 0).then(|| r.u8()).transpose()? {
+                None | Some(0) => false,
+                Some(1) => true,
+                Some(_) => return Err(codec::Error::Invalid),
             };
-            WalRecord::Register {
-                id,
-                tuning: RegisterTuning {
-                    train_size,
-                    qa_window,
-                    qa_period,
-                    qa_threshold,
-                    f32_history,
-                },
-            }
+            let tuning =
+                RegisterTuning { train_size, qa_window, qa_period, qa_threshold, f32_history };
+            WalRecord::Register { id, tuning }
         }
-        KIND_EVICT => WalRecord::Evict { id: take_u64(&mut pos)? },
-        _ => return None,
+        KIND_EVICT => WalRecord::Evict { id: r.u64()? },
+        _ => return Err(codec::Error::Invalid),
     };
-    // Trailing payload bytes mean the record was not written by this codec.
-    (pos == payload.len()).then_some(record)
+    Ok(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
 
     fn sample_record() -> WalRecord {
         WalRecord::Samples(vec![

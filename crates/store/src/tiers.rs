@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use crate::memtable::{take_u32, take_u64};
+use crate::codec::{self, Reader};
 use crate::{Result, StoreError};
 
 /// One archive tier: consolidation interval and retention.
@@ -163,37 +163,32 @@ impl TieredArchive {
         }
     }
 
-    /// Decodes from `bytes` at `*pos`, advancing it. `None` on malformed
-    /// input (forged counts are bounded against remaining bytes before any
-    /// allocation; never panics).
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<TieredArchive> {
-        let tier_count = take_u32(bytes, pos)? as usize;
-        // Each tier costs at least 40 bytes of fixed fields.
-        if tier_count.checked_mul(40)? > bytes.len().saturating_sub(*pos) {
-            return None;
-        }
+    /// Decodes an archive from `r`, leaving it just past the encoding.
+    /// Forged counts are refused before anything is allocated for them.
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<TieredArchive, codec::Error> {
+        // Each tier costs at least 40 bytes of fixed fields, a row 8.
+        let tier_count = r.len(40)?;
         let mut specs = Vec::with_capacity(tier_count);
         let mut tiers = Vec::with_capacity(tier_count);
         for _ in 0..tier_count {
-            let interval_minutes = take_u64(bytes, pos)?;
-            let spec_rows = take_u64(bytes, pos)? as usize;
-            let first_row = take_u64(bytes, pos)?;
-            let acc_sum = f64::from_bits(take_u64(bytes, pos)?);
-            let acc_count = take_u64(bytes, pos)?;
-            let row_count = take_u32(bytes, pos)? as usize;
-            if row_count > spec_rows || row_count.checked_mul(8)? > bytes.len().saturating_sub(*pos)
-            {
-                return None;
+            let interval_minutes = r.u64()?;
+            let spec_rows = r.u64()? as usize;
+            let first_row = r.u64()?;
+            let acc_sum = r.f64()?;
+            let acc_count = r.u64()?;
+            let row_count = r.len(8)?;
+            if row_count > spec_rows {
+                return Err(codec::Error::Invalid);
             }
             let mut rows = VecDeque::with_capacity(row_count);
             for _ in 0..row_count {
-                rows.push_back(f64::from_bits(take_u64(bytes, pos)?));
+                rows.push_back(r.f64()?);
             }
             specs.push(TierSpec { interval_minutes, rows: spec_rows });
             tiers.push(Tier { first_row, rows, acc_sum, acc_count });
         }
-        validate_specs(&specs).ok()?;
-        Some(TieredArchive { specs, tiers })
+        validate_specs(&specs).map_err(|_| codec::Error::Invalid)?;
+        Ok(TieredArchive { specs, tiers })
     }
 }
 
@@ -286,9 +281,9 @@ mod tests {
         ramp(&mut a, 333); // leaves partial accumulators in tiers 1 and 2
         let mut bytes = Vec::new();
         a.encode_into(&mut bytes);
-        let mut pos = 0;
-        let mut back = TieredArchive::decode(&bytes, &mut pos).unwrap();
-        assert_eq!(pos, bytes.len());
+        let mut r = Reader::new(&bytes);
+        let mut back = TieredArchive::decode(&mut r).unwrap();
+        r.finish().unwrap();
         let mut bytes2 = Vec::new();
         back.encode_into(&mut bytes2);
         assert_eq!(bytes, bytes2);
@@ -306,10 +301,13 @@ mod tests {
         let mut bytes = Vec::new();
         a.encode_into(&mut bytes);
         for cut in 0..bytes.len() {
-            let _ = TieredArchive::decode(&bytes[..cut], &mut 0);
+            assert!(TieredArchive::decode(&mut Reader::new(&bytes[..cut])).is_err());
         }
         let mut forged = bytes.clone();
         forged[..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(TieredArchive::decode(&forged, &mut 0).is_none());
+        assert_eq!(
+            TieredArchive::decode(&mut Reader::new(&forged)).unwrap_err(),
+            codec::Error::Count
+        );
     }
 }

@@ -3,7 +3,8 @@
 //! On-disk layout inside the WAL directory:
 //!
 //! ```text
-//! MANIFEST              atomic (tmp + rename) list of segment first-seqs
+//! MANIFEST              magic "STORMAN1" | count u32 | first_seq u64 × count | crc
+//!                       (sealed and replaced atomically, see crate::codec)
 //! <first_seq:016x>.seg  magic "STORSEG1" | first_seq u64 | records...
 //! ```
 //!
@@ -31,7 +32,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::crc::crc32;
+use crate::codec::{self, Reader};
 use crate::record::{self, RegisterTuning, Sample, WalRecord};
 use crate::{Result, StoreError};
 
@@ -366,16 +367,8 @@ impl Wal {
         for first in &self.segments {
             buf.extend_from_slice(&first.to_le_bytes());
         }
-        let crc = crc32(&buf);
-        buf.extend_from_slice(&crc.to_le_bytes());
-        let tmp = self.dir.join("MANIFEST.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_data()?;
-        fs::rename(&tmp, self.dir.join(MANIFEST))?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+        codec::seal(&mut buf);
+        codec::write_atomic(&self.dir.join(MANIFEST), &buf)?;
         Ok(())
     }
 }
@@ -415,24 +408,14 @@ fn open_segment(dir: &Path, first_seq: u64) -> Result<File> {
 
 fn read_manifest(dir: &Path) -> Option<Vec<u64>> {
     let buf = fs::read(dir.join(MANIFEST)).ok()?;
-    if buf.len() < 16 || &buf[..8] != MAN_MAGIC {
+    let mut r = Reader::new(codec::unseal(&buf)?);
+    if r.bytes(MAN_MAGIC.len()).ok()? != MAN_MAGIC {
         return None;
     }
-    let body = &buf[..buf.len() - 4];
-    let carried = u32::from_le_bytes(buf[buf.len() - 4..].try_into().ok()?);
-    if crc32(body) != carried {
-        return None;
-    }
-    let count = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
-    if body.len() != 12 + count * 8 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let at = 12 + i * 8;
-        out.push(u64::from_le_bytes(body[at..at + 8].try_into().ok()?));
-    }
-    Some(out)
+    let count = r.len(8).ok()?;
+    let segments = (0..count).map(|_| r.u64()).collect::<std::result::Result<Vec<u64>, _>>();
+    r.finish().ok()?;
+    segments.ok()
 }
 
 /// Fallback when the manifest is unusable: every `*.seg` file, ordered by

@@ -25,6 +25,17 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+if [[ "$QUICK" -eq 0 ]]; then
+  echo "==> perfbench builds and smoke-runs against the current crates"
+  # perfbench/ is its own workspace (the benchmark BENCHMARK.json runs), so
+  # the workspace build above never compiles it: a renamed public item it
+  # calls would only surface when the benchmark runs. Its tests build it
+  # and run each workload for 1 s; the diff check proves the build did not
+  # rewrite its committed Cargo.lock.
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+  git diff --exit-code -- perfbench/
+fi
+
 echo "==> kernel dispatch parity (forced-scalar and forced-AVX2 runs)"
 # The vectorized kernels contract bit-identical results across dispatch modes
 # (DESIGN.md §13). Re-run the numeric crates with each mode forced; "avx2"
