@@ -7,29 +7,50 @@
 //! thousands of further steps perform zero allocations. Regressions here are
 //! invisible to correctness tests but show up directly as fleet throughput
 //! loss, so this pins the property rather than the symptom.
+//!
+//! The same allocator also pins the allocation budget of one warm refit
+//! (`TrainedLarp::train` on a 40-sample tail), the fit the quality assuror
+//! triggers every few steps on busy streams.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use larp::{GuardedLarp, IngestConfig, LarpConfig, QualityAssuror, Scratch};
+use larp::{GuardedLarp, IngestConfig, LarpConfig, QualityAssuror, Scratch, TrainedLarp};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread.
+    static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The tests below run on parallel harness threads but read the
+/// process-wide counter; each holds this lock for its whole body so one
+/// test's allocations never land in another's measured window.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn count() {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -49,6 +70,7 @@ fn signal(minute: u64) -> f64 {
 
 #[test]
 fn steady_state_online_step_does_not_allocate() {
+    let _measuring = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     // A QA threshold this high never signals a retrain, so the measured
     // window exercises exactly the steady-state serving path.
     let qa = QualityAssuror::new(1e12, 8, 4).expect("valid QA config");
@@ -82,4 +104,38 @@ fn steady_state_online_step_does_not_allocate() {
         "a retrain inside the measured window would invalidate the steady-state claim"
     );
     assert_eq!(allocations, 0, "steady-state online step allocated {allocations} times");
+}
+
+/// Heap allocations of one warm refit: the pool (model list, spec list, the
+/// boxed SW_AVG and AR members, the AR coefficients, and the AR fit's three
+/// temporaries — autocovariances, previous-order coefficients, reflection
+/// coefficients), the k-NN labels and point store, the PCA mean, components
+/// and eigenvalues plus the basis's `Arc`, and the config's pool list. The
+/// fit's other temporaries — normalised tail, window matrix, projected
+/// features, covariance, eigen workspace — live in reused per-thread buffers
+/// or on the stack. A lower count is progress: lower the pin with it.
+const REFIT_ALLOCATIONS: u64 = 15;
+
+#[test]
+fn warm_refit_stays_within_its_allocation_budget() {
+    let _measuring = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let tail: Vec<f64> = (0..40u64).map(signal).collect();
+    let config = LarpConfig::default();
+    // The first fit on this thread sizes the reused fit buffers.
+    let warm = TrainedLarp::train(&tail, &config).expect("trainable tail");
+
+    let before = THREAD_ALLOC_CALLS.with(Cell::get);
+    let model = TrainedLarp::train(&tail, &config).expect("trainable tail");
+    let allocations = THREAD_ALLOC_CALLS.with(Cell::get) - before;
+
+    assert!(model.pca().is_some() && model.knn().len() == 35, "a full PCA + k-NN fit");
+    assert_eq!(
+        model.predict_next_raw(&tail).unwrap(),
+        warm.predict_next_raw(&tail).unwrap(),
+        "reused buffers must not change the fit"
+    );
+    assert_eq!(
+        allocations, REFIT_ALLOCATIONS,
+        "one warm refit made {allocations} allocations (budget {REFIT_ALLOCATIONS})"
+    );
 }

@@ -270,3 +270,26 @@ fn checkpoint_wrappers_survive_hostile_bytes() {
     });
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn checkpoint_covering_the_last_sequence_number_is_a_typed_error() {
+    // A CRC-valid STORCKP1 that claims to cover WAL seq u64::MAX leaves no
+    // sequence number for the log to continue at: recovery must refuse it
+    // as corrupt rather than overflow computing the next one.
+    let dir = temp_dir("storckp-max");
+    let engine = FleetEngine::new(durable(&dir)).unwrap();
+    engine.register(3).unwrap();
+    engine.checkpoint_durable().unwrap();
+    drop(engine);
+    let checkpoint = dir.join("CHECKPOINT");
+    let mut bytes = fs::read(&checkpoint).unwrap();
+    bytes.truncate(bytes.len() - codec::CRC_LEN);
+    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    codec::seal(&mut bytes);
+    fs::write(&checkpoint, &bytes).unwrap();
+    let err = FleetEngine::recover(durable(&dir), StreamConfig::default())
+        .err()
+        .expect("a checkpoint at u64::MAX cannot be recovered");
+    assert!(err.to_string().contains("corrupt"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}

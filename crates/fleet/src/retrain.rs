@@ -48,6 +48,31 @@ struct CellInput {
 pub(crate) struct RetrainCell {
     state: Mutex<CellState>,
     done: Condvar,
+    pending: Arc<Pending>,
+}
+
+/// Inputs submitted but not yet taken — the `fleet_retrain_queue_depth`
+/// gauge. Whichever side takes a cell's input (a pool worker, or the owner
+/// stealing it) counts it out, so a stolen cell still sitting in the queue
+/// is not counted. The count is updated and published under one lock, so
+/// concurrent takers cannot leave a stale value behind.
+struct Pending {
+    count: Mutex<usize>,
+    gauge: Gauge,
+}
+
+impl Pending {
+    fn add(&self) {
+        let mut count = self.count.lock().expect("retrain depth poisoned");
+        *count += 1;
+        self.gauge.set(*count as f64);
+    }
+
+    fn take(&self) {
+        let mut count = self.count.lock().expect("retrain depth poisoned");
+        *count -= 1;
+        self.gauge.set(*count as f64);
+    }
 }
 
 struct CellState {
@@ -56,13 +81,15 @@ struct CellState {
 }
 
 impl RetrainCell {
-    fn new(request: RetrainRequest, config: LarpConfig) -> Self {
+    fn new(request: RetrainRequest, config: LarpConfig, pending: Arc<Pending>) -> Self {
+        pending.add();
         Self {
             state: Mutex::new(CellState {
                 input: Some(CellInput { request, config, queued: Instant::now() }),
                 output: None,
             }),
             done: Condvar::new(),
+            pending,
         }
     }
 
@@ -83,6 +110,7 @@ impl RetrainCell {
     fn run(&self) {
         let taken = self.state.lock().expect("retrain cell poisoned").input.take();
         let Some(input) = taken else { return };
+        self.pending.take();
         let outcome = Self::fit(input);
         let mut state = self.state.lock().expect("retrain cell poisoned");
         state.output = Some(outcome);
@@ -95,6 +123,7 @@ impl RetrainCell {
         let mut state = self.state.lock().expect("retrain cell poisoned");
         if let Some(input) = state.input.take() {
             drop(state);
+            self.pending.take();
             return Self::fit(input);
         }
         loop {
@@ -110,13 +139,12 @@ struct PoolShared {
     queue: Mutex<VecDeque<Arc<RetrainCell>>>,
     not_empty: Condvar,
     stop: AtomicBool,
-    /// Cells currently queued (not yet picked up by a worker).
-    depth: Gauge,
 }
 
 /// Fixed-size thread pool fitting [`RetrainCell`]s in submission order.
 pub(crate) struct RetrainPool {
     shared: Arc<PoolShared>,
+    pending: Arc<Pending>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     jobs: Counter,
     /// Outcomes whose generation no longer matched at install (counted by
@@ -132,7 +160,6 @@ impl RetrainPool {
             queue: Mutex::new(VecDeque::new()),
             not_empty: Condvar::new(),
             stop: AtomicBool::new(false),
-            depth: registry.gauge("fleet_retrain_queue_depth"),
         });
         let workers = (0..threads.max(1))
             .map(|i| {
@@ -144,7 +171,6 @@ impl RetrainPool {
                             let mut q = shared.queue.lock().expect("retrain queue poisoned");
                             loop {
                                 if let Some(cell) = q.pop_front() {
-                                    shared.depth.set(q.len() as f64);
                                     break cell;
                                 }
                                 if shared.stop.load(Ordering::Acquire) {
@@ -160,6 +186,10 @@ impl RetrainPool {
             .collect();
         Self {
             shared,
+            pending: Arc::new(Pending {
+                count: Mutex::new(0),
+                gauge: registry.gauge("fleet_retrain_queue_depth"),
+            }),
             workers: Mutex::new(workers),
             jobs: registry.counter("fleet_retrain_jobs_total"),
             stale: registry.counter("fleet_retrain_stale_total"),
@@ -169,12 +199,8 @@ impl RetrainPool {
     /// Enqueues one fit; the returned cell is the handle the stream's slot
     /// holds until install.
     pub(crate) fn submit(&self, request: RetrainRequest, config: LarpConfig) -> Arc<RetrainCell> {
-        let cell = Arc::new(RetrainCell::new(request, config));
-        {
-            let mut q = self.shared.queue.lock().expect("retrain queue poisoned");
-            q.push_back(Arc::clone(&cell));
-            self.shared.depth.set(q.len() as f64);
-        }
+        let cell = Arc::new(RetrainCell::new(request, config, Arc::clone(&self.pending)));
+        self.shared.queue.lock().expect("retrain queue poisoned").push_back(Arc::clone(&cell));
         self.jobs.inc();
         self.shared.not_empty.notify_one();
         cell
@@ -241,7 +267,12 @@ mod tests {
         // must fit on the calling thread rather than block.
         let (mut online, request) = armed_request();
         let cell = pool.submit(request, online.config().clone());
+        let depth = registry.gauge("fleet_retrain_queue_depth");
+        assert_eq!(depth.get(), 1.0, "submitted input counts as queued");
         let outcome = cell.resolve();
+        // The stolen cell is still in the queue, but its input is taken.
+        assert_eq!(pool.shared.queue.lock().unwrap().len(), 1);
+        assert_eq!(depth.get(), 0.0, "a stolen input no longer counts as queued");
         assert!(outcome.model.is_some(), "steal path fits the window");
         assert!(online.install_retrain(outcome));
     }

@@ -111,8 +111,10 @@ pub fn label_windows_parallel(
 /// indices only — no window copies, no per-window forecast vectors. Produces
 /// exactly `label_windows_parallel(..).iter().map(|lw| lw.label.0)` (a test
 /// pins this), but the only allocation is the returned label vector itself,
-/// which the k-NN fit consumes. This is the path the online retrain loop
-/// takes several thousand times per minute.
+/// which the k-NN fit consumes: each range runs
+/// [`PredictorPool::best_ids_into`], member by member over stack-held
+/// blocks of windows. This is the path the online retrain loop takes several
+/// thousand times per minute.
 ///
 /// # Errors
 ///
@@ -128,10 +130,10 @@ pub fn label_ids(
     }
     let frames = prepare(pool, train, window)?;
     let total = frames.count_with_targets();
+    let mut labels = Vec::with_capacity(total);
     if threads == 1 || total < 256 {
-        return Ok((0..total)
-            .map(|index| pool.best_id(frames.get(index), train[index + window]).0)
-            .collect());
+        pool.best_ids_into(train, window, &mut labels);
+        return Ok(labels);
     }
     let chunk = total.div_ceil(threads);
     let ranges: Vec<(usize, usize)> = (0..threads)
@@ -142,11 +144,10 @@ pub fn label_ids(
         let handles: Vec<_> = ranges
             .iter()
             .map(|&(start, end)| {
-                let frames = &frames;
                 s.spawn(move || {
-                    (start..end)
-                        .map(|index| pool.best_id(frames.get(index), train[index + window]).0)
-                        .collect::<Vec<_>>()
+                    let mut part = Vec::with_capacity(end - start);
+                    pool.best_ids_into(&train[start..end + window], window, &mut part);
+                    part
                 })
             })
             .collect();
@@ -155,7 +156,10 @@ pub fn label_ids(
             .map(|h| h.join().expect("labeler worker panicked"))
             .collect::<Vec<Vec<_>>>()
     });
-    Ok(results.into_iter().flatten().collect())
+    for part in results {
+        labels.extend_from_slice(&part);
+    }
+    Ok(labels)
 }
 
 fn prepare<'a>(pool: &PredictorPool, train: &'a [f64], window: usize) -> Result<Frames<'a>> {

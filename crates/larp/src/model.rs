@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use learn::{KnnClassifier, Pca};
-use linalg::Matrix;
 use predictors::{PredictorId, PredictorPool};
 use timeseries::ZScore;
 
@@ -70,6 +69,47 @@ impl Scratch {
     }
 }
 
+/// Temporaries of one training phase, reused by every fit on the same
+/// thread: the normalised series, its window matrix, the projected features
+/// and the probe's k-NN neighbours. An online refit (a 40-sample tail,
+/// several thousand times a minute per fleet) then allocates only what the
+/// fitted model keeps.
+#[derive(Default)]
+struct FitBuffers {
+    normalized: Vec<f64>,
+    windows: Vec<f64>,
+    features: Vec<f64>,
+    neighbors: Vec<(usize, f64)>,
+}
+
+impl FitBuffers {
+    /// Buffers above this many values are freed after the fit, so one
+    /// offline fit on a long trace does not pin its window matrix to the
+    /// thread for good.
+    const RETAIN_MAX: usize = 1 << 14;
+
+    fn release_oversized(&mut self) {
+        for buf in [&mut self.normalized, &mut self.windows, &mut self.features] {
+            if buf.capacity() > Self::RETAIN_MAX {
+                *buf = Vec::new();
+            }
+        }
+    }
+}
+
+thread_local! {
+    static FIT_BUFFERS: std::cell::RefCell<FitBuffers> = std::cell::RefCell::default();
+}
+
+/// Runs `f` on this thread's [`FitBuffers`], trimming oversized ones after.
+fn with_fit_buffers<R>(f: impl FnOnce(&mut FitBuffers) -> R) -> R {
+    FIT_BUFFERS.with_borrow_mut(|bufs| {
+        let out = f(bufs);
+        bufs.release_oversized();
+        out
+    })
+}
+
 /// A LARPredictor after its training phase (paper §6.1).
 ///
 /// Holds everything the testing phase needs: the train-derived z-score
@@ -125,43 +165,48 @@ impl TrainedLarp {
         }
 
         let zscore = ZScore::fit(train)?;
-        let normalized = zscore.apply_slice(train);
+        with_fit_buffers(|bufs| Self::fit_buffered(train, config, threads, zscore, bufs))
+    }
 
-        let pool = PredictorPool::from_specs(&config.pool, &normalized)?;
-        // Labels only — the windows themselves are overlapping subslices of
-        // `normalized`, so nothing is copied per window until the single flat
-        // matrix below. This keeps a steady-state retrain (a few dozen tiny
-        // windows, several thousand times a minute at fleet scale) down to a
-        // handful of right-sized allocations instead of ~4 per window.
-        let labels = label_ids(&pool, &normalized, m, threads)?;
+    /// The training phase after the z-score fit, on the thread's reused
+    /// [`FitBuffers`]. Every temporary the fit needs lives in `bufs`; the
+    /// allocations left are the model's own storage.
+    fn fit_buffered(
+        train: &[f64],
+        config: &LarpConfig,
+        threads: usize,
+        zscore: ZScore,
+        bufs: &mut FitBuffers,
+    ) -> Result<Self> {
+        let m = config.window;
+        let FitBuffers { normalized, windows, features, .. } = bufs;
+        zscore.apply_slice_into(train, normalized);
+
+        let pool = PredictorPool::from_specs(&config.pool, normalized)?;
+        // Labels only — the windows are overlapping subslices of
+        // `normalized`; the label vector becomes the k-NN index's own.
+        let labels = label_ids(&pool, normalized, m, threads)?;
         let n_windows = labels.len();
 
-        // Flat row-major window matrix: (u - m) × m, one copy per window.
-        let mut windows = Vec::with_capacity(n_windows * m);
+        // Flat row-major window matrix: (u - m) × m.
+        windows.clear();
         for i in 0..n_windows {
             windows.extend_from_slice(&normalized[i..i + m]);
         }
 
         let (pca, points, dim) = match &config.reduction {
-            FeatureReduction::None => (None, windows, m),
+            FeatureReduction::None => (None, &windows[..], m),
             reduction => {
-                let window_matrix = Matrix::from_vec(n_windows, m, windows)
-                    .map_err(|e| LarpError::Substrate(e.to_string()))?;
                 let p = match reduction {
-                    FeatureReduction::Pca { dims } => Pca::fit(&window_matrix, *dims)?,
+                    FeatureReduction::Pca { dims } => Pca::fit_rows(windows, m, *dims)?,
                     FeatureReduction::PcaFraction { min_fraction } => {
-                        Pca::fit_fraction(&window_matrix, *min_fraction)?
+                        Pca::fit_fraction_rows(windows, m, *min_fraction)?
                     }
                     FeatureReduction::None => unreachable!("handled above"),
                 };
+                p.transform_rows_into(windows, features)?;
                 let dim = p.n_components();
-                let mut features = Vec::with_capacity(n_windows * dim);
-                let mut buf = Vec::with_capacity(dim);
-                for i in 0..n_windows {
-                    p.transform_into(window_matrix.row(i), &mut buf)?;
-                    features.extend_from_slice(&buf);
-                }
-                (Some(Arc::new(p)), features, dim)
+                (Some(Arc::new(p)), &features[..], dim)
             }
         };
         let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;
@@ -429,15 +474,28 @@ impl TrainedLarp {
     }
 
     /// Runs one step on a *raw-scale* history: normalises with the train
-    /// coefficients, predicts, and de-normalises the forecast.
+    /// coefficients, predicts, and de-normalises the forecast. The work runs
+    /// in the thread's reused fit buffers, so the probe a refit runs on its
+    /// own training tail before it installs allocates nothing once warm.
     ///
     /// # Errors
     ///
     /// Returns [`LarpError::InsufficientData`] if `history` is shorter than `m`.
     pub fn predict_next_raw(&self, history: &[f64]) -> Result<(PredictorId, f64)> {
-        let normalized = self.zscore.apply_slice(history);
-        let (id, z) = self.predict_next(&normalized)?;
-        Ok((id, self.zscore.invert(z)))
+        let m = self.config.window;
+        if history.len() < m {
+            return Err(LarpError::InsufficientData(format!(
+                "selection needs a window of {m} points, got {}",
+                history.len()
+            )));
+        }
+        with_fit_buffers(|bufs| {
+            let FitBuffers { normalized, features, neighbors, .. } = bufs;
+            self.zscore.apply_slice_into(history, normalized);
+            self.features_for_into(&normalized[history.len() - m..], features)?;
+            let id = PredictorId(self.knn.classify_into(features, neighbors)?);
+            Ok((id, self.zscore.invert(self.pool.predict_one(id, normalized))))
+        })
     }
 
     /// Iterated multi-step forecasting on a *normalised* history: predicts
@@ -782,6 +840,36 @@ mod tests {
         let norm = a.zscore().apply_slice(&s[200..]);
         for t in 5..norm.len() {
             assert_eq!(a.select(&norm[..t]).unwrap(), b.select(&norm[..t]).unwrap());
+        }
+    }
+
+    fn wave(n: usize) -> Vec<f64> {
+        (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 + (i % 7) as f64 * 0.2).collect()
+    }
+
+    #[test]
+    fn reused_fit_buffers_do_not_leak_between_fits() {
+        // Fits of different shapes on one thread share the buffers; each
+        // must come out exactly as it does on a fresh thread.
+        let s = wave(400);
+        let fresh = |t: Vec<f64>, config: LarpConfig| {
+            std::thread::spawn(move || {
+                let model = TrainedLarp::train(&t, &config).unwrap();
+                (model.knn().points_flat().to_vec(), model.knn().labels().to_vec())
+            })
+            .join()
+            .unwrap()
+        };
+        let none = LarpConfig { reduction: FeatureReduction::None, ..LarpConfig::default() };
+        for (t, config) in [
+            (s[..40].to_vec(), LarpConfig::default()),
+            (s[..400].to_vec(), LarpConfig::paper(16)),
+            (s[100..160].to_vec(), none),
+            (s[..40].to_vec(), LarpConfig::default()),
+        ] {
+            let model = TrainedLarp::train(&t, &config).unwrap();
+            let here = (model.knn().points_flat().to_vec(), model.knn().labels().to_vec());
+            assert_eq!(here, fresh(t, config));
         }
     }
 }

@@ -835,11 +835,9 @@ impl OnlineLarp {
     /// current model's coefficients (or empties it when no model exists).
     /// Called after every successful (re)train and after snapshot restore.
     pub(crate) fn rebuild_norm(&mut self) {
-        self.norm.clear();
-        if let Some(model) = &self.model {
-            for v in self.history.iter64() {
-                self.norm.push(model.zscore().apply(v));
-            }
+        match &self.model {
+            Some(model) => self.norm.refill_normalized(&self.history, model.zscore()),
+            None => self.norm.clear(),
         }
     }
 

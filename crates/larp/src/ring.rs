@@ -23,6 +23,8 @@
 //! zero-copy borrow in `f64` mode, a widening copy into caller scratch in
 //! `f32` mode.
 
+use timeseries::ZScore;
+
 /// Backing storage: full-precision or quantized.
 #[derive(Debug, Clone)]
 enum RingBuf {
@@ -96,9 +98,7 @@ impl HistoryRing {
         let start = &mut self.start;
         match &mut self.buf {
             RingBuf::F64(buf) => {
-                if cap != 0 && buf.capacity() == 0 {
-                    buf.reserve_exact(2 * cap);
-                }
+                reserve_on_first_fill(buf, cap, 1);
                 buf.push(value);
                 if cap != 0 && buf.len() - *start > cap {
                     *start += 1;
@@ -110,9 +110,7 @@ impl HistoryRing {
                 }
             }
             RingBuf::F32(buf) => {
-                if cap != 0 && buf.capacity() == 0 {
-                    buf.reserve_exact(2 * cap);
-                }
+                reserve_on_first_fill(buf, cap, 1);
                 buf.push(value as f32);
                 if cap != 0 && buf.len() - *start > cap {
                     *start += 1;
@@ -174,6 +172,33 @@ impl HistoryRing {
         }
     }
 
+    /// Replaces the contents with `zscore` applied to every value of
+    /// `source`, oldest first — exactly what clearing and pushing
+    /// `zscore.apply(v)` for each `v` of `source` leaves, without a ring push
+    /// per value (`f64` rings normalise through the batched kernel, which is
+    /// bit-identical to per-value `apply`). `source` must share this ring's
+    /// storage mode and capacity, as the normalised mirror shares its
+    /// history's.
+    pub(crate) fn refill_normalized(&mut self, source: &HistoryRing, zscore: &ZScore) {
+        debug_assert_eq!(self.cap, source.cap);
+        let cap = self.cap;
+        self.start = 0;
+        match (&mut self.buf, &source.buf) {
+            (RingBuf::F64(buf), RingBuf::F64(src)) => {
+                let src = &src[source.start..];
+                reserve_on_first_fill(buf, cap, src.len());
+                zscore.apply_slice_into(src, buf);
+            }
+            (RingBuf::F32(buf), RingBuf::F32(src)) => {
+                let src = &src[source.start..];
+                reserve_on_first_fill(buf, cap, src.len());
+                buf.clear();
+                buf.extend(src.iter().map(|&v| zscore.apply(f64::from(v)) as f32));
+            }
+            _ => unreachable!("a normalised mirror shares its history's storage mode"),
+        }
+    }
+
     /// Drops all retained values (capacity preserved).
     pub(crate) fn clear(&mut self) {
         match &mut self.buf {
@@ -222,12 +247,53 @@ impl Iterator for RingIter64<'_> {
 
 impl ExactSizeIterator for RingIter64<'_> {}
 
+/// The lazy `2·cap` backing reservation, made when the first `len > 0`
+/// values go into a bounded ring's still-unallocated buffer.
+#[inline]
+fn reserve_on_first_fill<T>(buf: &mut Vec<T>, cap: usize, len: usize) {
+    if cap != 0 && buf.capacity() == 0 && len > 0 {
+        buf.reserve_exact(2 * cap);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn contents(r: &HistoryRing) -> Vec<f64> {
         r.iter64().collect()
+    }
+
+    #[test]
+    fn refill_normalized_matches_clear_then_push() {
+        let zscore = ZScore::fit(&[3.0, 7.5, -1.25, 4.0]).unwrap();
+        for f32_mode in [false, true] {
+            for pushed in [0usize, 3, 7, 8, 9, 20, 23] {
+                // Two mirrors with the same push history (a clone would not
+                // keep the backing capacity).
+                let mut source = HistoryRing::new_mode(8, f32_mode);
+                let mut pushed_norm = HistoryRing::new_mode(8, f32_mode);
+                let mut refilled = HistoryRing::new_mode(8, f32_mode);
+                for i in 0..pushed {
+                    source.push((i as f64 * 0.37).sin() * 5.0);
+                    pushed_norm.push(0.5);
+                    refilled.push(0.5);
+                }
+                pushed_norm.clear();
+                for v in source.iter64() {
+                    pushed_norm.push(zscore.apply(v));
+                }
+                refilled.refill_normalized(&source, &zscore);
+                let bits = |r: &HistoryRing| -> Vec<u64> {
+                    contents(r).iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&refilled), bits(&pushed_norm), "f32 {f32_mode}, {pushed}");
+                assert_eq!(refilled.heap_bytes(), pushed_norm.heap_bytes());
+                refilled.push(1.0);
+                pushed_norm.push(1.0);
+                assert_eq!(bits(&refilled), bits(&pushed_norm));
+            }
+        }
     }
 
     #[test]

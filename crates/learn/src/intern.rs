@@ -9,8 +9,13 @@
 //! distinct basis is resident exactly once no matter how many streams use it.
 //!
 //! The interner holds only [`Weak`] references. It never keeps a basis alive:
-//! when the last stream using a basis drops it, the entry dies with it and is
-//! pruned on the next `intern` call that hashes to the same bucket.
+//! when the last stream using a basis drops it, the entry dies with it. A
+//! dead entry still pins its table slot, its bucket and (through the `Weak`)
+//! the basis's small `Arc` header, so dead entries are pruned: in place when
+//! an `intern` hashes to their bucket, and by a full sweep whenever the
+//! table has grown to twice its size after the previous sweep. The sweep is
+//! amortised O(1) per `intern`, and the table stays within a small multiple
+//! of the live bases however many distinct bases come and go.
 //!
 //! Equality is **bitwise** over every field (`f64::to_bits`), not `==`. Two
 //! bases that differ only in the sign of an eigenvector, or by one ULP from a
@@ -29,9 +34,32 @@ use crate::Pca;
 /// `&self`; an internal mutex guards the table.
 #[derive(Debug, Default)]
 pub struct PcaInterner {
+    table: Mutex<Table>,
+}
+
+#[derive(Debug, Default)]
+struct Table {
     /// Content hash → candidate bases with that hash. Collisions are resolved
     /// by full bitwise comparison; dead weaks are pruned in place.
-    table: Mutex<HashMap<u64, Vec<Weak<Pca>>>>,
+    buckets: HashMap<u64, Vec<Weak<Pca>>>,
+    /// Table size (hash keys) at which the next full sweep runs.
+    sweep_at: usize,
+}
+
+impl Table {
+    /// Smallest sweep threshold, so tiny tables are not swept every call.
+    const MIN_SWEEP: usize = 64;
+
+    /// Drops every dead entry and every emptied bucket, then schedules the
+    /// next sweep at twice the surviving size.
+    fn sweep(&mut self) {
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(|w| w.strong_count() > 0);
+            !bucket.is_empty()
+        });
+        self.buckets.shrink_to(2 * self.buckets.len());
+        self.sweep_at = (2 * self.buckets.len()).max(Self::MIN_SWEEP);
+    }
 }
 
 impl PcaInterner {
@@ -49,7 +77,10 @@ impl PcaInterner {
     pub fn intern(&self, pca: Arc<Pca>) -> Arc<Pca> {
         let hash = content_hash(&pca);
         let mut table = self.table.lock().expect("interner poisoned");
-        let bucket = table.entry(hash).or_default();
+        if table.buckets.len() >= table.sweep_at {
+            table.sweep();
+        }
+        let bucket = table.buckets.entry(hash).or_default();
         bucket.retain(|w| w.strong_count() > 0);
         for weak in bucket.iter() {
             if let Some(existing) = weak.upgrade() {
@@ -66,7 +97,15 @@ impl PcaInterner {
     /// lock; intended for accounting and tests, not the hot path.
     pub fn live(&self) -> usize {
         let table = self.table.lock().expect("interner poisoned");
-        table.values().flatten().filter(|w| w.strong_count() > 0).count()
+        table.buckets.values().flatten().filter(|w| w.strong_count() > 0).count()
+    }
+
+    /// Number of table entries, dead or alive — what the table costs in
+    /// memory.
+    #[cfg(test)]
+    fn entries(&self) -> usize {
+        let table = self.table.lock().expect("interner poisoned");
+        table.buckets.values().map(Vec::len).sum()
     }
 }
 
@@ -140,6 +179,25 @@ mod tests {
         let b = interner.intern(sample_pca(1.0));
         assert_eq!(interner.live(), 1);
         drop(b);
+    }
+
+    #[test]
+    fn dead_entries_do_not_accumulate() {
+        // Every refit with a new basis interns it and drops the previous
+        // one; only the held bases may keep entries alive.
+        let interner = PcaInterner::new();
+        let basis = |i: usize| {
+            let components = Matrix::from_vec(1, 2, vec![1.0, 0.0]).unwrap();
+            Arc::new(Pca::from_parts(vec![i as f64, 0.0], components, vec![1.0], 1.0).unwrap())
+        };
+        let held: Vec<Arc<Pca>> = (0..100).map(|i| interner.intern(basis(i))).collect();
+        let mut worst = 0;
+        for i in 100..100_100 {
+            drop(interner.intern(basis(i)));
+            worst = worst.max(interner.entries());
+        }
+        assert_eq!(interner.live(), held.len());
+        assert!(worst <= 4 * held.len() + 2 * Table::MIN_SWEEP, "table grew to {worst} entries");
     }
 
     #[test]

@@ -77,12 +77,13 @@ impl KnnClassifier {
         for p in &points {
             flat.extend_from_slice(p);
         }
-        Self::fit_flat(flat, dim, labels, k, backend)
+        Self::fit_flat(&flat, dim, labels, k, backend)
     }
 
     /// [`KnnClassifier::fit`] over an already-flat row-major point buffer
-    /// (`points.len() == n · dim`) — the zero-copy path used by snapshot
-    /// restore and by training code that builds features flat to begin with.
+    /// (`points.len() == n · dim`), copied once into the index's shared
+    /// store — the path training takes, which builds its features flat in a
+    /// buffer it reuses across fits.
     ///
     /// # Errors
     ///
@@ -90,7 +91,7 @@ impl KnnClassifier {
     /// [`LearnError::ShapeMismatch`] if `points.len()` is not a multiple of
     /// `dim`.
     pub fn fit_flat(
-        points: Vec<f64>,
+        points: &[f64],
         dim: usize,
         labels: Vec<usize>,
         k: usize,
@@ -442,7 +443,7 @@ mod tests {
         let (pts, labels) = blobs(11, 60);
         let flat: Vec<f64> = pts.iter().flatten().copied().collect();
         let nested = KnnClassifier::fit(pts, labels.clone(), 3, KnnBackend::KdTree).unwrap();
-        let from_flat = KnnClassifier::fit_flat(flat, 2, labels, 3, KnnBackend::KdTree).unwrap();
+        let from_flat = KnnClassifier::fit_flat(&flat, 2, labels, 3, KnnBackend::KdTree).unwrap();
         assert_eq!(nested.points_flat(), from_flat.points_flat());
         assert_eq!(nested.dim(), from_flat.dim());
         for i in 0..nested.len() {
@@ -486,18 +487,12 @@ mod tests {
         )
         .is_err());
         // Flat-specific shapes.
-        assert!(KnnClassifier::fit_flat(
-            vec![1.0, 2.0, 3.0],
-            2,
-            vec![0],
-            1,
-            KnnBackend::BruteForce
-        )
-        .is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0, 3.0], 2, vec![0], 1, KnnBackend::BruteForce)
+            .is_err());
         assert!(
-            KnnClassifier::fit_flat(vec![1.0, 2.0], 0, vec![0], 1, KnnBackend::BruteForce).is_err()
+            KnnClassifier::fit_flat(&[1.0, 2.0], 0, vec![0], 1, KnnBackend::BruteForce).is_err()
         );
-        assert!(KnnClassifier::fit_flat(vec![], 2, vec![], 1, KnnBackend::BruteForce).is_err());
+        assert!(KnnClassifier::fit_flat(&[], 2, vec![], 1, KnnBackend::BruteForce).is_err());
     }
 
     #[test]

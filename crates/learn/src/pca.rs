@@ -5,7 +5,7 @@
 //! the Jacobi eigensolver — exact for the tiny `m × m` covariances produced by
 //! prediction windows (`m ≤ 16` in all the paper's experiments).
 
-use linalg::{Matrix, SymEigen};
+use linalg::Matrix;
 
 use crate::{LearnError, Result};
 
@@ -28,31 +28,23 @@ impl Pca {
     /// * [`LearnError::InsufficientData`] if `data` has fewer than 2 rows;
     /// * [`LearnError::Numerical`] if the eigensolver fails.
     pub fn fit(data: &Matrix, n: usize) -> Result<Self> {
-        let d = data.cols();
+        Self::fit_rows(data.as_slice(), data.cols(), n)
+    }
+
+    /// [`Pca::fit`] over a row-major slice of `d`-wide observations — the
+    /// refit path's form, which keeps its window matrix in a reused buffer.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Pca::fit`], plus [`LearnError::ShapeMismatch`]
+    /// if `rows.len()` is not a multiple of `d`.
+    pub fn fit_rows(rows: &[f64], d: usize, n: usize) -> Result<Self> {
         if n == 0 || n > d {
             return Err(LearnError::InvalidParameter(format!(
                 "PCA dimension must be in 1..={d}, got {n}"
             )));
         }
-        if data.rows() < 2 {
-            return Err(LearnError::InsufficientData(format!(
-                "PCA needs at least 2 observations, got {}",
-                data.rows()
-            )));
-        }
-        let mean = data.column_means();
-        let cov = data.covariance();
-        let eig = SymEigen::decompose(&cov).map_err(|e| LearnError::Numerical(e.to_string()))?;
-        // Covariance eigenvalues are >= 0 up to rounding; clamp tiny negatives.
-        let eigenvalues: Vec<f64> = eig.eigenvalues.iter().map(|&l| l.max(0.0)).collect();
-        let total_variance: f64 = eigenvalues.iter().sum();
-
-        let mut components = Matrix::zeros(n, d);
-        for c in 0..n {
-            let v = eig.eigenvector(c);
-            components.row_mut(c).copy_from_slice(&v);
-        }
-        Ok(Self { mean, components, eigenvalues: eigenvalues[..n].to_vec(), total_variance })
+        Self::fit_with(rows, d, |_| n)
     }
 
     /// Fits PCA keeping the smallest number of components whose cumulative
@@ -64,28 +56,78 @@ impl Pca {
     /// * [`LearnError::InvalidParameter`] if `min_fraction` is outside `(0, 1]`;
     /// * same data conditions as [`Pca::fit`].
     pub fn fit_fraction(data: &Matrix, min_fraction: f64) -> Result<Self> {
+        Self::fit_fraction_rows(data.as_slice(), data.cols(), min_fraction)
+    }
+
+    /// [`Pca::fit_fraction`] over a row-major slice of `d`-wide observations.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Pca::fit_fraction`] and [`Pca::fit_rows`].
+    pub fn fit_fraction_rows(rows: &[f64], d: usize, min_fraction: f64) -> Result<Self> {
         if !(min_fraction.is_finite() && 0.0 < min_fraction && min_fraction <= 1.0) {
             return Err(LearnError::InvalidParameter(format!(
                 "variance fraction must be in (0, 1], got {min_fraction}"
             )));
         }
-        // Fit with all components, then truncate.
-        let full = Self::fit(data, data.cols())?;
-        let total = full.total_variance;
-        if total <= 0.0 {
-            // Constant data: one component is as good as any.
-            return Self::fit(data, 1);
-        }
-        let mut acc = 0.0;
-        let mut n = full.eigenvalues.len();
-        for (i, &l) in full.eigenvalues.iter().enumerate() {
-            acc += l;
-            if acc / total >= min_fraction {
-                n = i + 1;
-                break;
+        Self::fit_with(rows, d, |eigenvalues| {
+            let total: f64 = eigenvalues.iter().sum();
+            if total <= 0.0 {
+                // Constant data: one component is as good as any.
+                return 1;
             }
+            let mut acc = 0.0;
+            for (i, &l) in eigenvalues.iter().enumerate() {
+                acc += l;
+                if acc / total >= min_fraction {
+                    return i + 1;
+                }
+            }
+            eigenvalues.len()
+        })
+    }
+
+    /// One decomposition, keeping the leading `keep(clamped eigenvalues)`
+    /// components. Truncating a full decomposition gives the same bits as
+    /// decomposing again for fewer components: the eigensolver does not
+    /// depend on how many vectors the caller keeps.
+    fn fit_with(rows: &[f64], d: usize, keep: impl FnOnce(&[f64]) -> usize) -> Result<Self> {
+        if d == 0 || !rows.len().is_multiple_of(d) {
+            return Err(LearnError::ShapeMismatch(format!(
+                "{} values are not rows of dim {d}",
+                rows.len()
+            )));
         }
-        Self::fit(data, n)
+        if rows.len() / d < 2 {
+            return Err(LearnError::InsufficientData(format!(
+                "PCA needs at least 2 observations, got {}",
+                rows.len() / d
+            )));
+        }
+        const MAX: usize = linalg::fixed::MAX_FIXED_DIM;
+        // All d eigenpairs on the stack (heap above the fixed sizes); only
+        // the kept ones are copied into the model.
+        let (mut values_inline, mut vectors_inline) = ([0.0; MAX], [0.0; MAX * MAX]);
+        let (mut values_heap, mut vectors_heap) = (Vec::new(), Vec::new());
+        let (values, vectors): (&mut [f64], &mut [f64]) = if d <= MAX {
+            (&mut values_inline[..d], &mut vectors_inline[..d * d])
+        } else {
+            values_heap.resize(d, 0.0);
+            vectors_heap.resize(d * d, 0.0);
+            (&mut values_heap, &mut vectors_heap)
+        };
+        let mut mean = vec![0.0; d];
+        linalg::fixed::principal_axes(rows, d, &mut mean, values, vectors)
+            .map_err(|e| LearnError::Numerical(e.to_string()))?;
+        // Covariance eigenvalues are >= 0 up to rounding; clamp tiny negatives.
+        for l in values.iter_mut() {
+            *l = l.max(0.0);
+        }
+        let total_variance: f64 = values.iter().sum();
+        let n = keep(values);
+        let components =
+            Matrix::from_vec(n, d, vectors[..n * d].to_vec()).expect("n >= 1 rows of dim d");
+        Ok(Self { mean, components, eigenvalues: values[..n].to_vec(), total_variance })
     }
 
     /// Reconstructs a fitted projection from its parts (the accessors are the
@@ -225,12 +267,31 @@ impl Pca {
                 data.cols()
             )));
         }
-        let mut out = Matrix::zeros(data.rows(), self.n_components());
-        for (i, row) in data.iter_rows().enumerate() {
-            let z = self.transform(row)?;
-            out.row_mut(i).copy_from_slice(&z);
+        let mut out = Vec::new();
+        self.transform_rows_into(data.as_slice(), &mut out)?;
+        Ok(Matrix::from_vec(data.rows(), self.n_components(), out).expect("non-empty projection"))
+    }
+
+    /// Projects every row of the row-major `rows` (`input_dim()` columns)
+    /// into `out` (cleared first; `n_components()` values per row) with one
+    /// batched kernel dispatch. Bit-identical to [`Pca::transform`] per row.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LearnError::ShapeMismatch`] if `rows.len()` is not a
+    /// multiple of `input_dim()`.
+    pub fn transform_rows_into(&self, rows: &[f64], out: &mut Vec<f64>) -> Result<()> {
+        let d = self.input_dim();
+        if !rows.len().is_multiple_of(d) {
+            return Err(LearnError::ShapeMismatch(format!(
+                "PCA::transform_rows_into: {} values are not rows of dim {d}",
+                rows.len()
+            )));
         }
-        Ok(out)
+        out.clear();
+        out.resize(rows.len() / d * self.n_components(), 0.0);
+        linalg::kernels::project_rows(rows, &self.mean, self.components.as_slice(), out);
+        Ok(())
     }
 
     /// Maps a projected point back to the input space (`μ + V_qᵀ λ`, Eq. 7) —

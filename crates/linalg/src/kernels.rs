@@ -158,6 +158,39 @@ pub fn project_dot(w: &[f64], x: &[f64], means: &[f64]) -> f64 {
     dispatch!(avx2::project_dot(w, x, means), scalar::project_dot(w, x, means))
 }
 
+/// Batched PCA projection: projects every row `x` of the row-major `rows`
+/// (`means.len()` columns) onto each row `w` of the row-major `components`,
+/// writing `out[r·k + j] = Σ wⱼᵢ·(xᵢ−mᵢ)` for `k` components. One dispatch
+/// for the whole batch, and bit-identical to [`project_dot`] per
+/// (row, component): the same body, instantiated per dimension up to
+/// [`crate::fixed::MAX_FIXED_DIM`].
+///
+/// # Panics
+///
+/// Panics if `means` is empty or on any length mismatch.
+pub fn project_rows(rows: &[f64], means: &[f64], components: &[f64], out: &mut [f64]) {
+    let d = means.len();
+    assert!(d > 0, "project_rows: empty means");
+    assert!(
+        rows.len().is_multiple_of(d) && components.len().is_multiple_of(d),
+        "project_rows: {} row values or {} component values are not rows of dim {d}",
+        rows.len(),
+        components.len()
+    );
+    assert_eq!(
+        out.len(),
+        rows.len() / d * (components.len() / d),
+        "project_rows: output length mismatch"
+    );
+    if out.is_empty() {
+        return;
+    }
+    dispatch!(
+        avx2::project_rows(rows, means, components, out),
+        scalar::project_rows(rows, means, components, out)
+    )
+}
+
 /// `y += alpha · x` (BLAS axpy).
 ///
 /// # Panics
@@ -278,6 +311,8 @@ pub fn widen_into(src: &[f32], out: &mut Vec<f64>) {
 /// strided accumulation documented at the top of the file so the AVX2 twins
 /// can match it exactly.
 mod scalar {
+    use crate::fixed::dim;
+
     pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
         let n = a.len();
         let lanes = n & !3;
@@ -421,7 +456,34 @@ mod scalar {
     }
 
     pub(super) fn project_dot(w: &[f64], x: &[f64], means: &[f64]) -> f64 {
-        let n = w.len();
+        project_dot_n::<0>(w, x, means)
+    }
+
+    pub(super) fn project_rows(rows: &[f64], means: &[f64], components: &[f64], out: &mut [f64]) {
+        with_dim!(means.len(), project_rows_n(rows, means, components, out))
+    }
+
+    #[inline(always)]
+    fn project_rows_n<const D: usize>(
+        rows: &[f64],
+        means: &[f64],
+        components: &[f64],
+        out: &mut [f64],
+    ) {
+        let d = dim::<D>(means.len());
+        let k = components.len() / d;
+        for (x, o) in rows.chunks_exact(d).zip(out.chunks_exact_mut(k)) {
+            for (w, o) in components.chunks_exact(d).zip(o) {
+                *o = project_dot_n::<D>(w, x, means);
+            }
+        }
+    }
+
+    /// [`project_dot`] for length `D` (`D = 0`: any length).
+    #[inline(always)]
+    fn project_dot_n<const D: usize>(w: &[f64], x: &[f64], means: &[f64]) -> f64 {
+        let n = dim::<D>(w.len());
+        let (w, x, means) = (&w[..n], &x[..n], &means[..n]);
         let lanes = n & !3;
         let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
         let mut i = 0;
@@ -477,6 +539,8 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
+
+    use crate::fixed::dim;
 
     /// Unaligned 4-wide load from `p[i..i + 4]`.
     #[inline]
@@ -644,7 +708,37 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub(super) fn project_dot(w: &[f64], x: &[f64], means: &[f64]) -> f64 {
-        let n = w.len();
+        project_dot_n::<0>(w, x, means)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn project_rows(rows: &[f64], means: &[f64], components: &[f64], out: &mut [f64]) {
+        with_dim!(means.len(), project_rows_n(rows, means, components, out))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn project_rows_n<const D: usize>(
+        rows: &[f64],
+        means: &[f64],
+        components: &[f64],
+        out: &mut [f64],
+    ) {
+        let d = dim::<D>(means.len());
+        let k = components.len() / d;
+        for (x, o) in rows.chunks_exact(d).zip(out.chunks_exact_mut(k)) {
+            for (w, o) in components.chunks_exact(d).zip(o) {
+                *o = project_dot_n::<D>(w, x, means);
+            }
+        }
+    }
+
+    /// [`project_dot`] for length `D` (`D = 0`: any length).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn project_dot_n<const D: usize>(w: &[f64], x: &[f64], means: &[f64]) -> f64 {
+        let n = dim::<D>(w.len());
+        let (w, x, means) = (&w[..n], &x[..n], &means[..n]);
         let lanes = n & !3;
         let mut acc = _mm256_setzero_pd();
         let mut i = 0;
@@ -1020,6 +1114,49 @@ mod tests {
             assert_bits_eq(sum(&a), scalar::sum(&a), "pub sum");
             assert_bits_eq(centered_sum_sq(&a, m), scalar::centered_sum_sq(&a, m), "pub css");
             assert_bits_eq(centered_dot(&a, &b, m), scalar::centered_dot(&a, &b, m), "pub cd");
+        }
+    }
+
+    /// The batched projection against its reference, the per-(row,
+    /// component) `project_dot` loop, for every fixed instance (d = 1..=16)
+    /// and the runtime one, on random row counts, in both implementations
+    /// and through the dispatched entry point.
+    #[test]
+    fn project_rows_matches_per_row_project_dot() {
+        let mut g = Gen(0x5eed_3333_0000_0007);
+        for d in (1..=16usize).chain([17, 23]) {
+            for _ in 0..6 {
+                let n = (g.next_u64() % 48) as usize;
+                let k = 1 + (g.next_u64() % 3) as usize;
+                let rows = g.vec(n * d);
+                let means = g.vec(d);
+                let comps = g.vec(k * d);
+                let reference: Vec<f64> = rows
+                    .chunks_exact(d)
+                    .flat_map(|x| comps.chunks_exact(d).map(|w| scalar::project_dot(w, x, &means)))
+                    .collect();
+                let mut out = vec![0.0; n * k];
+                if n > 0 {
+                    scalar::project_rows(&rows, &means, &comps, &mut out);
+                }
+                for (a, b) in out.iter().zip(&reference) {
+                    assert_bits_eq(*a, *b, "scalar project_rows");
+                }
+                let mut out = vec![0.0; n * k];
+                project_rows(&rows, &means, &comps, &mut out);
+                for (a, b) in out.iter().zip(&reference) {
+                    assert_bits_eq(*a, *b, "dispatched project_rows");
+                }
+                #[cfg(target_arch = "x86_64")]
+                if have_avx2() && n > 0 {
+                    let mut out = vec![0.0; n * k];
+                    // SAFETY: guarded by have_avx2().
+                    unsafe { avx2::project_rows(&rows, &means, &comps, &mut out) };
+                    for (a, b) in out.iter().zip(&reference) {
+                        assert_bits_eq(*a, *b, "avx2 project_rows");
+                    }
+                }
+            }
         }
     }
 

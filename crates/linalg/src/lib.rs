@@ -17,10 +17,39 @@
 //! between a portable scalar implementation and a runtime-detected x86_64
 //! AVX2 one — bit-identical by construction, see the module docs. The matrix
 //! factorisations stay scalar: they operate on tiny `m × m` systems
-//! (`m ≤ 16`) far from the critical path.
+//! (`m ≤ 16`). The ones an online refit runs — column means, covariance and
+//! the Jacobi eigensolver — live in [`fixed`], monomorphised over the
+//! dimension so each runs on stack arrays with constant trip counts.
 #![warn(missing_docs)]
 
+/// Calls `$f::<D>(args)` with `D = $d` for `d` in `1..=16`
+/// ([`fixed::MAX_FIXED_DIM`]) and with the runtime instance `D = 0` above.
+macro_rules! with_dim {
+    ($d:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        match $d {
+            1 => $f::<1>($($arg),*),
+            2 => $f::<2>($($arg),*),
+            3 => $f::<3>($($arg),*),
+            4 => $f::<4>($($arg),*),
+            5 => $f::<5>($($arg),*),
+            6 => $f::<6>($($arg),*),
+            7 => $f::<7>($($arg),*),
+            8 => $f::<8>($($arg),*),
+            9 => $f::<9>($($arg),*),
+            10 => $f::<10>($($arg),*),
+            11 => $f::<11>($($arg),*),
+            12 => $f::<12>($($arg),*),
+            13 => $f::<13>($($arg),*),
+            14 => $f::<14>($($arg),*),
+            15 => $f::<15>($($arg),*),
+            16 => $f::<16>($($arg),*),
+            _ => $f::<0>($($arg),*),
+        }
+    };
+}
+
 pub mod cholesky;
+pub mod fixed;
 pub mod gauss;
 pub mod kernels;
 pub mod matrix;

@@ -252,15 +252,7 @@ impl Matrix {
     /// Per-column means of the matrix (length `cols`).
     pub fn column_means(&self) -> Vec<f64> {
         let mut means = vec![0.0; self.cols];
-        for row in self.iter_rows() {
-            for (m, &x) in means.iter_mut().zip(row) {
-                *m += x;
-            }
-        }
-        let n = self.rows as f64;
-        for m in &mut means {
-            *m /= n;
-        }
+        crate::fixed::column_means_into(&self.data, self.cols, &mut means);
         means
     }
 
@@ -269,36 +261,8 @@ impl Matrix {
     /// Uses the unbiased `1/(n-1)` normalisation; for a single observation the
     /// covariance is defined as the zero matrix.
     pub fn covariance(&self) -> Matrix {
-        let n = self.rows;
-        let d = self.cols;
-        let means = self.column_means();
-        let mut cov = Matrix::zeros(d, d);
-        if n < 2 {
-            return cov;
-        }
-        // Accumulates the upper triangle with plain elementwise updates.
-        // Each cov element receives exactly one `+= cᵢ · cⱼ` per row, so the
-        // result is independent of traversal order and bit-identical to the
-        // dispatched `kernels::axpy_centered` form — a direct loop beats the
-        // per-call dispatch overhead on the tiny `d ≤ 16` windows the PCA
-        // retrain path fits thousands of times a minute.
-        for row in self.iter_rows() {
-            for i in 0..d {
-                let ci = row[i] - means[i];
-                let out = &mut cov.data[i * d + i..(i + 1) * d];
-                for ((o, &rj), &mj) in out.iter_mut().zip(&row[i..]).zip(&means[i..]) {
-                    *o += ci * (rj - mj);
-                }
-            }
-        }
-        let norm = 1.0 / (n as f64 - 1.0);
-        for i in 0..d {
-            for j in i..d {
-                let v = cov[(i, j)] * norm;
-                cov[(i, j)] = v;
-                cov[(j, i)] = v;
-            }
-        }
+        let mut cov = Matrix::zeros(self.cols, self.cols);
+        crate::fixed::covariance_into(&self.data, self.cols, &mut cov.data);
         cov
     }
 }

@@ -1,4 +1,5 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi rotation method.
+//! Symmetric eigendecomposition via the cyclic Jacobi rotation method (the
+//! solver itself is [`crate::fixed::sym_eigen_into`]).
 //!
 //! Jacobi is the right tool here: the PCA covariance matrices in this workspace
 //! are at most 16 × 16 (the prediction window size), and Jacobi is simple,
@@ -38,120 +39,15 @@ impl SymEigen {
                 a.cols()
             )));
         }
-        if a.as_slice().iter().any(|x| !x.is_finite()) {
-            // NaN also defeats the convergence test below (`NaN > tol` is
-            // false), which would report a garbage decomposition as converged.
-            return Err(LinalgError::InvalidArgument(
-                "eigendecomposition requires finite matrix entries".into(),
-            ));
-        }
-        let scale = a.as_slice().iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        if !a.is_symmetric(1e-8 * scale.max(1.0)) {
-            return Err(LinalgError::InvalidArgument(
-                "eigendecomposition requires a symmetric matrix".into(),
-            ));
-        }
-
-        let mut m = a.clone();
-        let mut v = Matrix::identity(n);
-        let tol = f64::EPSILON * scale.max(f64::MIN_POSITIVE) * n as f64;
-
-        const MAX_SWEEPS: usize = 100;
-        let mut converged = false;
-        for _ in 0..MAX_SWEEPS {
-            let off = off_diagonal_norm(&m);
-            if off <= tol {
-                converged = true;
-                break;
-            }
-            // One cyclic sweep over all super-diagonal entries.
-            for p in 0..n - 1 {
-                for q in p + 1..n {
-                    jacobi_rotate(&mut m, &mut v, p, q);
-                }
-            }
-        }
-        if !converged && off_diagonal_norm(&m) > tol {
-            return Err(LinalgError::NoConvergence(format!(
-                "Jacobi failed to converge in {MAX_SWEEPS} sweeps (off-norm {:.3e})",
-                off_diagonal_norm(&m)
-            )));
-        }
-
-        // Extract and sort eigenpairs by descending eigenvalue.
-        let mut order: Vec<usize> = (0..n).collect();
-        let eig: Vec<f64> = (0..n).map(|i| m[(i, i)]).collect();
-        order.sort_by(|&i, &j| eig[j].total_cmp(&eig[i]));
-
-        let eigenvalues: Vec<f64> = order.iter().map(|&i| eig[i]).collect();
-        let mut eigenvectors = Matrix::zeros(n, n);
-        for (new_col, &old_col) in order.iter().enumerate() {
-            for r in 0..n {
-                eigenvectors[(r, new_col)] = v[(r, old_col)];
-            }
-        }
-        Ok(Self { eigenvalues, eigenvectors })
+        let mut eigenvalues = vec![0.0; n];
+        let mut rows = vec![0.0; n * n];
+        crate::fixed::sym_eigen_into(a.as_slice(), n, &mut eigenvalues, &mut rows)?;
+        Ok(Self { eigenvalues, eigenvectors: Matrix::from_vec(n, n, rows)?.transpose() })
     }
 
     /// The `k`-th unit eigenvector (column `k`), copied out.
     pub fn eigenvector(&self, k: usize) -> Vec<f64> {
         self.eigenvectors.col(k)
-    }
-}
-
-/// Frobenius norm of the strictly-upper off-diagonal part.
-fn off_diagonal_norm(m: &Matrix) -> f64 {
-    let n = m.rows();
-    let mut s = 0.0;
-    for i in 0..n {
-        for j in i + 1..n {
-            s += m[(i, j)] * m[(i, j)];
-        }
-    }
-    s.sqrt()
-}
-
-/// Applies one Jacobi rotation zeroing `m[(p, q)]`, accumulating into `v`.
-fn jacobi_rotate(m: &mut Matrix, v: &mut Matrix, p: usize, q: usize) {
-    let apq = m[(p, q)];
-    if apq == 0.0 {
-        return;
-    }
-    let app = m[(p, p)];
-    let aqq = m[(q, q)];
-    // Stable computation of tan(theta) (Golub & Van Loan §8.4).
-    let theta = (aqq - app) / (2.0 * apq);
-    let t = if theta >= 0.0 {
-        1.0 / (theta + (1.0 + theta * theta).sqrt())
-    } else {
-        1.0 / (theta - (1.0 + theta * theta).sqrt())
-    };
-    let c = 1.0 / (1.0 + t * t).sqrt();
-    let s = t * c;
-
-    let n = m.rows();
-    // Update rows/columns p and q of the symmetric matrix.
-    for k in 0..n {
-        if k != p && k != q {
-            let akp = m[(k, p)];
-            let akq = m[(k, q)];
-            m[(k, p)] = c * akp - s * akq;
-            m[(p, k)] = m[(k, p)];
-            m[(k, q)] = s * akp + c * akq;
-            m[(q, k)] = m[(k, q)];
-        }
-    }
-    m[(p, p)] = app - t * apq;
-    m[(q, q)] = aqq + t * apq;
-    m[(p, q)] = 0.0;
-    m[(q, p)] = 0.0;
-
-    // Accumulate the rotation into the eigenvector matrix.
-    for k in 0..n {
-        let vkp = v[(k, p)];
-        let vkq = v[(k, q)];
-        v[(k, p)] = c * vkp - s * vkq;
-        v[(k, q)] = s * vkp + c * vkq;
     }
 }
 

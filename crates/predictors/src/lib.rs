@@ -92,6 +92,23 @@ pub trait Predictor: Send + Sync {
     /// callers go through [`PredictorPool`], which checks once per step.
     fn predict(&self, history: &[f64]) -> f64;
 
+    /// Forecasts every frame of `series` at once:
+    /// `out[i] = self.predict(&series[i..i + window])` for `i` in
+    /// `0..out.len()`. The training phase's labelling pass runs each pool
+    /// member this way, so one dynamic call covers a batch of windows and
+    /// `predict` is called statically (and inlined) inside it. Overrides must
+    /// keep `predict`'s arithmetic exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `series` is shorter than `out.len() - 1 + window`, and
+    /// wherever `predict` would on a `window`-long history.
+    fn predict_frames(&self, series: &[f64], window: usize, out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = self.predict(&series[i..i + window]);
+        }
+    }
+
     /// Train-derived state as a flat `f64` vector, for serialization.
     ///
     /// Empty for the non-parametric models (their behaviour is fully

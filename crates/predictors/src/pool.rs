@@ -204,35 +204,54 @@ impl PredictorPool {
         (best, forecasts)
     }
 
-    /// [`PredictorPool::best_for`] without materialising the forecast vector:
-    /// a streaming argmin over the same per-model forecasts, in the same
-    /// order, under the same total order on absolute error — so the returned
-    /// id always equals `best_for(history, actual).0`. This is the
-    /// allocation-free labelling step the retrain path runs once per training
-    /// window.
+    /// Labels every `(window, next value)` pair of `series`: appends to
+    /// `out`, for each `i` in `0..series.len() - window`, exactly the id
+    /// `best_for(&series[i..i + window], series[i + window])` picks.
+    /// Member-major — each member forecasts a block of windows in one
+    /// [`Predictor::predict_frames`] call, and a running best per window
+    /// takes the smallest error under `total_cmp`, first member on ties —
+    /// with the blocks on the stack, so nothing but `out` is allocated. This
+    /// is the labelling step the retrain path runs on every refit.
     ///
     /// # Panics
     ///
-    /// Panics if `history` is shorter than the pool's
+    /// Panics if `window` is shorter than the pool's
     /// [`min_history`](Self::min_history).
-    pub fn best_id(&self, history: &[f64], actual: f64) -> PredictorId {
+    pub fn best_ids_into(&self, series: &[f64], window: usize, out: &mut Vec<usize>) {
+        const BLOCK: usize = 64;
         assert!(
-            history.len() >= self.min_history(),
-            "pool needs {} points, got {}",
-            self.min_history(),
-            history.len()
+            window >= self.min_history(),
+            "pool needs {} points, got {window}",
+            self.min_history()
         );
-        let mut best = PredictorId(0);
-        let mut best_err = f64::INFINITY;
-        for (i, m) in self.models.iter().enumerate() {
-            let err = (m.predict(history) - actual).abs();
-            // Strict `Less` keeps the first minimum — `min_by`'s tie rule.
-            if i == 0 || err.total_cmp(&best_err) == std::cmp::Ordering::Less {
-                best = PredictorId(i);
-                best_err = err;
+        let total = series.len().saturating_sub(window);
+        out.reserve(total);
+        // Errors are `abs()` values — sign bit clear, NaN included — and on
+        // those `total_cmp` is exactly the unsigned order of the bit
+        // patterns, which the running best compares without a branch.
+        let (mut forecasts, mut best_err) = ([0.0; BLOCK], [0u64; BLOCK]);
+        let mut start = 0;
+        while start < total {
+            let len = BLOCK.min(total - start);
+            let first = out.len();
+            out.resize(first + len, 0);
+            let labels = &mut out[first..];
+            let block = &series[start..start + len + window];
+            let targets = &block[window..];
+            for (id, model) in self.models.iter().enumerate() {
+                model.predict_frames(block, window, &mut forecasts[..len]);
+                for (((&f, &actual), best), label) in
+                    forecasts.iter().zip(targets).zip(&mut best_err).zip(labels.iter_mut())
+                {
+                    let err = (f - actual).abs().to_bits();
+                    // Strict `<` keeps the first minimum, as `min_by` does.
+                    let better = id == 0 || err < *best;
+                    *best = if better { err } else { *best };
+                    *label = if better { id } else { *label };
+                }
             }
+            start += len;
         }
-        best
     }
 }
 
@@ -286,18 +305,26 @@ mod tests {
     }
 
     #[test]
-    fn best_id_matches_best_for() {
-        let t = train();
-        let pool = PredictorPool::standard(&t, 5).unwrap();
-        for end in 10..60 {
-            let h = &t[..end];
-            let actual = t[end];
-            assert_eq!(pool.best_id(h, actual), pool.best_for(h, actual).0);
+    fn best_ids_into_matches_best_for_per_window() {
+        // Lengths around the block size, a NaN target (non-finite errors
+        // rank last) and a constant stretch (exact ties) included.
+        let mut t: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
+        t[40] = f64::NAN;
+        t[100..120].fill(0.5);
+        for pool in [PredictorPool::standard(&t[..60], 5), PredictorPool::extended(&t[..60], 5)] {
+            let pool = pool.unwrap();
+            for len in [6usize, 7, 40, 69, 70, 71, 200, 300] {
+                let series = &t[..len];
+                let mut out = vec![7];
+                pool.best_ids_into(series, 5, &mut out);
+                let expected: Vec<usize> = std::iter::once(7)
+                    .chain(
+                        (0..len - 5).map(|i| pool.best_for(&series[i..i + 5], series[i + 5]).0 .0),
+                    )
+                    .collect();
+                assert_eq!(out, expected, "len {len}");
+            }
         }
-        // Non-finite actual exercises the total_cmp ordering (NaN errors rank
-        // after every finite one in both implementations).
-        let h = &t[..20];
-        assert_eq!(pool.best_id(h, f64::NAN), pool.best_for(h, f64::NAN).0);
     }
 
     #[test]

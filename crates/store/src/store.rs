@@ -138,6 +138,12 @@ impl TraceStore {
     /// Recovers a store from `dir`: loads the archive sidecar (degrading to
     /// empty if corrupt), replays the WAL tail into the in-memory state, and
     /// delivers every record with `seq > start_after` to `apply` in order.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for `start_after == u64::MAX` (a forged
+    /// checkpoint: no record could follow it); I/O and configuration errors
+    /// as for [`Wal::recover`].
     pub fn recover<F: FnMut(u64, WalRecord)>(
         dir: &Path,
         options: StoreOptions,
@@ -145,6 +151,7 @@ impl TraceStore {
         mut apply: F,
     ) -> Result<(TraceStore, Recovered)> {
         validate(&options)?;
+        crate::wal::check_resume_point(start_after)?;
         let mut recovered = Recovered::default();
         let mut inner =
             Inner { memtable: Memtable::new(options.memtable_rows), streams: HashMap::new() };

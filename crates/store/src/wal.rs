@@ -180,6 +180,12 @@ impl Wal {
     /// Scans an existing log, invoking `apply` for every valid record with
     /// `seq > start_after` (in order), and reopens the log for appending on
     /// a fresh segment. Corruption degrades to counted gaps in the report.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for `start_after == u64::MAX` (no record
+    /// could follow it); [`StoreError::InvalidConfig`] and
+    /// [`StoreError::Io`] for a bad directory or real I/O failures.
     pub fn recover<F: FnMut(u64, WalRecord)>(
         dir: &Path,
         options: WalOptions,
@@ -187,6 +193,7 @@ impl Wal {
         mut apply: F,
     ) -> Result<(Wal, RecoveryReport)> {
         validate(&options)?;
+        check_resume_point(start_after)?;
         if !dir.is_dir() {
             return Err(StoreError::InvalidConfig(format!("{} is not a directory", dir.display())));
         }
@@ -235,6 +242,8 @@ impl Wal {
         // Never append after a possibly-damaged tail: open a new segment.
         // If the old active segment held zero valid records it has the same
         // first-seq; open_segment truncates it, so don't list it twice.
+        // Cannot overflow: `start_after < u64::MAX` was checked above, and
+        // the scan refuses a record at `u64::MAX`.
         let next_seq = report.last_seq.max(start_after) + 1;
         let file = open_segment(dir, next_seq)?;
         if kept.last() == Some(&next_seq) {
@@ -436,8 +445,25 @@ fn scan_segment_dir(dir: &Path) -> Result<Vec<u64>> {
     Ok(out)
 }
 
+/// Refuses a resume point with no sequence number after it: a checkpoint or
+/// archive claiming to cover `u64::MAX` is forged or corrupt, and the log
+/// could not continue past it.
+///
+/// # Errors
+///
+/// Returns [`StoreError::Corrupt`] for `start_after == u64::MAX`.
+pub(crate) fn check_resume_point(start_after: u64) -> Result<()> {
+    if start_after == u64::MAX {
+        return Err(StoreError::Corrupt(format!(
+            "resume point {start_after} leaves no sequence number for the next record"
+        )));
+    }
+    Ok(())
+}
+
 /// Scans one segment's record area, updating continuity state and the
-/// report. Stops at the first undecodable offset.
+/// report. Stops at the first undecodable offset, and at a record numbered
+/// `u64::MAX` (no record can follow it, so it is counted as corruption).
 fn scan_segment<F: FnMut(u64, WalRecord)>(
     mut data: &[u8],
     max_payload: usize,
@@ -449,7 +475,7 @@ fn scan_segment<F: FnMut(u64, WalRecord)>(
 ) {
     loop {
         match record::decode(data, max_payload) {
-            Ok((seq, rec, used)) => {
+            Ok((seq, rec, used)) if seq < u64::MAX => {
                 data = &data[used..];
                 if *expected != 0 && seq < *expected {
                     // Replay of an already-seen seq (e.g. overlap after a
@@ -479,7 +505,7 @@ fn scan_segment<F: FnMut(u64, WalRecord)>(
                 }
                 return;
             }
-            Err(_) => {
+            _ => {
                 report.stranded_bytes += data.len() as u64;
                 report.corrupt_segments += 1;
                 return;
@@ -532,7 +558,7 @@ pub fn read_tail<F: FnMut(u64, WalRecord)>(
         // Segment i covers [first_seq, next first_seq - 1]; skip it when a
         // later segment proves the whole range is already covered.
         if let Some(next_first) = listed.get(i + 1) {
-            if *next_first <= start_after + 1 {
+            if *next_first <= start_after.saturating_add(1) {
                 continue;
             }
         }
@@ -580,6 +606,34 @@ mod tests {
 
     fn sample(stream: u64, minute: u64, value: f64) -> Sample {
         Sample { stream, minute: Some(minute), value }
+    }
+
+    #[test]
+    fn last_sequence_number_is_corruption_not_overflow() {
+        let dir = temp_dir("seq-max");
+        let mut wal = Wal::create(&dir, WalOptions::default()).unwrap();
+        for i in 0..3u64 {
+            wal.append_samples(&[sample(7, i, 1.0)]).unwrap();
+        }
+        let active = dir.join(segment_name(*wal.segments.last().unwrap()));
+        drop(wal);
+        // A resume point at u64::MAX is refused outright.
+        let err = Wal::recover(&dir, WalOptions::default(), u64::MAX, |_, _| {}).err();
+        assert!(matches!(err, Some(StoreError::Corrupt(_))), "{err:?}");
+        // A well-formed record numbered u64::MAX ends the scan as corruption.
+        let mut forged = Vec::new();
+        record::encode_samples_into(&mut forged, u64::MAX, &[sample(7, 3, 1.0)]);
+        let mut file = OpenOptions::new().append(true).open(&active).unwrap();
+        file.write_all(&forged).unwrap();
+        drop(file);
+        let mut seqs = Vec::new();
+        let (wal, report) =
+            Wal::recover(&dir, WalOptions::default(), 0, |seq, _| seqs.push(seq)).unwrap();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        assert_eq!(report.corrupt_segments, 1);
+        assert_eq!(wal.next_seq(), 4);
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -40,9 +40,11 @@ echo "==> kernel dispatch parity (forced-scalar and forced-AVX2 runs)"
 # The vectorized kernels contract bit-identical results across dispatch modes
 # (DESIGN.md §13). Re-run the numeric crates with each mode forced; "avx2"
 # silently degrades to scalar on hosts without it, so both exports are safe
-# everywhere. linalg carries the to_bits parity proptests; larp + fleet prove
-# the serving pipeline end-to-end under each kernel set.
-LARP_KERNELS=scalar cargo test -q -p linalg -p larp -p fleet
+# everywhere. linalg carries the to_bits parity proptests (including the
+# fixed-size fit kernels against their reference loops); learn + predictors
+# run the batched projection and labelling pass; larp + fleet prove the
+# serving pipeline end-to-end under each kernel set.
+LARP_KERNELS=scalar cargo test -q -p linalg -p learn -p predictors -p larp -p fleet
 LARP_KERNELS=avx2 cargo test -q -p linalg
 
 if [[ "$QUICK" -eq 0 ]]; then
