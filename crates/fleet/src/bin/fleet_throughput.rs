@@ -11,10 +11,6 @@
 //! pairs of durability-on (WAL behind every ack, default `OnRotate` fsync)
 //! versus durability-off engines, reporting the throughput retained by the
 //! durable path — the WAL's full serving-path tax.
-//! With `--ab-retrain` the pairs are pool-retraining (`--retrain-threads`,
-//! default 2) versus inline engines; because the pool is contractually a pure
-//! scheduling change, the mode also checkpoints both arms and reports (and
-//! asserts) `bit_identical` — any serving divergence fails the run.
 //!
 //! Push-latency percentiles cover the *steady-state* rounds only: the first
 //! `train_size` rounds per stream are warmup (ring fills, initial fits) whose
@@ -44,10 +40,6 @@ struct Args {
     duration: Option<f64>,
     /// Interleaved A/B: alternate durability-on and durability-off engines.
     ab_durability: bool,
-    /// Interleaved A/B: alternate pool-retraining and inline engines.
-    ab_retrain: bool,
-    /// Off-worker retrain pool size (0 = retrain inline on shard workers).
-    retrain_threads: usize,
 }
 
 fn parse_args() -> Args {
@@ -58,8 +50,6 @@ fn parse_args() -> Args {
         seed: 2007,
         duration: None,
         ab_durability: false,
-        ab_retrain: false,
-        retrain_threads: 0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -74,8 +64,6 @@ fn parse_args() -> Args {
             "--shards" => args.shards = take("--shards") as usize,
             "--seed" => args.seed = take("--seed"),
             "--ab-durability" => args.ab_durability = true,
-            "--ab-retrain" => args.ab_retrain = true,
-            "--retrain-threads" => args.retrain_threads = take("--retrain-threads") as usize,
             "--duration" => {
                 let v = it.next().unwrap_or_else(|| panic!("--duration expects a value"));
                 let secs = v
@@ -87,7 +75,7 @@ fn parse_args() -> Args {
             }
             other => panic!(
                 "unknown flag {other}; supported: --streams --samples --shards --seed --duration \
-                 --ab-durability --ab-retrain --retrain-threads"
+                 --ab-durability"
             ),
         }
     }
@@ -95,8 +83,8 @@ fn parse_args() -> Args {
 }
 
 /// One complete lossless run with optional durability; returns
-/// samples/sec. Used by the interleaved A/B modes,
-/// where per-push latency tracking would only add noise to the comparison.
+/// samples/sec. Used by the interleaved durability A/B, where per-push
+/// latency tracking would only add noise to the comparison.
 fn run_arm(args: &Args, durability: Option<DurabilityConfig>) -> f64 {
     let durable = durability.is_some();
     let engine = FleetEngine::new(FleetConfig {
@@ -105,7 +93,6 @@ fn run_arm(args: &Args, durability: Option<DurabilityConfig>) -> f64 {
         queue_capacity: 8192,
         fleet_seed: args.seed,
         durability,
-        retrain_threads: args.retrain_threads,
         ..FleetConfig::default()
     })
     .expect("valid fleet config");
@@ -189,101 +176,10 @@ fn run_ab_durability(args: &Args) {
     println!("}}");
 }
 
-/// One lossless run with the given retrain-pool size; returns samples/sec
-/// plus the end-of-run checkpoint bytes, serialized *outside* the timed
-/// region, so the A/B can prove the pool changed scheduling and nothing else.
-fn run_retrain_arm(args: &Args, retrain_threads: usize) -> (f64, Vec<u8>) {
-    let engine = FleetEngine::new(FleetConfig {
-        shards: args.shards,
-        backpressure: BackpressurePolicy::Block,
-        queue_capacity: 8192,
-        fleet_seed: args.seed,
-        retrain_threads,
-        ..FleetConfig::default()
-    })
-    .expect("valid fleet config");
-    let mut signals: Vec<_> = (0..args.streams)
-        .map(|id| {
-            engine.register(id).expect("fresh stream id");
-            fleet_signal(args.seed, id)
-        })
-        .collect();
-    let started = Instant::now();
-    let mut batch: Vec<(StreamId, f64)> = Vec::with_capacity(PUSH_CHUNK);
-    for minute in 0..args.samples {
-        for (id, signal) in signals.iter_mut().enumerate() {
-            batch.push((id as StreamId, signal.sample(minute)));
-            if batch.len() == PUSH_CHUNK {
-                engine.push_batch(&batch);
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            engine.push_batch(&batch);
-            batch.clear();
-        }
-    }
-    engine.flush();
-    let elapsed = started.elapsed().as_secs_f64();
-    let total = args.streams * args.samples;
-    let health = engine.health();
-    assert_eq!(health.pushes.accepted, total, "Block backpressure must be lossless");
-    assert_eq!(health.nonfinite_forecasts, 0, "non-finite forecast escaped the fleet");
-    let checkpoint = engine.checkpoint().expect("checkpoint after drain");
-    (total as f64 / elapsed, checkpoint)
-}
-
-/// Interleaved A/B: pool-retraining versus inline engines. Beyond the
-/// throughput comparison, every pair's checkpoints must be byte-equal — the
-/// pool's bit-identity contract (DESIGN.md §13), checked on real fleet
-/// workload at full scale, under whichever kernel dispatch `LARP_KERNELS`
-/// selected.
-fn run_ab_retrain(args: &Args) {
-    const PAIRS: usize = 3;
-    let threads = if args.retrain_threads > 0 { args.retrain_threads } else { 2 };
-    let mut pooled = Vec::with_capacity(PAIRS);
-    let mut inline = Vec::with_capacity(PAIRS);
-    let mut bit_identical = true;
-    for _ in 0..PAIRS {
-        let (pool_sps, pool_ckp) = run_retrain_arm(args, threads);
-        let (inline_sps, inline_ckp) = run_retrain_arm(args, 0);
-        pooled.push(pool_sps);
-        inline.push(inline_sps);
-        bit_identical &= pool_ckp == inline_ckp;
-    }
-    let median = |xs: &[f64]| {
-        let mut s = xs.to_vec();
-        s.sort_by(|a, b| a.partial_cmp(b).expect("throughputs are finite"));
-        s[s.len() / 2]
-    };
-    let (pooled_med, inline_med) = (median(&pooled), median(&inline));
-    let join = |xs: &[f64]| xs.iter().map(|v| format!("{v:.0}")).collect::<Vec<_>>().join(", ");
-    println!("{{");
-    println!("  \"mode\": \"ab_retrain\",");
-    println!("  \"streams\": {},", args.streams);
-    println!("  \"samples_per_stream\": {},", args.samples);
-    println!("  \"shards\": {},", args.shards);
-    println!("  \"seed\": {},", args.seed);
-    println!("  \"retrain_threads\": {threads},");
-    println!("  \"pairs\": {PAIRS},");
-    println!("  \"pooled_sps\": [{}],", join(&pooled));
-    println!("  \"inline_sps\": [{}],", join(&inline));
-    println!("  \"pooled_median_sps\": {pooled_med:.0},");
-    println!("  \"inline_median_sps\": {inline_med:.0},");
-    println!("  \"speedup\": {:.3},", pooled_med / inline_med);
-    println!("  \"bit_identical\": {bit_identical}");
-    println!("}}");
-    assert!(bit_identical, "retrain pool changed serving outcomes — checkpoint bytes diverged");
-}
-
 fn main() {
     let args = parse_args();
     if args.ab_durability {
         run_ab_durability(&args);
-        return;
-    }
-    if args.ab_retrain {
-        run_ab_retrain(&args);
         return;
     }
     let engine = FleetEngine::new(FleetConfig {
@@ -293,7 +189,6 @@ fn main() {
         backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
-        retrain_threads: args.retrain_threads,
         ..FleetConfig::default()
     })
     .expect("valid fleet config");
@@ -367,7 +262,6 @@ fn main() {
     println!("  \"samples_per_stream\": {rounds},");
     println!("  \"shards\": {},", args.shards);
     println!("  \"seed\": {},", args.seed);
-    println!("  \"retrain_threads\": {},", args.retrain_threads);
     println!("  \"elapsed_sec\": {:.3},", elapsed);
     println!("  \"samples_per_sec\": {:.0},", total_samples as f64 / elapsed);
     println!("  \"streams_per_sec\": {:.1},", args.streams as f64 / elapsed);

@@ -96,8 +96,6 @@ pub struct FleetConfig {
     /// Seed for the shard-assignment hash (and, by convention, for the
     /// per-stream trace generators driving the fleet in tests and benches).
     pub fleet_seed: u64,
-    /// Maximum samples a worker drains from its queue per lock acquisition.
-    pub batch_drain: usize,
     /// Capacity of the engine's bounded event-trace ring
     /// ([`crate::FleetEngine::events`]); overflow evicts the oldest events
     /// and counts them.
@@ -118,17 +116,6 @@ pub struct FleetConfig {
     /// the application. Requires `spill_dir`. `None` (the default) keeps
     /// hibernation manual.
     pub auto_hibernate_idle: Option<std::time::Duration>,
-    /// Worker threads in the off-worker retrain pool. `0` (the default)
-    /// retrains inline on the shard worker, the previous behavior. With a
-    /// pool, a shard worker arms a retrain request, keeps serving off the old
-    /// model, and installs the fitted model before the stream's next sample —
-    /// the forecast sequence is bit-identical either way (a test and
-    /// `fleet_throughput --ab-retrain` pin this); only tail latency of pushes
-    /// that land on a retrain step changes.
-    pub retrain_threads: usize,
-    /// Retrain fits slower than this (µs) bump `larp_slow_retrains_total`
-    /// and emit a `slow_retrain` trace event.
-    pub slow_retrain_us: u64,
 }
 
 impl Default for FleetConfig {
@@ -138,13 +125,10 @@ impl Default for FleetConfig {
             queue_capacity: 1024,
             backpressure: BackpressurePolicy::RejectNew,
             fleet_seed: 2007,
-            batch_drain: 64,
             event_capacity: 1024,
             durability: None,
             spill_dir: None,
             auto_hibernate_idle: None,
-            retrain_threads: 0,
-            slow_retrain_us: larp::LarpObs::DEFAULT_SLOW_RETRAIN_US,
         }
     }
 }
@@ -154,17 +138,14 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for zero shards, capacity or
-    /// drain size.
+    /// Returns [`FleetError::InvalidConfig`] for zero shards, queue capacity
+    /// or event capacity.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(FleetError::InvalidConfig("shards must be >= 1".into()));
         }
         if self.queue_capacity == 0 {
             return Err(FleetError::InvalidConfig("queue_capacity must be >= 1".into()));
-        }
-        if self.batch_drain == 0 {
-            return Err(FleetError::InvalidConfig("batch_drain must be >= 1".into()));
         }
         if self.event_capacity == 0 {
             return Err(FleetError::InvalidConfig("event_capacity must be >= 1".into()));
@@ -252,7 +233,6 @@ mod tests {
     fn zero_values_rejected() {
         assert!(FleetConfig { shards: 0, ..FleetConfig::default() }.validate().is_err());
         assert!(FleetConfig { queue_capacity: 0, ..FleetConfig::default() }.validate().is_err());
-        assert!(FleetConfig { batch_drain: 0, ..FleetConfig::default() }.validate().is_err());
         assert!(FleetConfig { event_capacity: 0, ..FleetConfig::default() }.validate().is_err());
     }
 

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use larp::{GuardedLarp, HealthState, StreamMemReport};
+use larp::{GuardedLarp, HealthState, OnlineStep, Scratch, StreamMemReport};
 use obs::{expo, EventKind, EventRing, Registry};
 use store::{BlobStore, RegisterTuning, StoreOptions, TraceStore, WalOptions, WalRecord};
 
@@ -16,7 +16,6 @@ use crate::config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamCon
 use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary};
 use crate::health::{merge_counters, FleetHealth, PushReport, ShardHealth};
 use crate::observe::FleetObs;
-use crate::retrain::RetrainPool;
 use crate::shard::{shard_of, Job, Removed, ShardState, StreamSlot, Tombstone};
 use crate::{FleetError, Result, StreamId};
 
@@ -40,29 +39,15 @@ struct EngineShared {
     /// Fleet-wide PCA basis interner: streams trained on identical windows
     /// share one basis allocation (DESIGN.md §11).
     interner: Arc<learn::PcaInterner>,
-    /// Off-worker retrain pool; `None` retrains inline on the shard workers
-    /// ([`FleetConfig::retrain_threads`] == 0).
-    retrain: Option<RetrainPool>,
 }
 
 impl EngineShared {
-    /// Blocks until every queued sample has been fully processed, then
-    /// settles every outstanding off-worker retrain. The post-drain fence is
-    /// what keeps snapshots independent of the retrain pool: by the time any
-    /// caller serializes serving state, no stream carries an armed request or
-    /// an in-flight fit, so checkpoint bytes are bit-identical with the pool
-    /// on or off.
+    /// Blocks until every queued sample has been fully processed.
     fn flush_shards(&self) {
         for s in &self.shards {
             let mut q = s.queue.lock().expect("shard queue poisoned");
             while !q.items.is_empty() || q.busy {
                 q = s.drained.wait(q).expect("shard queue poisoned");
-            }
-        }
-        if let Some(pool) = &self.retrain {
-            for s in &self.shards {
-                let mut streams = s.streams.lock().expect("shard stream table poisoned");
-                streams.for_each_live_mut(|_, slot| slot.settle_retrain(&pool.stale));
             }
         }
     }
@@ -126,7 +111,6 @@ fn wake_guarded(shared: &EngineShared, id: StreamId, _tomb: &Tombstone) -> Optio
         Ok(mut guarded) => {
             guarded.attach_obs(shared.obs.larp.for_stream(id));
             guarded.attach_interner(Arc::clone(&shared.interner));
-            guarded.online_mut().set_deferred_retrain(shared.retrain.is_some());
             spill.lock().expect("spill store poisoned").delete(id);
             shared.obs.wakes.inc();
             let kind = EventKind::StreamWoken { bytes: bytes.len() as u64 };
@@ -346,9 +330,7 @@ impl FleetEngine {
     ) -> Result<Self> {
         // Fail fast on a default stream config that can never build.
         default_stream.build()?;
-        let obs = FleetObs::new(config.event_capacity, config.slow_retrain_us);
-        let retrain = (config.retrain_threads > 0)
-            .then(|| RetrainPool::start(config.retrain_threads, &obs.registry));
+        let obs = FleetObs::new(config.event_capacity);
         // The spill file is a cache, never a durable artifact: open()
         // truncates it, so hibernated state cannot leak across engine
         // lifetimes or confuse recovery.
@@ -372,7 +354,6 @@ impl FleetEngine {
             durability,
             spill,
             interner: Arc::new(learn::PcaInterner::new()),
-            retrain,
         });
         let workers = (0..shared.config.shards)
             .map(|i| {
@@ -381,7 +362,7 @@ impl FleetEngine {
                     .name(format!("fleet-shard-{i}"))
                     .spawn(move || {
                         let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(&s, id, tomb);
-                        s.shards[i].worker_loop(s.config.batch_drain, &wake, s.retrain.as_ref())
+                        s.shards[i].worker_loop(&wake)
                     })
                     .map_err(|e| FleetError::Serving(format!("cannot spawn shard worker: {e}")))
             })
@@ -532,8 +513,10 @@ impl FleetEngine {
             engine.shared.obs.events.push(None, kind);
         }
 
+        let mut scratch = Scratch::new();
+        let mut steps = Vec::new();
         for (_seq, rec) in &tail {
-            engine.replay_record(rec, &mut summary);
+            engine.replay_record(rec, &mut summary, &mut scratch, &mut steps);
         }
         if let Some(d) = engine.shared.durability.as_ref() {
             d.records_since_ckpt.store(tail.len() as u64, Ordering::Relaxed);
@@ -550,8 +533,16 @@ impl FleetEngine {
 
     /// Applies one replayed WAL record directly to the serving slots —
     /// bypassing the queues (the workers are idle during recovery) and the
-    /// WAL itself (replay must not re-log what it reads).
-    fn replay_record(&self, rec: &WalRecord, summary: &mut RecoverySummary) {
+    /// WAL itself (replay must not re-log what it reads). `scratch` and
+    /// `steps` are the buffers a shard worker would lend, shared across the
+    /// whole replay.
+    fn replay_record(
+        &self,
+        rec: &WalRecord,
+        summary: &mut RecoverySummary,
+        scratch: &mut Scratch,
+        steps: &mut Vec<OnlineStep>,
+    ) {
         match rec {
             WalRecord::Samples(samples) => {
                 for s in samples {
@@ -559,12 +550,11 @@ impl FleetEngine {
                     let shard = &self.shared.shards[self.shard_for(s.stream)];
                     let mut table = shard.streams.lock().expect("shard stream table poisoned");
                     match table.get_live_mut(s.stream) {
-                        Some(slot) => slot.feed(&Job {
-                            stream: s.stream,
-                            minute: s.minute,
-                            value: s.value,
-                            seq: 0,
-                        }),
+                        Some(slot) => {
+                            let job =
+                                Job { stream: s.stream, minute: s.minute, value: s.value, seq: 0 };
+                            slot.feed_with(&job, scratch, steps);
+                        }
                         // Live workers drop unknown-stream samples too, so
                         // this reproduces the uninterrupted outcome; a
                         // *registered* stream can only be missing here
@@ -656,7 +646,6 @@ impl FleetEngine {
         let mut guarded = config.build()?;
         guarded.attach_obs(self.shared.obs.larp.for_stream(id));
         guarded.attach_interner(Arc::clone(&self.shared.interner));
-        guarded.online_mut().set_deferred_retrain(self.shared.retrain.is_some());
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
         if !streams.insert(id, StreamSlot::new(guarded, 0)) {
@@ -670,7 +659,6 @@ impl FleetEngine {
     fn insert_restored(&self, id: StreamId, mut guarded: GuardedLarp, next_minute: u64) {
         guarded.attach_obs(self.shared.obs.larp.for_stream(id));
         guarded.attach_interner(Arc::clone(&self.shared.interner));
-        guarded.online_mut().set_deferred_retrain(self.shared.retrain.is_some());
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
         streams.insert(id, StreamSlot::new(guarded, next_minute));
@@ -1464,14 +1452,6 @@ impl Drop for FleetEngine {
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        // Stop the retrain pool after the shard workers are gone: a worker
-        // blocked in a cell's resolve is waiting on a fit a pool thread has
-        // already taken, and workers finish taken fits before exiting. (The
-        // steal path makes even the reverse order safe, but this keeps the
-        // dependency one-directional.)
-        if let Some(pool) = &self.shared.retrain {
-            pool.shutdown();
         }
     }
 }

@@ -49,7 +49,6 @@ pub mod durability;
 pub mod engine;
 pub mod health;
 mod observe;
-mod retrain;
 pub mod shard;
 
 pub use config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamConfig};

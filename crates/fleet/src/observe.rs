@@ -48,17 +48,9 @@
 //! | `fleet_stream_exports_total` | counter | single streams exported (migration / standby) |
 //! | `fleet_stream_imports_total` | counter | single streams imported bit-identically |
 //!
-//! Off-worker retrain pool (DESIGN.md §13, `FleetConfig::retrain_threads`):
-//!
-//! | name | kind | meaning |
-//! |---|---|---|
-//! | `fleet_retrain_jobs_total` | counter | retrain fits handed to the pool |
-//! | `fleet_retrain_stale_total` | counter | fitted outcomes discarded (generation moved on) |
-//! | `fleet_retrain_queue_depth` | gauge | fits queued, not yet picked up |
-//!
-//! plus, stream-side, `larp_retrain_queue_wait_us` / `larp_retrain_us`
-//! histograms and the `larp_slow_retrains_total` threshold counter (see
-//! `larp::observe`).
+//! Refits run inline on the shard workers (DESIGN.md §13); their cost shows
+//! stream-side in the `larp_retrain_us` histogram and the
+//! `larp_slow_retrains_total` threshold counter (see `larp::observe`).
 
 use larp::LarpObs;
 use obs::{Counter, EventRing, Histogram, Registry};
@@ -94,12 +86,10 @@ pub(crate) struct FleetObs {
 }
 
 impl FleetObs {
-    pub(crate) fn new(event_capacity: usize, slow_retrain_us: u64) -> Self {
+    pub(crate) fn new(event_capacity: usize) -> Self {
         let registry = Registry::new();
         let events = EventRing::new(event_capacity);
-        let larp = LarpObs::register(&registry)
-            .with_events(events.clone())
-            .with_slow_retrain_threshold_us(slow_retrain_us);
+        let larp = LarpObs::register(&registry).with_events(events.clone());
         Self {
             larp,
             push_accepted: registry.counter("fleet_push_accepted_total"),

@@ -20,13 +20,12 @@
 //! resident.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 
 use larp::{GuardedLarp, HealthState, OnlineStep, Scratch};
 use obs::{Counter, Gauge, Registry};
 use simrng::{Rng64, SplitMix64};
 
-use crate::retrain::{RetrainCell, RetrainPool};
 use crate::StreamId;
 
 /// Assigns a stream to a shard: a pure hash of `(fleet_seed, stream_id)`.
@@ -44,6 +43,9 @@ pub fn shard_of(fleet_seed: u64, stream_id: StreamId, shards: usize) -> usize {
     let h = SplitMix64::new(whitened ^ stream_id).next_u64();
     (h % shards as u64) as usize
 }
+
+/// Maximum samples a worker drains from its queue per lock acquisition.
+const BATCH_DRAIN: usize = 64;
 
 /// One queued sample.
 #[derive(Debug, Clone, Copy)]
@@ -86,9 +88,6 @@ pub(crate) struct StreamSlot {
     pub(crate) last_health: HealthState,
     /// Most recent forecast.
     pub(crate) last_forecast: Option<f64>,
-    /// A retrain handed to the off-worker pool and not yet installed.
-    /// Runtime-only: every snapshot/hibernate/migrate path settles it first.
-    pub(crate) pending_retrain: Option<Arc<RetrainCell>>,
 }
 
 impl StreamSlot {
@@ -102,7 +101,6 @@ impl StreamSlot {
             nonfinite: 0,
             last_health: HealthState::Healthy,
             last_forecast: None,
-            pending_retrain: None,
         }
     }
 
@@ -118,42 +116,6 @@ impl StreamSlot {
             nonfinite: tomb.nonfinite,
             last_health: tomb.last_health,
             last_forecast: tomb.last_forecast,
-            pending_retrain: None,
-        }
-    }
-
-    /// Resolves every outstanding retrain of this stream: first the cell the
-    /// pool holds (install, discarding if stale), then any armed-but-untaken
-    /// request (direct feed paths like WAL replay never meet a worker's
-    /// launch hook, so the fence fits them inline). After this the slot's
-    /// serving state carries no retrain debt and is safe to snapshot.
-    pub(crate) fn settle_retrain(&mut self, stale: &Counter) {
-        if let Some(cell) = self.pending_retrain.take() {
-            let outcome = cell.resolve();
-            if !self.guarded.online_mut().install_retrain(outcome) {
-                stale.inc();
-            }
-        }
-        self.guarded.online_mut().settle_retrain_now();
-    }
-
-    /// Hands an armed retrain request (if any) to the pool, holding the cell
-    /// until [`settle_retrain`](Self::settle_retrain) installs it before
-    /// this stream's next sample.
-    pub(crate) fn launch_retrain(&mut self, pool: &RetrainPool) {
-        if let Some(request) = self.guarded.online_mut().take_retrain_request() {
-            let config = self.guarded.online().config().clone();
-            self.pending_retrain = Some(pool.submit(request, config));
-        }
-    }
-
-    /// Feeds one sample through the guarded stack, allocating per call.
-    /// The control arm for A/B measurement; serving workers use
-    /// [`feed_with`](Self::feed_with).
-    pub(crate) fn feed(&mut self, job: &Job) {
-        let minute = self.clock(job);
-        for step in self.guarded.ingest(minute, job.value) {
-            self.absorb(&step);
         }
     }
 
@@ -392,19 +354,6 @@ impl StreamTable {
         })
     }
 
-    /// Visits every live stream mutably (arbitrary order) — the
-    /// retrain-settling fences run this under the shard's streams lock.
-    pub(crate) fn for_each_live_mut(&mut self, mut f: impl FnMut(StreamId, &mut StreamSlot)) {
-        let Self { index, live, .. } = self;
-        for (id, r) in index.iter() {
-            if let SlotRef::Live(i) = r {
-                if let Some(slot) = live[*i as usize].as_mut() {
-                    f(*id, slot);
-                }
-            }
-        }
-    }
-
     /// Iterates tombstones of hibernated streams (arbitrary order).
     pub(crate) fn iter_tombs(&self) -> impl Iterator<Item = (StreamId, &Tombstone)> + '_ {
         self.index.iter().filter_map(|(id, r)| match r {
@@ -455,8 +404,8 @@ impl ShardState {
         }
     }
 
-    /// The worker loop: drain up to `batch_drain` samples, feed them, repeat
-    /// until shutdown with an empty queue.
+    /// The worker loop: drain up to [`BATCH_DRAIN`] samples, feed them,
+    /// repeat until shutdown with an empty queue.
     ///
     /// The worker owns one scratch arena and step buffer shared across every
     /// stream it serves — slots only borrow them for the duration of one
@@ -466,16 +415,8 @@ impl ShardState {
     /// spill store (deserialize + re-attach observability); `None` means the
     /// spilled state is unreadable and the stream is dropped (counted as an
     /// unknown-stream sample).
-    /// With a `retrain` pool, each job first settles the stream's outstanding
-    /// retrain (install before the next sample — the deferred contract),
-    /// feeds, then launches any newly armed request onto the pool.
-    pub(crate) fn worker_loop(
-        &self,
-        batch_drain: usize,
-        wake: &dyn Fn(StreamId, &Tombstone) -> Option<GuardedLarp>,
-        retrain: Option<&RetrainPool>,
-    ) {
-        let mut batch: Vec<Job> = Vec::with_capacity(batch_drain);
+    pub(crate) fn worker_loop(&self, wake: &dyn Fn(StreamId, &Tombstone) -> Option<GuardedLarp>) {
+        let mut batch: Vec<Job> = Vec::with_capacity(BATCH_DRAIN);
         let mut scratch = Scratch::new();
         let mut steps: Vec<OnlineStep> = Vec::new();
         loop {
@@ -491,7 +432,7 @@ impl ShardState {
                     return;
                 }
                 q.busy = true;
-                let n = q.items.len().min(batch_drain);
+                let n = q.items.len().min(BATCH_DRAIN);
                 batch.extend(q.items.drain(..n));
                 self.queue_depth.set(q.items.len() as f64);
             }
@@ -518,18 +459,8 @@ impl ShardState {
                         }
                     }
                     match streams.get_live_mut(job.stream) {
-                        Some(slot) => {
-                            if let Some(pool) = retrain {
-                                slot.settle_retrain(&pool.stale);
-                            }
-                            slot.feed_with(job, &mut scratch, &mut steps);
-                            if let Some(pool) = retrain {
-                                slot.launch_retrain(pool);
-                            }
-                        }
-                        None => {
-                            self.unknown_dropped.inc();
-                        }
+                        Some(slot) => slot.feed_with(job, &mut scratch, &mut steps),
+                        None => self.unknown_dropped.inc(),
                     }
                 }
             }

@@ -67,10 +67,7 @@ pub use eval::{run_selector, SelectorRun, TraceReport};
 pub use ingest::{GapFill, GuardedLarp, IngestConfig, IngestStats, OutlierPolicy, Sanitizer};
 pub use model::{Scratch, TrainedLarp};
 pub use observe::LarpObs;
-pub use online::{
-    HealthState, OnlineCounters, OnlineLarp, OnlineStep, RetrainOutcome, RetrainRequest,
-    StreamMemReport,
-};
+pub use online::{HealthState, OnlineCounters, OnlineLarp, OnlineStep, StreamMemReport};
 pub use qa::QualityAssuror;
 pub use selector::Selector;
 

@@ -21,7 +21,6 @@
 //! | `larp_nonfinite_forecasts_total` | counter | non-finite forecasts caught |
 //! | `larp_faults_sanitized_total` | counter | ingestion repairs performed |
 //! | `larp_retrain_us` | histogram | (re)training fit time, µs |
-//! | `larp_retrain_queue_wait_us` | histogram | retrain queue wait, µs (0 inline) |
 //! | `larp_slow_retrains_total` | counter | fits over the slow threshold |
 //!
 //! Hot-path budget: one counter increment per step plus one `Cell`
@@ -85,7 +84,6 @@ pub struct LarpObs {
     nonfinite: Counter,
     sanitized: Counter,
     retrain_us: Histogram,
-    retrain_queue_wait_us: Histogram,
     slow_retrains: Counter,
     /// Fit-time threshold above which a retrain counts as *slow* (emits a
     /// [`EventKind::SlowRetrain`] event and bumps `larp_slow_retrains_total`).
@@ -113,7 +111,6 @@ impl LarpObs {
             nonfinite: registry.counter("larp_nonfinite_forecasts_total"),
             sanitized: registry.counter("larp_faults_sanitized_total"),
             retrain_us: registry.histogram("larp_retrain_us"),
-            retrain_queue_wait_us: registry.histogram("larp_retrain_queue_wait_us"),
             slow_retrains: registry.counter("larp_slow_retrains_total"),
             slow_retrain_threshold_us: Self::DEFAULT_SLOW_RETRAIN_US,
             events: None,
@@ -157,7 +154,6 @@ impl LarpObs {
             nonfinite: self.nonfinite.clone(),
             sanitized: self.sanitized.clone(),
             retrain_us: self.retrain_us.clone(),
-            retrain_queue_wait_us: self.retrain_queue_wait_us.clone(),
             slow_retrains: self.slow_retrains.clone(),
             slow_retrain_threshold_us: self.slow_retrain_threshold_us,
         }
@@ -201,14 +197,10 @@ impl LarpObs {
         self.emit(EventKind::QuarantineExit { predictor: predictor as u64 });
     }
 
-    /// Records one successful (re)train. Queue wait (time the request sat
-    /// armed/enqueued before a worker started fitting) and the fit itself are
-    /// tracked as separate histograms so a saturated retrain pool is
-    /// distinguishable from genuinely slow fits.
-    pub(crate) fn record_retrain_success(&self, fit_us: u64, queue_wait_us: u64) {
+    /// Records one successful (re)train and its fit time.
+    pub(crate) fn record_retrain_success(&self, fit_us: u64) {
         self.retrains.inc();
         self.retrain_us.record(fit_us as f64);
-        self.retrain_queue_wait_us.record(queue_wait_us as f64);
         self.emit(EventKind::RetrainSucceeded { duration_us: fit_us });
         if fit_us > self.slow_retrain_threshold_us {
             self.slow_retrains.inc();

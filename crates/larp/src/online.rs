@@ -84,66 +84,6 @@ pub struct OnlineCounters {
     pub fallback_steps: usize,
 }
 
-/// A training job captured at arm time: the exact window copy a retrain would
-/// have used inline, plus the model generation it must install against.
-///
-/// The deferred-retrain contract (DESIGN.md §13): when the QA orders a refit
-/// at step *t* and a model already exists, the loop *arms* a request instead
-/// of fitting inline — the old model serves step *t*'s forecast, and the new
-/// model installs strictly before step *t+1* is scored. The fit itself is
-/// pure (window copy + config in, model out), so it can run on any thread;
-/// [`OnlineLarp::install_retrain`] rejects outcomes whose generation no
-/// longer matches, making late or duplicated fits harmless.
-#[derive(Debug, Clone)]
-pub struct RetrainRequest {
-    generation: u64,
-    tail: Vec<f64>,
-}
-
-impl RetrainRequest {
-    /// The model generation this request was armed against.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The training window (most recent `train_size` observations, raw scale).
-    pub fn tail(&self) -> &[f64] {
-        &self.tail
-    }
-
-    /// Fits a model on the captured window. Pure: no serving state is read or
-    /// written, so this can run off-thread. Returns `None` when training
-    /// fails *or* the fitted model cannot produce a finite forecast on its
-    /// own training tail (a NaN-poisoned window) — installing such a model
-    /// would poison every forecast.
-    pub fn fit(&self, config: &LarpConfig) -> Option<TrainedLarp> {
-        TrainedLarp::train(&self.tail, config).ok().filter(|model| {
-            matches!(
-                model.predict_next_raw(&self.tail),
-                Ok((_, f)) if f.is_finite()
-            )
-        })
-    }
-}
-
-/// The result of fitting a [`RetrainRequest`], ready for
-/// [`OnlineLarp::install_retrain`]. `model: None` records a *failed* fit —
-/// installing it applies the retry-backoff bookkeeping, exactly as an inline
-/// failure would.
-#[derive(Debug)]
-pub struct RetrainOutcome {
-    /// Generation copied from the request; installs are rejected when the
-    /// model has moved on since arming.
-    pub generation: u64,
-    /// The fitted model, or `None` when the fit failed the train/probe.
-    pub model: Option<TrainedLarp>,
-    /// Time the request spent queued before a worker picked it up (0 for
-    /// inline resolution).
-    pub queue_wait_us: u64,
-    /// Wall-clock time of the fit itself.
-    pub fit_us: u64,
-}
-
 /// Per-pool-member quarantine bookkeeping.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct PredictorHealth {
@@ -197,18 +137,6 @@ pub struct OnlineLarp {
     /// Earliest clock at which another training attempt is allowed.
     pub(crate) next_retrain_at: u64,
     pub(crate) retrain_pending: bool,
-    /// A retrain captured this step but not yet fitted/installed; runtime-only
-    /// (never snapshotted — every snapshot path settles it first, and
-    /// `retrain_pending` re-arms after restore if one were ever lost).
-    pub(crate) armed: Option<RetrainRequest>,
-    /// When `true`, an external driver (the fleet retrain pool) takes armed
-    /// requests via [`OnlineLarp::take_retrain_request`] and installs the
-    /// outcomes between pushes; when `false` (default) the push itself
-    /// resolves them inline at end of step. Runtime-only.
-    pub(crate) deferred_external: bool,
-    /// Bumped on every model install; stamps [`RetrainRequest`]s so stale
-    /// off-thread fits are discarded instead of installed. Runtime-only.
-    pub(crate) generation: u64,
     /// Registry-backed recorder; runtime-only (never snapshotted, restored
     /// instances start unattached).
     pub(crate) obs: Option<LarpObs>,
@@ -334,9 +262,6 @@ impl OnlineLarp {
             consecutive_retrain_failures: 0,
             next_retrain_at: 0,
             retrain_pending: false,
-            armed: None,
-            deferred_external: false,
-            generation: 0,
             obs: None,
             interner: None,
         })
@@ -396,11 +321,13 @@ impl OnlineLarp {
     /// Behaviour:
     /// 1. scores the previous forecast against `value` through the QA and the
     ///    divergence monitor (quarantining the producer if it misbehaved);
-    /// 2. (re)trains if the QA ordered it and the retry backoff allows, or
-    ///    trains initially once `train_size` samples have arrived;
+    /// 2. trains initially once `train_size` samples have arrived;
     /// 3. releases expired quarantines;
     /// 4. produces the next forecast by walking the degradation ladder:
-    ///    k-NN choice → lowest-error non-quarantined member → persistence.
+    ///    k-NN choice → lowest-error non-quarantined member → persistence;
+    /// 5. refits on the most recent `train_size` samples if the QA ordered
+    ///    it and the retry backoff allows. The old model served this step's
+    ///    forecast; the new one serves from the next push on.
     ///
     /// The returned forecast, when present, is always finite.
     pub fn push(&mut self, value: f64) -> OnlineStep {
@@ -417,12 +344,6 @@ impl OnlineLarp {
     /// layer keeps one [`Scratch`] per worker and reuses it across every
     /// stream it serves, making the steady-state step allocation-free.
     pub fn push_with(&mut self, value: f64, scratch: &mut Scratch) -> OnlineStep {
-        // 0. A request armed on the previous step that no external driver
-        // took (multi-value gap-fill feeds, replay, direct pushes) must
-        // install before this step is scored — the contract is "armed
-        // resolves before the next push", whoever runs the fit.
-        self.settle_retrain_now();
-
         self.clock += 1;
 
         // 1. Score the pending forecast.
@@ -450,21 +371,17 @@ impl OnlineLarp {
         }
 
         // 2. Training, gated by the retry backoff. The *initial* train (no
-        // model yet) stays fully inline — the caller is owed a forecast from
-        // it this very step. A re-train arms a request instead: the old model
-        // serves this step, and the new one installs at end of push (inline
-        // mode) or between pushes (external retrain pool).
+        // model yet) runs here — the caller is owed a forecast from it this
+        // very step. A QA-ordered refit waits for step 5: the old model
+        // serves this step, and the new one installs at end of push.
         let mut retrained = false;
+        let mut refit = false;
         let due = self.retrain_pending || self.model.is_none();
-        if due
-            && self.history.len() >= self.train_size
-            && self.clock >= self.next_retrain_at
-            && self.armed.is_none()
-        {
+        if due && self.history.len() >= self.train_size && self.clock >= self.next_retrain_at {
             if self.model.is_none() {
-                retrained = self.try_retrain(scratch);
+                retrained = self.retrain(scratch);
             } else {
-                self.armed = Some(self.snapshot_request(scratch));
+                refit = true;
             }
         }
 
@@ -495,11 +412,10 @@ impl OnlineLarp {
         if let Some(f) = forecast {
             self.pending = Some((chosen, f));
         }
-        // 5. Inline mode resolves the armed retrain here, after the old model
-        // served this step's forecast. External mode leaves it armed for the
-        // retrain pool (step 0 of the next push is the backstop).
-        if !self.deferred_external {
-            retrained |= self.settle_retrain_now();
+        // 5. The refit ordered at step 2, on the same window (history is
+        // unchanged since), after the old model served this step's forecast.
+        if refit {
+            retrained = self.retrain(scratch);
         }
         OnlineStep { forecast, chosen, retrained, health }
     }
@@ -540,122 +456,55 @@ impl OnlineLarp {
         }
     }
 
-    /// Attempts a (re)train on the most recent `train_size` points, fully
-    /// inline: arm, fit, install in one call. Used for the initial train
-    /// (which must serve its forecast the same step) and by tests.
-    fn try_retrain(&mut self, scratch: &mut Scratch) -> bool {
-        self.armed = Some(self.snapshot_request(scratch));
-        self.settle_retrain_now()
-    }
-
-    /// Captures the training window ending at the current step into an
-    /// owned, generation-stamped request.
-    fn snapshot_request(&self, scratch: &mut Scratch) -> RetrainRequest {
-        let start = self.history.len().saturating_sub(self.train_size);
-        // Zero-copy for `f64` rings; `f32` rings widen into the scratch.
-        let full = self.history.materialized(&mut scratch.hist64);
-        RetrainRequest { generation: self.generation, tail: full[start..].to_vec() }
-    }
-
-    /// Takes the armed retrain request, if any, for off-thread fitting.
-    /// Whoever takes it owes the model an [`OnlineLarp::install_retrain`]
-    /// before the next push (the push's own backstop resolves anything still
-    /// armed, so forgetting to take is safe — forgetting to install is not,
-    /// but a stale install is simply discarded).
-    pub fn take_retrain_request(&mut self) -> Option<RetrainRequest> {
-        self.armed.take()
-    }
-
-    /// Resolves any armed retrain inline right now: fit on this thread,
-    /// install immediately. Returns `true` iff a new model was installed.
-    pub fn settle_retrain_now(&mut self) -> bool {
-        let Some(request) = self.armed.take() else {
+    /// Fits a model on the most recent `train_size` observations and installs
+    /// it; returns `true` iff a new model was installed.
+    ///
+    /// A fitted model installs only if it gives a finite forecast on its own
+    /// training tail — a NaN-poisoned window would otherwise poison every
+    /// forecast. Installing gives a fresh quarantine slate, a fresh fallback
+    /// tracker, a rebuilt normalised mirror and a QA reset. A failed fit
+    /// keeps the stale model serving and pushes the next attempt out by the
+    /// exponential backoff.
+    fn retrain(&mut self, scratch: &mut Scratch) -> bool {
+        let started = Instant::now();
+        let fitted = {
+            // Zero-copy for `f64` rings; `f32` rings widen into the scratch.
+            let full = self.history.materialized(&mut scratch.hist64);
+            let tail = &full[full.len().saturating_sub(self.train_size)..];
+            TrainedLarp::train(tail, &self.config)
+                .ok()
+                .filter(|model| matches!(model.predict_next_raw(tail), Ok((_, f)) if f.is_finite()))
+        };
+        let fit_us = started.elapsed().as_micros() as u64;
+        let Some(mut model) = fitted else {
+            self.counters.retrain_failures += 1;
+            let exp = self.consecutive_retrain_failures.min(16);
+            self.consecutive_retrain_failures += 1;
+            if let Some(obs) = &self.obs {
+                obs.record_retrain_failure(self.consecutive_retrain_failures as u64);
+            }
+            let delay = self
+                .resilience
+                .retrain_backoff_base
+                .saturating_mul(1usize << exp)
+                .min(self.resilience.retrain_backoff_cap);
+            self.next_retrain_at = self.clock + delay as u64;
             return false;
         };
-        let started = Instant::now();
-        let model = request.fit(&self.config);
-        let installed = model.is_some();
-        self.install_retrain(RetrainOutcome {
-            generation: request.generation,
-            model,
-            queue_wait_us: 0,
-            fit_us: started.elapsed().as_micros() as u64,
-        });
-        installed
-    }
-
-    /// Whether deferred retrains are resolved externally (see
-    /// [`OnlineLarp::set_deferred_retrain`]).
-    pub fn retrain_deferred(&self) -> bool {
-        self.deferred_external
-    }
-
-    /// Switches between inline resolution (default: the push that arms a
-    /// retrain also fits and installs it at end of step) and external
-    /// resolution (an off-worker pool takes requests between pushes). The
-    /// forecast sequence is bit-identical either way — only *where* the fit
-    /// runs changes.
-    pub fn set_deferred_retrain(&mut self, external: bool) {
-        self.deferred_external = external;
-    }
-
-    /// The current model generation (bumped on every install).
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The LARPredictor configuration a [`RetrainRequest::fit`] needs.
-    pub fn config(&self) -> &LarpConfig {
-        &self.config
-    }
-
-    /// Installs the outcome of a fitted [`RetrainRequest`]. Returns `false`
-    /// (and changes nothing) when the outcome's generation no longer matches
-    /// — a model was installed since the request was armed, so both success
-    /// and failure bookkeeping would apply to the wrong serving state.
-    ///
-    /// A successful outcome installs the model exactly as an inline retrain
-    /// would: fresh quarantine slate, fresh fallback tracker, rebuilt
-    /// normalised mirror, QA reset. A failed outcome (`model: None`) keeps
-    /// the stale model serving and pushes the next attempt out by the
-    /// exponential backoff.
-    pub fn install_retrain(&mut self, outcome: RetrainOutcome) -> bool {
-        if outcome.generation != self.generation {
-            return false;
+        if let Some(interner) = &self.interner {
+            model.intern_pca(interner);
         }
-        match outcome.model {
-            Some(mut model) => {
-                if let Some(interner) = &self.interner {
-                    model.intern_pca(interner);
-                }
-                let pool_len = model.pool().len();
-                self.predictor_health = vec![PredictorHealth::default(); pool_len];
-                self.tracker = PoolErrorTracker::new(pool_len, self.config.window.max(8)).ok();
-                self.model = Some(model);
-                self.rebuild_norm();
-                self.retrain_count += 1;
-                self.qa.reset();
-                self.retrain_pending = false;
-                self.consecutive_retrain_failures = 0;
-                self.generation += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record_retrain_success(outcome.fit_us, outcome.queue_wait_us);
-                }
-            }
-            None => {
-                self.counters.retrain_failures += 1;
-                let exp = self.consecutive_retrain_failures.min(16);
-                self.consecutive_retrain_failures += 1;
-                if let Some(obs) = &self.obs {
-                    obs.record_retrain_failure(self.consecutive_retrain_failures as u64);
-                }
-                let delay = self
-                    .resilience
-                    .retrain_backoff_base
-                    .saturating_mul(1usize << exp)
-                    .min(self.resilience.retrain_backoff_cap);
-                self.next_retrain_at = self.clock + delay as u64;
-            }
+        let pool_len = model.pool().len();
+        self.predictor_health = vec![PredictorHealth::default(); pool_len];
+        self.tracker = PoolErrorTracker::new(pool_len, self.config.window.max(8)).ok();
+        self.model = Some(model);
+        self.rebuild_norm();
+        self.retrain_count += 1;
+        self.qa.reset();
+        self.retrain_pending = false;
+        self.consecutive_retrain_failures = 0;
+        if let Some(obs) = &self.obs {
+            obs.record_retrain_success(fit_us);
         }
         true
     }
@@ -957,6 +806,74 @@ mod tests {
             o.push(if t % 2 == 0 { 50.0 } else { -50.0 });
         }
         assert!(o.retrain_count() > 1, "retrains: {}", o.retrain_count());
+    }
+
+    #[test]
+    fn refit_installs_after_the_old_model_serves_its_step() {
+        // A QA that never orders a refit on its own: the test alone decides
+        // which push refits.
+        let mut o =
+            OnlineLarp::new(LarpConfig::default(), 40, QualityAssuror::new(1e9, 8, 4).unwrap())
+                .unwrap();
+        let signal = |t: usize| (t as f64 * 0.2).sin() * 3.0 + t as f64 * 0.1;
+        for t in 0..60 {
+            o.push(signal(t));
+        }
+        assert_eq!(o.retrain_count(), 1);
+        // A twin that keeps the old model for the rest of the test.
+        let mut stale = OnlineLarp::from_snapshot_bytes(&o.to_snapshot_bytes()).unwrap();
+
+        o.retrain_pending = true;
+        let refit = o.push(signal(60));
+        let kept = stale.push(signal(60));
+        assert!(refit.retrained, "the refit push reports it");
+        assert!(!kept.retrained);
+        assert_eq!(o.retrain_count(), 2, "the new model is installed by the end of the push");
+        assert_eq!(
+            refit.forecast.map(f64::to_bits),
+            kept.forecast.map(f64::to_bits),
+            "the old model serves the refit step's forecast"
+        );
+
+        let next = o.push(signal(61));
+        assert!(!next.retrained);
+        let history: Vec<f64> = o.history.iter64().collect();
+        let (_, expected) = o.model.as_ref().unwrap().predict_next_raw(&history).unwrap();
+        assert_eq!(next.forecast.map(f64::to_bits), Some(expected.to_bits()), "new model serves");
+        assert_ne!(next.forecast, stale.push(signal(61)).forecast, "old model retired");
+    }
+
+    #[test]
+    fn slow_retrain_threshold_counts_and_traces() {
+        // With the threshold at zero every successful fit is "slow": the
+        // counter must track retrains and the event ring must carry
+        // slow_retrain entries with both the fit time and the threshold.
+        let registry = obs::Registry::new();
+        let ring = obs::EventRing::new(4096);
+        let mut o =
+            OnlineLarp::new(LarpConfig::default(), 40, QualityAssuror::new(0.5, 4, 2).unwrap())
+                .unwrap();
+        o.attach_obs(
+            LarpObs::register(&registry)
+                .with_events(ring.clone())
+                .with_slow_retrain_threshold_us(0),
+        );
+        for t in 0..160u64 {
+            o.push(if t < 80 {
+                (t as f64 * 0.21).sin() * 0.1
+            } else {
+                40.0 - 80.0 * (t % 2) as f64
+            });
+        }
+        assert!(o.retrain_count() > 1, "workload must refit");
+        let slow = registry.counter("larp_slow_retrains_total").get();
+        assert_eq!(slow as usize, o.retrain_count(), "threshold 0 must flag every successful fit");
+        let traced = ring
+            .recent()
+            .iter()
+            .filter(|e| matches!(e.kind, obs::EventKind::SlowRetrain { threshold_us: 0, .. }))
+            .count();
+        assert_eq!(traced, o.retrain_count(), "one slow_retrain event per fit");
     }
 
     #[test]

@@ -706,12 +706,6 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
         consecutive_retrain_failures,
         next_retrain_at,
         retrain_pending,
-        // Deferred-retrain state is runtime-only: snapshot paths settle any
-        // armed request before serializing, and `retrain_pending` re-arms on
-        // the next push if a retrain was still owed.
-        armed: None,
-        deferred_external: false,
-        generation: 0,
         obs: None,
         interner: None,
     };

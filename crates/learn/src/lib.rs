@@ -1,5 +1,5 @@
 //! Learning substrate: PCA, k-nearest-neighbour classification, and the
-//! supporting machinery (feature scaling, splits, classification metrics).
+//! supporting machinery (splits, classification metrics).
 //!
 //! This crate implements §5 of the paper:
 //!
@@ -9,8 +9,6 @@
 //! * [`KnnClassifier`] — majority-vote k-NN with Euclidean distance over
 //!   z-scored features (the paper fixes `k = 3`), with interchangeable
 //!   brute-force and kd-tree back-ends;
-//! * [`FeatureScaler`] — per-column z-scoring ("all features are normalized to
-//!   have zero mean and unit variance");
 //! * [`split`] — the paper's "randomly chosen timestamp" contiguous 50/50
 //!   train/test split plus k-fold utilities;
 //! * [`eval`] — confusion matrices and accuracy (the best-predictor
@@ -22,7 +20,6 @@ pub mod intern;
 pub mod kdtree;
 pub mod knn;
 pub mod pca;
-pub mod scaler;
 pub mod split;
 pub mod vote;
 
@@ -30,7 +27,6 @@ pub use intern::PcaInterner;
 pub use kdtree::KdTree;
 pub use knn::{KnnBackend, KnnClassifier};
 pub use pca::Pca;
-pub use scaler::FeatureScaler;
 
 /// Errors produced by the learning substrate.
 #[derive(Debug, Clone, PartialEq)]

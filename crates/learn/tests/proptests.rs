@@ -3,7 +3,7 @@
 //! Seeded `simrng` loops replace the original proptest strategies so the
 //! suite runs without external crates; every case is deterministic per seed.
 
-use learn::{eval, split, FeatureScaler, KdTree, KnnBackend, KnnClassifier, Pca};
+use learn::{eval, split, KdTree, KnnBackend, KnnClassifier, Pca};
 use linalg::Matrix;
 use simrng::{Rng64, Xoshiro256pp};
 
@@ -90,22 +90,6 @@ fn pca_variance_ratios_valid() {
         }
         for &x in &r {
             assert!(x >= -1e-12);
-        }
-    }
-}
-
-/// FeatureScaler round-trips any in-dimension observation.
-#[test]
-fn scaler_round_trip() {
-    let mut rng = Xoshiro256pp::seed_from_u64(205);
-    for _ in 0..48 {
-        let m = Matrix::from_vec(10, 3, random_vec(&mut rng, 30, -100.0, 100.0)).unwrap();
-        let x = random_vec(&mut rng, 3, -200.0, 200.0);
-        let s = FeatureScaler::fit(&m);
-        let z = s.transform(&x).unwrap();
-        let back = s.inverse_transform(&z).unwrap();
-        for (a, b) in back.iter().zip(&x) {
-            assert!((a - b).abs() < 1e-8 * b.abs().max(1.0));
         }
     }
 }

@@ -83,18 +83,6 @@ if [[ "$QUICK" -eq 0 ]]; then
   fi
   echo "fleet_throughput: $SMOKE_SPS samples/s (baseline $BASELINE_SPS, floor $FLOOR)"
 
-  echo "==> retrain-pool bit-identity smoke (pooled vs inline A/B, both kernel modes)"
-  # The off-worker retrain pool must be a pure scheduling change: the A/B
-  # checkpoints every pooled/inline pair and the binary exits non-zero on any
-  # byte divergence. Run once per kernel dispatch mode.
-  for mode in avx2 scalar; do
-    AB_RETRAIN_JSON="$(LARP_KERNELS=$mode cargo run --release -q -p fleet --bin fleet_throughput -- \
-        --streams 200 --samples 120 --shards 2 --ab-retrain)"
-    grep -qF '"bit_identical": true' <<<"$AB_RETRAIN_JSON" \
-      || { echo "retrain pool broke bit-identity under LARP_KERNELS=$mode"; exit 1; }
-    echo "ab-retrain ($mode): $(grep -o '"speedup": [0-9.]*' <<<"$AB_RETRAIN_JSON"), bit_identical"
-  done
-
   echo "==> mem_bench steady-state + bytes/stream regression gate (20000 streams)"
   # Steady-state fleet (hot working set live, cold majority hibernated) under
   # the diet config; the headline bytes_per_stream is accounted heap over all
