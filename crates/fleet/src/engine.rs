@@ -1,5 +1,5 @@
 //! The fleet engine: worker threads, stream lifecycle, batched ingestion,
-//! flush/checkpoint/restore, and the health rollup.
+//! caller drains, flush/checkpoint/restore, and the health rollup.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -16,7 +16,7 @@ use crate::config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamCon
 use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary};
 use crate::health::{merge_counters, FleetHealth, PushReport, ShardHealth};
 use crate::observe::FleetObs;
-use crate::shard::{shard_of, Job, Removed, ShardState, StreamSlot, Tombstone};
+use crate::shard::{shard_of, Job, Removed, ShardState, StreamSlot, Tombstone, BATCH_DRAIN};
 use crate::{FleetError, Result, StreamId};
 
 /// State shared between the engine handle and its worker threads.
@@ -42,12 +42,22 @@ struct EngineShared {
 }
 
 impl EngineShared {
-    /// Blocks until every queued sample has been fully processed.
+    /// Blocks until every admitted sample has been fully processed, draining
+    /// on the calling thread wherever no other drainer holds a shard.
     fn flush_shards(&self) {
+        let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(self, id, tomb);
         for s in &self.shards {
-            let mut q = s.queue.lock().expect("shard queue poisoned");
-            while !q.items.is_empty() || q.busy {
-                q = s.drained.wait(q).expect("shard queue poisoned");
+            s.flush(&wake);
+        }
+    }
+
+    /// The caller's drain of a small push, on every shard whose bit
+    /// (`shard % 64`) is set in `mask`.
+    fn drain_shards(&self, mask: u64) {
+        let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(self, id, tomb);
+        for (i, s) in self.shards.iter().enumerate() {
+            if mask & shard_bit(i) != 0 {
+                s.drain_once(&wake);
             }
         }
     }
@@ -93,10 +103,59 @@ impl EngineShared {
     }
 }
 
+/// A shard's bit in a [`DrainToken`] mask. Shard counts above 64 fold onto
+/// the same bits; draining a shard with nothing pending is a cheap no-op.
+fn shard_bit(shard: usize) -> u64 {
+    1 << (shard % 64)
+}
+
+/// The deferred drain of an admitted push, returned by
+/// [`FleetEngine::admit_batch`]: dropping it applies the push's samples on
+/// the dropping thread. A push of at most 64 samples is applied this way.
+/// The drop applies at most 64 queued samples per shard, and leaves a shard
+/// that another drainer holds to that drainer; whatever remains goes to the
+/// shard's worker. A larger push woke the workers at admission and its
+/// token is empty.
+///
+/// The token owns a handle to the engine's state rather than borrowing the
+/// engine, so a server can admit a request, write its reply, and drop the
+/// token only after the reply is flushed. Tokens merge with
+/// [`absorb`](Self::absorb), so one connection can park several pipelined
+/// pushes in one.
+#[must_use = "dropping the token applies the admitted samples; bind it to defer that"]
+#[derive(Default)]
+pub struct DrainToken {
+    /// The engine and the shards (by [`shard_bit`]) holding samples this
+    /// token's holder is to drain; `None` when there is nothing to drain.
+    pending: Option<(Arc<EngineShared>, u64)>,
+}
+
+impl DrainToken {
+    /// Takes over `other`'s pending drain, so dropping `self` applies both.
+    pub fn absorb(&mut self, mut other: DrainToken) {
+        let Some((shared, mask)) = other.pending.take() else { return };
+        match &mut self.pending {
+            Some((mine, bits)) => {
+                debug_assert!(Arc::ptr_eq(mine, &shared), "tokens of different engines");
+                *bits |= mask;
+            }
+            None => self.pending = Some((shared, mask)),
+        }
+    }
+}
+
+impl Drop for DrainToken {
+    fn drop(&mut self) {
+        if let Some((shared, mask)) = self.pending.take() {
+            shared.drain_shards(mask);
+        }
+    }
+}
+
 /// Restores a hibernated stream's serving stack from the spill store, called
-/// by shard workers when a sample arrives for a tombstoned stream. `None`
+/// by a drainer when a sample arrives for a tombstoned stream. `None`
 /// (counted in `fleet_wake_failures_total`) means the spilled state is gone
-/// or unreadable; the worker drops the stream rather than serving from a
+/// or unreadable; the drainer drops the stream rather than serving from a
 /// half-reset stack.
 fn wake_guarded(shared: &EngineShared, id: StreamId, _tomb: &Tombstone) -> Option<GuardedLarp> {
     let spill = shared.spill.as_ref()?;
@@ -256,7 +315,7 @@ fn hibernate_idle_inner(shared: &EngineShared, max_idle: u64) -> Result<Vec<Stre
 /// Sharded multi-stream serving engine. See the crate docs for the design.
 ///
 /// All ingestion methods take `&self`; an engine can be shared across
-/// producer threads behind an [`Arc`]. Dropping the engine drains the queues
+/// producer threads behind an [`Arc`]. Dropping the engine flushes the queues
 /// and joins the workers.
 pub struct FleetEngine {
     shared: Arc<EngineShared>,
@@ -346,7 +405,12 @@ impl FleetEngine {
             None => None,
         };
         let shared = Arc::new(EngineShared {
-            shards: (0..config.shards).map(|i| ShardState::new(i, &obs.registry)).collect(),
+            shards: (0..config.shards)
+                .map(|i| {
+                    let (inline, worker) = (obs.drains_inline.clone(), obs.drains_worker.clone());
+                    ShardState::new(i, &obs.registry, inline, worker)
+                })
+                .collect(),
             config,
             push_seq: AtomicU64::new(0),
             maint_stop: AtomicBool::new(false),
@@ -762,34 +826,58 @@ impl FleetEngine {
     /// Pushes one sample with an explicit minute timestamp (for replaying
     /// recorded or fault-injected traces whose gaps matter).
     pub fn push_at(&self, id: StreamId, minute: u64, value: f64) -> PushReport {
-        let _gate = self.gate_read();
-        let seq = self.shared.push_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let job = Job { stream: id, minute: Some(minute), value, seq };
-        let mut report = PushReport::default();
-        let started = Instant::now();
-        self.enqueue(self.shard_for(id), &[job], &mut report, None);
-        if report.accepted > 0 {
-            let sample = store::Sample { stream: id, minute: Some(minute), value };
-            self.wal_append_samples(&[sample], &mut report);
-        }
-        self.account(report, started);
+        let (report, _drain) = self.admit_at(id, minute, value);
         report
     }
 
     /// Pushes a batch of auto-clocked samples, fanning them out to the
     /// owning shards (one queue-lock acquisition per shard per batch).
     ///
-    /// Samples for the same stream are enqueued in slice order, and each
-    /// shard's worker preserves queue order, so per-stream processing order
-    /// equals push order regardless of shard count.
+    /// Samples for the same stream are enqueued in slice order, and a shard
+    /// is drained by one thread at a time in queue order, so per-stream
+    /// processing order equals push order regardless of shard count. A batch
+    /// of at most 64 samples is applied on this thread before the call
+    /// returns (unless another drainer holds its shard); a larger one is
+    /// left to the shard workers. Equivalent to
+    /// [`admit_batch`](Self::admit_batch) followed by dropping its token.
     pub fn push_batch(&self, batch: &[(StreamId, f64)]) -> PushReport {
+        let (report, _drain) = self.admit_batch(batch);
+        report
+    }
+
+    /// [`admit_batch`](Self::admit_batch) for one sample with an explicit
+    /// minute timestamp.
+    pub fn admit_at(&self, id: StreamId, minute: u64, value: f64) -> (PushReport, DrainToken) {
+        let _gate = self.gate_read();
+        let seq = self.shared.push_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        let job = Job { stream: id, minute: Some(minute), value, seq };
+        let mut report = PushReport::default();
+        let started = Instant::now();
+        let shard = self.shard_for(id);
+        self.enqueue(shard, &[job], &mut report, None, true);
+        if report.accepted > 0 {
+            let sample = store::Sample { stream: id, minute: Some(minute), value };
+            self.wal_append_samples(&[sample], &mut report);
+        }
+        self.account(report, started);
+        (report, self.drain_token(shard_bit(shard), report))
+    }
+
+    /// Admits a batch of auto-clocked samples without applying it: the
+    /// durability gate, push sequence, bounded queues with their
+    /// backpressure policy and the WAL append all run here, and the returned
+    /// [`PushReport`] is final. The samples are applied when the returned
+    /// [`DrainToken`] drops (a batch of at most 64 samples) or by the shard
+    /// workers (a larger one, which wakes them now).
+    pub fn admit_batch(&self, batch: &[(StreamId, f64)]) -> (PushReport, DrainToken) {
         // The per-shard grouping buffers persist per producer thread: a
         // steady producer pays the grouping allocation once, not per batch.
         thread_local! {
             static GROUPED: std::cell::RefCell<Vec<Vec<Job>>> =
                 const { std::cell::RefCell::new(Vec::new()) };
         }
-        GROUPED.with(|cell| {
+        let inline = batch.len() <= BATCH_DRAIN;
+        let (report, mask) = GROUPED.with(|cell| {
             let _gate = self.gate_read();
             let mut grouped = cell.borrow_mut();
             let shards = self.shared.config.shards;
@@ -807,21 +895,34 @@ impl FleetEngine {
             let started = Instant::now();
             let mut wal_buf: Option<Vec<store::Sample>> =
                 self.shared.durability.as_ref().map(|_| Vec::with_capacity(batch.len()));
+            let mut mask = 0;
             for (shard, jobs) in grouped.iter().enumerate().take(shards) {
                 if !jobs.is_empty() {
-                    self.enqueue(shard, jobs, &mut report, wal_buf.as_mut());
+                    self.enqueue(shard, jobs, &mut report, wal_buf.as_mut(), inline);
+                    mask |= shard_bit(shard);
                 }
             }
             if let Some(buf) = &wal_buf {
                 self.wal_append_samples(buf, &mut report);
             }
             self.account(report, started);
-            report
-        })
+            (report, mask)
+        });
+        (report, self.drain_token(if inline { mask } else { 0 }, report))
+    }
+
+    /// The token for a push that enqueued onto the shards in `mask`: empty
+    /// when nothing was accepted or the workers were woken instead.
+    fn drain_token(&self, mask: u64, report: PushReport) -> DrainToken {
+        if mask == 0 || report.accepted == 0 {
+            return DrainToken::default();
+        }
+        DrainToken { pending: Some((Arc::clone(&self.shared), mask)) }
     }
 
     /// Enqueues jobs on one shard, applying the backpressure policy per
-    /// sample. Holds the queue lock once for the whole group.
+    /// sample. Holds the queue lock once for the whole group. Unless the
+    /// caller will drain them itself (`inline`), the worker is woken.
     ///
     /// Backpressure events are traced once per call with the sample counts,
     /// not once per sample — overflow is bursty and a per-sample event would
@@ -832,6 +933,7 @@ impl FleetEngine {
         jobs: &[Job],
         report: &mut PushReport,
         mut wal: Option<&mut Vec<store::Sample>>,
+        inline: bool,
     ) {
         let s = &self.shared.shards[shard];
         let cap = self.shared.config.queue_capacity;
@@ -851,14 +953,13 @@ impl FleetEngine {
                     }
                     BackpressurePolicy::Block => {
                         while q.items.len() >= cap && !q.shutdown {
-                            // The queue is full, so the worker has work: wake
-                            // it before sleeping, or it may still be parked in
-                            // its own not_empty wait (this call's notify only
-                            // comes after the whole group is enqueued) and
-                            // producer and worker deadlock waiting on each
-                            // other.
-                            s.not_empty.notify_one();
+                            // A full queue needs a drainer before this call
+                            // can go on, and a small push's caller drains
+                            // only after admission: wake the worker.
+                            s.wake_worker(&q);
+                            q.space_waiters += 1;
                             q = s.space.wait(q).expect("shard queue poisoned");
+                            q.space_waiters -= 1;
                         }
                         if q.shutdown {
                             report.rejected += 1;
@@ -874,8 +975,10 @@ impl FleetEngine {
             }
         }
         s.queue_depth.set(q.items.len() as f64);
+        if !inline {
+            s.wake_worker(&q);
+        }
         drop(q);
-        s.not_empty.notify_one();
         let dropped = report.dropped - before.dropped;
         if dropped > 0 {
             let kind = EventKind::BackpressureDrop { shard: shard as u64, count: dropped };
@@ -896,7 +999,9 @@ impl FleetEngine {
         obs.push_dropped.add(report.dropped);
     }
 
-    /// Blocks until every queued sample has been fully processed.
+    /// Blocks until every admitted sample has been fully processed —
+    /// including samples whose [`DrainToken`] has not dropped yet, which this
+    /// call applies itself on the calling thread.
     pub fn flush(&self) {
         self.shared.flush_shards();
     }
@@ -1443,6 +1548,9 @@ impl Drop for FleetEngine {
             handle.thread().unpark();
             let _ = handle.join();
         }
+        // Apply what callers admitted but have not drained yet (their tokens
+        // may outlive the engine), so the workers exit on empty queues.
+        self.flush();
         for s in &self.shared.shards {
             let mut q = s.queue.lock().expect("shard queue poisoned");
             q.shutdown = true;

@@ -4,17 +4,21 @@
 //! manager watches thousands (every VM × every metric). This crate scales the
 //! serving layer out: a [`FleetEngine`] owns N independent
 //! [`larp::GuardedLarp`] instances behind stable [`StreamId`]s, sharded
-//! across a fixed pool of worker threads.
+//! across a fixed pool of worker threads; a small push is applied by the
+//! thread that pushed it, so only bulk loads wake the workers.
 //!
 //! Design properties:
 //!
 //! * **Deterministic sharding** — a stream's shard is a pure hash of
-//!   `(fleet_seed, stream_id)` ([`shard::shard_of`]); no work stealing, so
-//!   per-stream sample order is exactly enqueue order and fleet results are
-//!   reproducible given seed + shard count.
+//!   `(fleet_seed, stream_id)` ([`shard::shard_of`]); no work stealing and
+//!   one drainer per shard at a time, so per-stream sample order is exactly
+//!   enqueue order and fleet results are reproducible given seed + shard
+//!   count.
 //! * **Batched ingestion with backpressure** — [`FleetEngine::push_batch`]
 //!   fans samples out to per-shard bounded queues; a full queue rejects new
 //!   samples, drops the oldest, or blocks, per [`BackpressurePolicy`].
+//!   [`FleetEngine::admit_batch`] splits a push into admission and a
+//!   [`DrainToken`] whose drop applies it, so a server can ack first.
 //! * **Stream lifecycle** — register / evict / idle-expiry sweep
 //!   ([`FleetEngine::sweep_idle`]).
 //! * **Checkpointing** — [`FleetEngine::checkpoint`] serializes every
@@ -53,7 +57,7 @@ pub mod shard;
 
 pub use config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamConfig};
 pub use durability::RecoverySummary;
-pub use engine::{process_resident_bytes, FleetEngine, FleetMemReport, StreamInfo};
+pub use engine::{process_resident_bytes, DrainToken, FleetEngine, FleetMemReport, StreamInfo};
 pub use health::{FleetHealth, PushReport, ShardHealth};
 pub use shard::shard_of;
 pub use store::FsyncPolicy;

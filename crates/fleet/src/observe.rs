@@ -17,6 +17,8 @@
 //! | `fleet_checkpoints_total` | counter | checkpoints serialized |
 //! | `fleet_restores_total` | counter | engines restored from bytes |
 //! | `fleet_push_enqueue_us` | histogram | enqueue wall-clock per push call |
+//! | `fleet_drains_inline_total` | counter | batches applied by a calling thread (a small push's caller, or `flush`) |
+//! | `fleet_drains_worker_total` | counter | batches applied by a shard worker |
 //! | `fleet_shard<i>_queue_depth` | gauge | samples waiting on shard *i* |
 //! | `fleet_shard<i>_unknown_dropped_total` | counter | unroutable samples |
 //!
@@ -48,8 +50,8 @@
 //! | `fleet_stream_exports_total` | counter | single streams exported (migration / standby) |
 //! | `fleet_stream_imports_total` | counter | single streams imported bit-identically |
 //!
-//! Refits run inline on the shard workers (DESIGN.md §13); their cost shows
-//! stream-side in the `larp_retrain_us` histogram and the
+//! Refits run inline on whichever thread drains the shard (DESIGN.md §13);
+//! their cost shows stream-side in the `larp_retrain_us` histogram and the
 //! `larp_slow_retrains_total` threshold counter (see `larp::observe`).
 
 use larp::LarpObs;
@@ -70,6 +72,8 @@ pub(crate) struct FleetObs {
     pub(crate) checkpoints: Counter,
     pub(crate) restores: Counter,
     pub(crate) enqueue_us: Histogram,
+    pub(crate) drains_inline: Counter,
+    pub(crate) drains_worker: Counter,
     pub(crate) wal_records: Counter,
     pub(crate) wal_failures: Counter,
     pub(crate) wal_fsyncs: Counter,
@@ -99,6 +103,8 @@ impl FleetObs {
             checkpoints: registry.counter("fleet_checkpoints_total"),
             restores: registry.counter("fleet_restores_total"),
             enqueue_us: registry.histogram("fleet_push_enqueue_us"),
+            drains_inline: registry.counter("fleet_drains_inline_total"),
+            drains_worker: registry.counter("fleet_drains_worker_total"),
             wal_records: registry.counter("fleet_wal_records_total"),
             wal_failures: registry.counter("fleet_wal_failures_total"),
             wal_fsyncs: registry.counter("fleet_wal_fsyncs_total"),

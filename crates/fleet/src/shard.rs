@@ -2,9 +2,11 @@
 //!
 //! Each shard owns a bounded ingest queue (std `Mutex` + `Condvar`s — no
 //! external dependencies) and a [`StreamTable`] of the streams assigned to
-//! it. Exactly one worker thread drains each shard, so samples of one stream
-//! are always processed in enqueue order — the property that makes fleet
-//! runs reproducible.
+//! it. At most one thread drains a shard at a time — its worker, or a caller
+//! that claimed it to apply a small push (DESIGN.md §4) — and a drainer
+//! applies what it took before it releases the claim, so samples of one
+//! stream are always processed in enqueue order: the property that makes
+//! fleet runs reproducible.
 //!
 //! # Stream storage (DESIGN.md §11)
 //!
@@ -19,6 +21,7 @@
 //! the engine's blob store and only the tallies a health probe needs stay
 //! resident.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Condvar, Mutex};
 
@@ -44,8 +47,14 @@ pub fn shard_of(fleet_seed: u64, stream_id: StreamId, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Maximum samples a worker drains from its queue per lock acquisition.
-const BATCH_DRAIN: usize = 64;
+/// Maximum samples one drain takes from a queue per lock acquisition. It is
+/// also the size rule: a push of at most this many samples is applied by the
+/// thread that pushed it, and only a larger push wakes the shard's worker.
+pub(crate) const BATCH_DRAIN: usize = 64;
+
+/// Restores a hibernated stream's serving stack for a drainer; `None` means
+/// the spilled state is unreadable and the stream is dropped.
+pub(crate) type Wake<'a> = &'a dyn Fn(StreamId, &Tombstone) -> Option<GuardedLarp>;
 
 /// One queued sample.
 #[derive(Debug, Clone, Copy)]
@@ -63,9 +72,36 @@ pub(crate) struct QueueInner {
     pub(crate) items: VecDeque<Job>,
     /// Set once at engine drop; workers exit after draining.
     pub(crate) shutdown: bool,
-    /// True while the worker is processing a drained batch — `flush` must
-    /// wait for this, not just for an empty queue.
-    pub(crate) busy: bool,
+    /// The one-drainer claim: true while a thread (the worker or a caller)
+    /// applies a batch it took from `items`. Nobody else takes items while
+    /// it is set, and `flush` waits for it, not just for an empty queue.
+    busy: bool,
+    /// Threads parked on `space` and on `drained`, and whether the worker is
+    /// parked on `not_empty`. `Condvar::notify_*` always enters the kernel,
+    /// so every signal is skipped when its count says nobody waits.
+    pub(crate) space_waiters: usize,
+    drain_waiters: usize,
+    worker_parked: bool,
+}
+
+/// A drainer's buffers: the taken batch, and the scratch arena and step
+/// buffer every stream of the shard borrows for one sample at a time.
+struct DrainBufs {
+    batch: Vec<Job>,
+    scratch: Scratch,
+    steps: Vec<OnlineStep>,
+}
+
+impl DrainBufs {
+    fn new() -> Self {
+        Self { batch: Vec::with_capacity(BATCH_DRAIN), scratch: Scratch::new(), steps: Vec::new() }
+    }
+}
+
+thread_local! {
+    /// The buffers a calling thread drains with, kept per thread so a steady
+    /// producer sizes them once.
+    static CALLER_BUFS: RefCell<Option<DrainBufs>> = const { RefCell::new(None) };
 }
 
 /// Serving state of one stream within its shard.
@@ -378,102 +414,193 @@ impl StreamTable {
 /// One shard: bounded queue + stream table + wakeup plumbing.
 pub(crate) struct ShardState {
     pub(crate) queue: Mutex<QueueInner>,
-    /// Signalled when samples are enqueued or shutdown is ordered.
+    /// Signalled when the worker has work it may claim, or at shutdown.
     pub(crate) not_empty: Condvar,
-    /// Signalled when the worker frees queue space.
+    /// Signalled when a drainer frees queue space.
     pub(crate) space: Condvar,
-    /// Signalled when the queue is empty and the worker idle.
+    /// Signalled when a drainer releases its claim.
     pub(crate) drained: Condvar,
     pub(crate) streams: Mutex<StreamTable>,
     /// Samples addressed to unregistered streams (dropped, counted).
     pub(crate) unknown_dropped: Counter,
     /// Samples currently waiting in this shard's queue.
     pub(crate) queue_depth: Gauge,
+    /// Batches applied by a calling thread (engine-wide counter).
+    drains_inline: Counter,
+    /// Batches applied by a shard worker (engine-wide counter).
+    drains_worker: Counter,
 }
 
 impl ShardState {
-    pub(crate) fn new(index: usize, registry: &Registry) -> Self {
+    pub(crate) fn new(
+        index: usize,
+        registry: &Registry,
+        drains_inline: Counter,
+        drains_worker: Counter,
+    ) -> Self {
         Self {
-            queue: Mutex::new(QueueInner { items: VecDeque::new(), shutdown: false, busy: false }),
+            queue: Mutex::new(QueueInner {
+                items: VecDeque::new(),
+                shutdown: false,
+                busy: false,
+                space_waiters: 0,
+                drain_waiters: 0,
+                worker_parked: false,
+            }),
             not_empty: Condvar::new(),
             space: Condvar::new(),
             drained: Condvar::new(),
             streams: Mutex::new(StreamTable::new()),
             unknown_dropped: registry.counter(&format!("fleet_shard{index}_unknown_dropped_total")),
             queue_depth: registry.gauge(&format!("fleet_shard{index}_queue_depth")),
+            drains_inline,
+            drains_worker,
         }
     }
 
-    /// The worker loop: drain up to [`BATCH_DRAIN`] samples, feed them,
-    /// repeat until shutdown with an empty queue.
-    ///
-    /// The worker owns one scratch arena and step buffer shared across every
-    /// stream it serves — slots only borrow them for the duration of one
-    /// sample, so the steady-state loop never allocates.
+    /// Wakes the worker if it sleeps and may claim the shard. A claimed
+    /// shard needs no wake: its claimant wakes the worker on release when
+    /// samples remain.
+    pub(crate) fn wake_worker(&self, q: &QueueInner) {
+        if q.worker_parked && !q.busy {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Claims the shard (or keeps the caller's claim) and takes up to
+    /// `limit` samples into `batch`. The caller holds the lock, and either
+    /// found the shard unclaimed or holds the claim itself.
+    fn take(&self, q: &mut QueueInner, batch: &mut Vec<Job>, limit: usize) {
+        q.busy = true;
+        let n = q.items.len().min(limit);
+        batch.extend(q.items.drain(..n));
+        self.queue_depth.set(q.items.len() as f64);
+        if q.space_waiters > 0 {
+            self.space.notify_all();
+        }
+    }
+
+    /// Releases the claim after applying a batch: wakes a `flush` waiting on
+    /// it, and the worker if samples remain (or it must see shutdown).
+    fn release(&self, q: &mut QueueInner) {
+        q.busy = false;
+        if q.drain_waiters > 0 {
+            self.drained.notify_all();
+        }
+        if q.worker_parked && (!q.items.is_empty() || q.shutdown) {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Applies one taken batch to the stream table: wakes hibernated
+    /// streams, feeds each sample through its slot with the drainer's
+    /// buffers (the allocation-free serving path) and counts samples for
+    /// unknown streams. Both drainers run exactly this.
     ///
     /// `wake` restores a hibernated stream's serving stack from the engine's
     /// spill store (deserialize + re-attach observability); `None` means the
     /// spilled state is unreadable and the stream is dropped (counted as an
     /// unknown-stream sample).
-    pub(crate) fn worker_loop(&self, wake: &dyn Fn(StreamId, &Tombstone) -> Option<GuardedLarp>) {
-        let mut batch: Vec<Job> = Vec::with_capacity(BATCH_DRAIN);
-        let mut scratch = Scratch::new();
-        let mut steps: Vec<OnlineStep> = Vec::new();
+    fn apply(&self, bufs: &mut DrainBufs, wake: Wake<'_>) {
+        let mut streams = self.streams.lock().expect("shard stream table poisoned");
+        for job in &bufs.batch {
+            if let Some(SlotRef::Hibernated(_)) = streams.kind(job.stream) {
+                let woken = {
+                    let tomb = streams.tombstone(job.stream).expect("ref says hibernated");
+                    wake(job.stream, tomb)
+                };
+                match woken {
+                    Some(guarded) => {
+                        streams.wake(job.stream, guarded);
+                    }
+                    // Spilled state unreadable: the stream cannot serve
+                    // again; drop it rather than serving from a half-reset
+                    // stack.
+                    None => {
+                        streams.remove(job.stream);
+                    }
+                }
+            }
+            match streams.get_live_mut(job.stream) {
+                Some(slot) => slot.feed_with(job, &mut bufs.scratch, &mut bufs.steps),
+                None => self.unknown_dropped.inc(),
+            }
+        }
+        drop(streams);
+        bufs.batch.clear();
+    }
+
+    /// The caller's drain: if the shard is unclaimed and holds samples,
+    /// claims it and applies up to [`BATCH_DRAIN`] samples on this thread —
+    /// including samples other pushers admitted meanwhile and left to this
+    /// claimant — then releases it, waking the worker if samples remain. A
+    /// claimed shard is left to its claimant.
+    pub(crate) fn drain_once(&self, wake: Wake<'_>) {
+        let mut q = self.queue.lock().expect("shard queue poisoned");
+        if q.busy || q.items.is_empty() {
+            return;
+        }
+        let mut q = CALLER_BUFS.with(|cell| {
+            let mut cell = cell.borrow_mut();
+            let bufs = cell.get_or_insert_with(DrainBufs::new);
+            let mut budget = BATCH_DRAIN;
+            while budget > 0 && !q.items.is_empty() {
+                self.take(&mut q, &mut bufs.batch, budget);
+                budget -= bufs.batch.len();
+                drop(q);
+                self.apply(bufs, wake);
+                self.drains_inline.inc();
+                q = self.queue.lock().expect("shard queue poisoned");
+            }
+            q
+        });
+        self.release(&mut q);
+    }
+
+    /// Returns once every admitted sample has been applied: the queue is
+    /// empty and unclaimed. Drains on this thread whenever the shard is
+    /// unclaimed, so samples a pusher has admitted but not yet drained — the
+    /// calling thread's own included — never stall it.
+    pub(crate) fn flush(&self, wake: Wake<'_>) {
+        let mut q = self.queue.lock().expect("shard queue poisoned");
+        loop {
+            if q.busy {
+                q.drain_waiters += 1;
+                q = self.drained.wait(q).expect("shard queue poisoned");
+                q.drain_waiters -= 1;
+            } else if q.items.is_empty() {
+                return;
+            } else {
+                drop(q);
+                self.drain_once(wake);
+                q = self.queue.lock().expect("shard queue poisoned");
+            }
+        }
+    }
+
+    /// The worker loop: claim the shard when it holds samples nobody else is
+    /// draining, apply up to [`BATCH_DRAIN`] of them, repeat until shutdown
+    /// with an empty queue. The worker owns its buffers, so the steady-state
+    /// loop never allocates.
+    pub(crate) fn worker_loop(&self, wake: Wake<'_>) {
+        let mut bufs = DrainBufs::new();
         loop {
             {
                 let mut q = self.queue.lock().expect("shard queue poisoned");
-                while q.items.is_empty() && !q.shutdown {
+                while q.busy || q.items.is_empty() {
+                    if q.shutdown && q.items.is_empty() {
+                        return;
+                    }
+                    q.worker_parked = true;
                     q = self.not_empty.wait(q).expect("shard queue poisoned");
+                    q.worker_parked = false;
                 }
-                if q.items.is_empty() {
-                    // Shutdown with nothing left to do.
-                    q.busy = false;
-                    self.drained.notify_all();
-                    return;
-                }
-                q.busy = true;
-                let n = q.items.len().min(BATCH_DRAIN);
-                batch.extend(q.items.drain(..n));
-                self.queue_depth.set(q.items.len() as f64);
+                self.take(&mut q, &mut bufs.batch, BATCH_DRAIN);
             }
-            self.space.notify_all();
-
-            {
-                let mut streams = self.streams.lock().expect("shard stream table poisoned");
-                for job in &batch {
-                    if let Some(SlotRef::Hibernated(_)) = streams.kind(job.stream) {
-                        let woken = {
-                            let tomb = streams.tombstone(job.stream).expect("ref says hibernated");
-                            wake(job.stream, tomb)
-                        };
-                        match woken {
-                            Some(guarded) => {
-                                streams.wake(job.stream, guarded);
-                            }
-                            // Spilled state unreadable: the stream cannot
-                            // serve again; drop it rather than serving from
-                            // a half-reset stack.
-                            None => {
-                                streams.remove(job.stream);
-                            }
-                        }
-                    }
-                    match streams.get_live_mut(job.stream) {
-                        Some(slot) => slot.feed_with(job, &mut scratch, &mut steps),
-                        None => self.unknown_dropped.inc(),
-                    }
-                }
-            }
-            batch.clear();
-
+            self.apply(&mut bufs, wake);
+            self.drains_worker.inc();
             let mut q = self.queue.lock().expect("shard queue poisoned");
-            if q.items.is_empty() {
-                q.busy = false;
-                self.drained.notify_all();
-                if q.shutdown {
-                    return;
-                }
-            }
+            self.release(&mut q);
         }
     }
 }

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use fleet::{FleetEngine, FleetError, StreamConfig};
+use fleet::{DrainToken, FleetEngine, FleetError, StreamConfig};
 use obs::{Counter, EventKind, EventRing, Gauge, Histogram};
 use reactor::{
     AcceptDecision, CloseReason, ConnCtx, Handler, Reactor, ReactorBuilder, ReactorConfig, Verdict,
@@ -232,6 +232,7 @@ impl reactor::Service for ProtoService {
             conn_id,
             requests: 0,
             mid_frame: false,
+            pending: DrainToken::default(),
         }))
     }
 
@@ -249,6 +250,10 @@ struct ProtoConn {
     /// The buffer currently ends inside a frame — an EOF now is a
     /// mid-frame disconnect, not a clean close.
     mid_frame: bool,
+    /// The drain of pushes admitted and acked since the last flush. Dropped
+    /// once their replies are flushed (or the connection closes), so a
+    /// small push is applied on this loop's thread after its ack leaves.
+    pending: DrainToken,
 }
 
 impl Handler for ProtoConn {
@@ -264,7 +269,8 @@ impl Handler for ProtoConn {
                 }
                 Ok(Some((frame, used))) => {
                     let request_id = frame.request_id;
-                    let (response, after) = dispatch(&self.shared, frame.opcode, frame.payload);
+                    let (response, after) =
+                        dispatch(&self.shared, frame.opcode, frame.payload, &mut self.pending);
                     Ok((request_id, response, after, used))
                 }
                 Err(e) => Err(e),
@@ -315,7 +321,14 @@ impl Handler for ProtoConn {
         }
     }
 
+    fn after_flush(&mut self) {
+        drop(std::mem::take(&mut self.pending));
+    }
+
     fn on_close(&mut self, reason: CloseReason) {
+        // A connection that errors, closes or shuts down mid-request still
+        // applies what it admitted.
+        drop(std::mem::take(&mut self.pending));
         match reason {
             CloseReason::Error => self.shared.obs.disconnects.inc(),
             CloseReason::PeerClosed if self.mid_frame => self.shared.obs.disconnects.inc(),
@@ -490,13 +503,59 @@ enum AfterReply {
 /// `Some(owner_addr)` when this node must not serve `id`: a migration
 /// fence wins over the ring (the handoff runs ahead of the ring update).
 fn not_owner(shared: &Shared, fences: &HashMap<u64, String>, id: u64) -> Option<String> {
+    let adopted = shared.adopted.read().expect("adopted");
+    owner_elsewhere(shared.cluster.as_deref(), fences, &adopted, id)
+}
+
+/// [`not_owner`] over already-locked fences and adoptions.
+fn owner_elsewhere(
+    cluster: Option<&dyn ClusterHooks>,
+    fences: &HashMap<u64, String>,
+    adopted: &HashSet<u64>,
+    id: u64,
+) -> Option<String> {
     if let Some(dest) = fences.get(&id) {
         return Some(dest.clone());
     }
-    if shared.adopted.read().expect("adopted").contains(&id) {
+    if adopted.contains(&id) {
         return None;
     }
-    shared.cluster.as_ref().and_then(|h| h.redirect(id))
+    cluster.and_then(|h| h.redirect(id))
+}
+
+/// The redirect for a batch: the owner of the smallest of its stream `ids`
+/// this node must not serve, or `None` when it may serve them all. Without a
+/// ring or a fence no stream can be redirected, so the scan is skipped.
+fn batch_not_owner(
+    shared: &Shared,
+    fences: &HashMap<u64, String>,
+    ids: impl Iterator<Item = u64>,
+) -> Option<String> {
+    let cluster = shared.cluster.as_deref();
+    if cluster.is_none() && fences.is_empty() {
+        return None;
+    }
+    let adopted = shared.adopted.read().expect("adopted");
+    first_owner_elsewhere(cluster, fences, &adopted, ids)
+}
+
+/// The scan behind [`batch_not_owner`], in place over the batch's ids.
+fn first_owner_elsewhere(
+    cluster: Option<&dyn ClusterHooks>,
+    fences: &HashMap<u64, String>,
+    adopted: &HashSet<u64>,
+    ids: impl Iterator<Item = u64>,
+) -> Option<String> {
+    let mut found: Option<(u64, String)> = None;
+    for id in ids {
+        if found.as_ref().is_some_and(|(min, _)| *min <= id) {
+            continue;
+        }
+        if let Some(owner) = owner_elsewhere(cluster, fences, adopted, id) {
+            found = Some((id, owner));
+        }
+    }
+    found.map(|(_, owner)| owner)
 }
 
 fn not_clustered() -> Response {
@@ -506,8 +565,15 @@ fn not_clustered() -> Response {
     }
 }
 
-/// Decodes and serves one request against the engine.
-fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterReply) {
+/// Decodes and serves one request against the engine. Pushes are admitted
+/// and acked here; their drains merge into `drain`, which the connection
+/// drops once the reply is flushed.
+fn dispatch(
+    shared: &Shared,
+    opcode: u8,
+    payload: &[u8],
+    drain: &mut DrainToken,
+) -> (Response, AfterReply) {
     if shared.shutdown.load(Ordering::SeqCst) {
         let resp = Response::Error {
             code: ErrorCode::ShuttingDown,
@@ -584,10 +650,11 @@ fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterRepl
             if let Some(owner) = not_owner(shared, &fences, id) {
                 Response::Error { code: ErrorCode::NotOwner, detail: owner }
             } else {
-                let report = match minute {
-                    Some(m) => engine.push_at(id, m, value),
-                    None => engine.push(id, value),
+                let (report, token) = match minute {
+                    Some(m) => engine.admit_at(id, m, value),
+                    None => engine.admit_batch(&[(id, value)]),
                 };
+                drain.absorb(token);
                 if report.rejected > 0 {
                     Response::Error {
                         code: ErrorCode::Backpressure,
@@ -610,13 +677,11 @@ fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterRepl
         }
         Request::PushBatch { samples } => {
             let fences = shared.fences.read().expect("fences");
-            let mut ids: Vec<u64> = samples.iter().map(|s| s.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            if let Some(owner) = ids.iter().find_map(|id| not_owner(shared, &fences, *id)) {
+            if let Some(owner) = batch_not_owner(shared, &fences, samples.iter().map(|s| s.0)) {
                 Response::Error { code: ErrorCode::NotOwner, detail: owner }
             } else {
-                let report = engine.push_batch(&samples);
+                let (report, token) = engine.admit_batch(&samples);
+                drain.absorb(token);
                 if report.wal_failed {
                     Response::Error {
                         code: ErrorCode::Durability,
@@ -635,16 +700,14 @@ fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterRepl
             // Any fenced or unowned stream fails the whole batch: the
             // cluster client groups batches by owner, so a hit means its
             // ring is stale and the batch must be re-routed wholesale.
-            let mut ids: Vec<u64> = samples.iter().map(|s| s.0).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            if let Some(owner) = ids.iter().find_map(|id| not_owner(shared, &fences, *id)) {
+            if let Some(owner) = batch_not_owner(shared, &fences, samples.iter().map(|s| s.0)) {
                 Response::Error { code: ErrorCode::NotOwner, detail: owner }
             } else {
                 let admission = shared.dedup.screen(&client, &samples);
-                let report = engine.push_batch(&admission.admitted);
-                // Advance the dedup cursor only when the engine applied the
-                // whole admitted batch; a partial application leaves it
+                let (report, token) = engine.admit_batch(&admission.admitted);
+                drain.absorb(token);
+                // Advance the dedup cursor only when the engine accepted the
+                // whole admitted batch; a partial acceptance leaves it
                 // untouched so the retry is re-screened from scratch.
                 if report.rejected == 0 && report.dropped == 0 {
                     shared.dedup.commit(&admission);
@@ -659,8 +722,12 @@ fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterRepl
                         ),
                     }
                 } else {
-                    let last_seqs =
-                        ids.iter().map(|id| (*id, shared.dedup.last_seq(&client, *id))).collect();
+                    let mut last_seqs: Vec<(u64, u64)> = samples.iter().map(|s| (s.0, 0)).collect();
+                    last_seqs.sort_unstable_by_key(|&(id, _)| id);
+                    last_seqs.dedup_by_key(|&mut (id, _)| id);
+                    for (id, seq) in &mut last_seqs {
+                        *seq = shared.dedup.last_seq(&client, *id);
+                    }
                     Response::PushSeq(PushSeqOutcome {
                         outcome: report.into(),
                         deduped: admission.deduped,
@@ -786,4 +853,25 @@ fn dispatch(shared: &Shared, opcode: u8, payload: &[u8]) -> (Response, AfterRepl
         },
     };
     (response, AfterReply::Continue)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn batch_redirect_names_the_owner_of_the_smallest_fenced_id() {
+        let fences: HashMap<u64, String> =
+            [(9, "10.0.0.2:7000".to_string()), (4, "10.0.0.3:7000".to_string())].into();
+        let adopted = HashSet::new();
+        let owner =
+            |ids: &[u64]| first_owner_elsewhere(None, &fences, &adopted, ids.iter().copied());
+        // Two fenced ids with different destinations: the smallest id's
+        // destination is reported, wherever it sits in the batch.
+        assert_eq!(owner(&[12, 9, 7, 4, 9]).as_deref(), Some("10.0.0.3:7000"));
+        assert_eq!(owner(&[4, 12, 9]).as_deref(), Some("10.0.0.3:7000"));
+        assert_eq!(owner(&[9, 12, 9]).as_deref(), Some("10.0.0.2:7000"));
+        assert_eq!(owner(&[1, 2, 3]), None);
+        assert_eq!(owner(&[]), None);
+    }
 }

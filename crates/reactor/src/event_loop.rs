@@ -493,6 +493,7 @@ impl EventLoop {
             Some(Some(c)) if c.token == token => c,
             _ => return,
         };
+        conn.handler.after_flush();
         if conn.peer_eof {
             let reason = conn.closing.unwrap_or(CloseReason::PeerClosed);
             if conn.out.is_empty() {

@@ -85,6 +85,12 @@ pub trait Handler: Send {
     /// [`ConnCtx::input`], queue responses with [`ConnCtx::write`].
     fn on_readable(&mut self, conn: &mut ConnCtx<'_>) -> Verdict;
 
+    /// The loop has flushed what the last [`on_readable`](Self::on_readable)
+    /// calls queued — written it to the socket, or queued the remainder under
+    /// write backpressure. Work that may run only once its reply is on the
+    /// way goes here. Default: nothing.
+    fn after_flush(&mut self) {}
+
     /// The idle deadline elapsed with no socket activity. Default: reap.
     fn on_idle(&mut self, conn: &mut ConnCtx<'_>) -> Verdict {
         let _ = conn;

@@ -1,10 +1,11 @@
 //! End-to-end reactor tests over real sockets: echo service, connection
-//! rejection, idle reaping, write backpressure, and graceful drain.
+//! rejection, idle reaping, write backpressure, graceful drain, and the
+//! after-flush hook.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use reactor::{
@@ -218,4 +219,80 @@ fn shutdown_is_idempotent_and_drop_safe() {
     reactor.shutdown();
     reactor.shutdown();
     drop(reactor); // Drop runs shutdown again; must not panic or hang.
+}
+
+/// Set by the test client once it has read the echo; the handler's hook
+/// waits on it.
+#[derive(Default)]
+struct ClientRead {
+    done: Mutex<bool>,
+    signal: Condvar,
+    /// The hook saw the client's read before its timeout.
+    hook_saw_read: AtomicBool,
+}
+
+/// Echo whose `after_flush` blocks until the client has read the echoed
+/// bytes: it can only return in time if the loop flushed before calling it.
+struct FlushFirstEcho {
+    read: Arc<ClientRead>,
+}
+
+struct FlushFirstConn {
+    read: Arc<ClientRead>,
+    echoed: bool,
+}
+
+impl Handler for FlushFirstConn {
+    fn on_readable(&mut self, conn: &mut ConnCtx<'_>) -> Verdict {
+        let input = conn.input().to_vec();
+        conn.consume(input.len());
+        self.echoed |= !input.is_empty();
+        conn.write(input);
+        Verdict::Continue
+    }
+    fn after_flush(&mut self) {
+        if !std::mem::take(&mut self.echoed) {
+            return;
+        }
+        let done = self.read.done.lock().expect("client read flag");
+        let (done, _) = self
+            .read
+            .signal
+            .wait_timeout_while(done, Duration::from_secs(5), |done| !*done)
+            .expect("client read flag");
+        self.read.hook_saw_read.store(*done, Ordering::SeqCst);
+    }
+}
+
+impl Service for FlushFirstEcho {
+    fn on_accept(&self, _conn_id: u64, _peer: SocketAddr) -> AcceptDecision {
+        AcceptDecision::Accept(Box::new(FlushFirstConn { read: self.read.clone(), echoed: false }))
+    }
+}
+
+#[test]
+fn after_flush_runs_once_the_reply_is_on_the_wire() {
+    let read = Arc::new(ClientRead::default());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1, ..Default::default() })
+        .listen(listener, Arc::new(FlushFirstEcho { read: read.clone() }))
+        .expect("listen")
+        .start()
+        .expect("start");
+    let mut c = TcpStream::connect(addr).expect("connect");
+    c.set_read_timeout(Some(Duration::from_secs(3))).expect("timeout");
+    c.write_all(b"ping").expect("send");
+    let mut buf = [0u8; 4];
+    // A loop that ran the hook before flushing would hold the echo back
+    // until the hook timed out, and this read would time out first.
+    c.read_exact(&mut buf).expect("echo arrives while the hook waits");
+    assert_eq!(&buf, b"ping");
+    *read.done.lock().expect("client read flag") = true;
+    read.signal.notify_all();
+    // The next echo is served only after the hook returned.
+    c.write_all(b"pong").expect("send");
+    c.read_exact(&mut buf).expect("second echo");
+    assert_eq!(&buf, b"pong");
+    assert!(read.hook_saw_read.load(Ordering::SeqCst), "hook ran before the client read");
 }

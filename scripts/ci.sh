@@ -36,6 +36,16 @@ if [[ "$QUICK" -eq 0 ]]; then
   git diff --exit-code -- perfbench/
 fi
 
+echo "==> drain-order soak (concurrent shard drainers, 50 runs)"
+# A shard is drained by its worker, by callers after small pushes, and by
+# flush, one at a time. Two drainers overlapping, or one applying samples
+# out of queue order, shows only on a rare interleaving, so one pass proves
+# little: the ordering test (final checkpoint bytes equal to a
+# single-threaded engine's) runs a fixed 50 times, ~0.3 s each.
+for _ in $(seq 50); do
+  cargo test -q -p fleet --test drain_order concurrent_drainers_preserve_per_stream_order >/dev/null
+done
+
 echo "==> kernel dispatch parity (forced-scalar and forced-AVX2 runs)"
 # The vectorized kernels contract bit-identical results across dispatch modes
 # (DESIGN.md §13). Re-run the numeric crates with each mode forced; "avx2"
