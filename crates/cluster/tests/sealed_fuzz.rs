@@ -1,7 +1,6 @@
 //! Hostile-input coverage for every CRC-sealed blob decoder, in the
 //! `store/tests/codec_fuzz.rs` idiom: `LARPFEED` chunks, `LARPRING` rings,
-//! the `STORARCH` archive sidecar, the `STORCKP1` checkpoint wrapper and
-//! the `STORMAN1` WAL manifest.
+//! the `STORCKP1` checkpoint wrapper and the `STORMAN1` WAL manifest.
 //!
 //! Each valid encoding is bit-flipped, truncated, or has a 4-byte window
 //! overwritten with a hostile value and its CRC trailer *recomputed* — the
@@ -18,11 +17,7 @@ use std::path::{Path, PathBuf};
 
 use cluster::{FeedChunk, NodeInfo, Ring};
 use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
-use store::archive::{read_archive, write_archive, ArchiveSnapshot, StreamSnapshot};
-use store::{
-    codec, read_tail, vmkusage_tiers, Memtable, RegisterTuning, Sample, TieredArchive, Wal,
-    WalOptions, WalRecord,
-};
+use store::{codec, read_tail, RegisterTuning, Sample, Wal, WalOptions, WalRecord};
 
 /// Records the largest single allocation the current thread makes while
 /// tracking is on.
@@ -195,30 +190,6 @@ fn rings_survive_hostile_bytes() {
     fuzz(0xFEED_0003, 3000, &ring.encode(), 16 << 20, |bytes| {
         let _ = Ring::decode(bytes);
     });
-}
-
-#[test]
-fn archive_sidecars_survive_hostile_bytes() {
-    let dir = temp_dir("arch");
-    let mut memtable = Memtable::new(8);
-    let mut archive = TieredArchive::new(vmkusage_tiers()).unwrap();
-    for m in 0..10u64 {
-        memtable.insert(5, m, m as f64);
-        archive.record(m, m as f64);
-    }
-    let snapshot = ArchiveSnapshot {
-        seq: 7,
-        memtable,
-        streams: vec![StreamSnapshot { id: 5, next_minute: 10, archive }],
-    };
-    let path = dir.join("ARCHIVE");
-    write_archive(&path, &snapshot).unwrap();
-    let good = fs::read(&path).unwrap();
-    fuzz(0xFEED_0004, 1500, &good, 4096, |bytes| {
-        fs::write(&path, bytes).unwrap();
-        let _ = read_archive(&path);
-    });
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

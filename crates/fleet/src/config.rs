@@ -32,9 +32,9 @@ pub enum BackpressurePolicy {
 /// from the newest durable checkpoint plus the WAL tail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
-    /// Directory holding the WAL segments, archive sidecar, and checkpoint
-    /// file. Created if missing; must not already hold a WAL when starting
-    /// fresh (use [`crate::FleetEngine::recover`] for an existing one).
+    /// Directory holding the WAL segments and the checkpoint file. Created
+    /// if missing; must not already hold a WAL when starting fresh (use
+    /// [`crate::FleetEngine::recover`] for an existing one).
     pub dir: PathBuf,
     /// When the WAL fsyncs. The default (`OnRotate`) survives process
     /// crashes — `kill -9` loses nothing the OS accepted — but trades
@@ -45,8 +45,6 @@ pub struct DurabilityConfig {
     /// Keep WAL segments after a durable checkpoint covers them instead of
     /// deleting them (e.g. for offline replay or audits).
     pub retain_segments: bool,
-    /// Raw samples retained per stream in the store's memtable.
-    pub memtable_rows: usize,
     /// Take a durable checkpoint automatically after this many WAL records
     /// (0 disables the background checkpointer; call
     /// [`crate::FleetEngine::checkpoint_durable`] yourself).
@@ -62,7 +60,6 @@ impl DurabilityConfig {
             fsync: FsyncPolicy::OnRotate,
             segment_bytes: 8 << 20,
             retain_segments: false,
-            memtable_rows: 256,
             auto_checkpoint_records: 0,
         }
     }
@@ -75,9 +72,6 @@ impl DurabilityConfig {
     pub fn validate(&self) -> Result<()> {
         if self.segment_bytes == 0 {
             return Err(FleetError::InvalidConfig("durability segment_bytes must be >= 1".into()));
-        }
-        if self.memtable_rows == 0 {
-            return Err(FleetError::InvalidConfig("durability memtable_rows must be >= 1".into()));
         }
         Ok(())
     }
@@ -243,8 +237,6 @@ mod tests {
         let bad = DurabilityConfig { segment_bytes: 0, ..DurabilityConfig::new("/tmp/ignored") };
         let cfg = FleetConfig { durability: Some(bad), ..FleetConfig::default() };
         assert!(cfg.validate().is_err());
-        let bad = DurabilityConfig { memtable_rows: 0, ..DurabilityConfig::new("/tmp/ignored") };
-        assert!(bad.validate().is_err());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Durable-ingestion plumbing: the checkpoint file wrapper, the per-engine
 //! durability state, and the recovery summary.
 //!
-//! The engine's durable state is three files in one directory (the
+//! The engine's durable state is two kinds of file in one directory (the
 //! [`crate::DurabilityConfig::dir`]):
 //!
 //! * **WAL segments + `MANIFEST`** — every accepted push, appended before
-//!   the ack (owned by [`store::TraceStore`]).
-//! * **`ARCHIVE`** — the store's memtable + RRD tier sidecar.
+//!   the ack (a [`store::Wal`] owned by [`DurabilityState`]).
 //! * **`CHECKPOINT`** — the fleet checkpoint (`FLEETCKP` bytes) wrapped in a
 //!   `STORCKP1` frame carrying the WAL sequence it covers and a CRC:
 //!
@@ -19,15 +18,19 @@
 //! ```
 //!
 //! Writes are atomic ([`store::codec::write_atomic`]). A corrupt checkpoint
-//! degrades to WAL-only recovery — counted, never a panic.
+//! degrades to WAL-only recovery — counted, never a panic. Any other file in
+//! the directory (such as an `ARCHIVE` sidecar left by older releases) is
+//! ignored.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 use store::codec::{self, Reader};
-use store::TraceStore;
+use store::{
+    AppendInfo, RecoveryReport, RegisterTuning, Sample, Wal, WalOptions, WalRecord, WalStats,
+};
 
 use crate::config::DurabilityConfig;
 
@@ -44,8 +47,6 @@ pub struct RecoverySummary {
     /// The checkpoint file existed but failed validation and was discarded
     /// (recovery degraded to WAL-only replay).
     pub checkpoint_corrupt: bool,
-    /// The store's archive sidecar was corrupt and discarded.
-    pub archive_corrupt: bool,
     /// WAL records replayed past the checkpoint.
     pub replayed_records: u64,
     /// Samples fed back into the serving engine from the replayed records.
@@ -71,7 +72,6 @@ impl RecoverySummary {
     /// True when the log was contiguous: nothing lost, nothing unroutable.
     pub fn clean(&self) -> bool {
         !self.checkpoint_corrupt
-            && !self.archive_corrupt
             && self.gap_records == 0
             && self.corrupt_segments == 0
             && self.missing_segments == 0
@@ -79,9 +79,18 @@ impl RecoverySummary {
     }
 }
 
+/// Durable-store counters ([`crate::FleetEngine::store_stats`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StoreStats {
+    /// WAL counters for the life of this engine's log handle.
+    pub wal: WalStats,
+}
+
 /// Per-engine durable state, held inside the engine's shared block.
 pub(crate) struct DurabilityState {
-    pub(crate) store: TraceStore,
+    /// The write-ahead log. Appends serialize on this lock; an append that
+    /// returns is durable, so callers ack after it, never before.
+    wal: Mutex<Wal>,
     /// Push/register/evict hold `read()` across enqueue + WAL append;
     /// durable checkpoints hold `write()` so the checkpoint bytes and the
     /// covered WAL sequence describe the same quiesced state.
@@ -98,10 +107,27 @@ pub(crate) struct DurabilityState {
 }
 
 impl DurabilityState {
-    pub(crate) fn new(store: TraceStore, config: DurabilityConfig) -> Self {
+    /// Creates a fresh log in `config.dir`, which must not already hold one.
+    pub(crate) fn create(config: DurabilityConfig) -> store::Result<Self> {
+        let wal = Wal::create(&config.dir, wal_options(&config))?;
+        Ok(Self::new(wal, config))
+    }
+
+    /// Reopens the log in `config.dir`, delivering every record past the
+    /// checkpoint's `start_after` to `apply` in order.
+    pub(crate) fn recover<F: FnMut(u64, WalRecord)>(
+        config: DurabilityConfig,
+        start_after: u64,
+        apply: F,
+    ) -> store::Result<(Self, RecoveryReport)> {
+        let (wal, report) = Wal::recover(&config.dir, wal_options(&config), start_after, apply)?;
+        Ok((Self::new(wal, config), report))
+    }
+
+    fn new(wal: Wal, config: DurabilityConfig) -> Self {
         let ckpt_path = config.dir.join(CHECKPOINT_FILE);
         Self {
-            store,
+            wal: Mutex::new(wal),
             gate: RwLock::new(()),
             config,
             ckpt_path,
@@ -110,14 +136,49 @@ impl DurabilityState {
         }
     }
 
+    /// The log, locked. The append methods below take it for one record
+    /// and release it before the caller handles the result.
+    pub(crate) fn wal(&self) -> MutexGuard<'_, Wal> {
+        self.wal.lock().expect("wal lock poisoned")
+    }
+
+    /// Appends a batch of samples as one record.
+    pub(crate) fn append_samples(&self, samples: &[Sample]) -> store::Result<AppendInfo> {
+        self.wal().append_samples(samples)
+    }
+
+    /// Appends a stream registration.
+    pub(crate) fn append_register(
+        &self,
+        id: u64,
+        tuning: &RegisterTuning,
+    ) -> store::Result<AppendInfo> {
+        self.wal().append_register(id, tuning)
+    }
+
     /// Appends an eviction record, honoring the injected-failure hook.
-    pub(crate) fn append_evict(&self, id: u64) -> store::Result<store::AppendInfo> {
-        if self.fail_next_append.swap(false, std::sync::atomic::Ordering::Relaxed) {
+    pub(crate) fn append_evict(&self, id: u64) -> store::Result<AppendInfo> {
+        if self.fail_next_append.swap(false, Ordering::Relaxed) {
             return Err(store::StoreError::Io(std::io::Error::other(
                 "injected WAL append failure",
             )));
         }
-        self.store.append_evict(id)
+        self.wal().append_evict(id)
+    }
+
+    /// Highest WAL sequence assigned so far (0 for a fresh log).
+    pub(crate) fn last_seq(&self) -> u64 {
+        self.wal().next_seq() - 1
+    }
+}
+
+/// The log options a [`DurabilityConfig`] describes.
+fn wal_options(d: &DurabilityConfig) -> WalOptions {
+    WalOptions {
+        segment_bytes: d.segment_bytes,
+        fsync: d.fsync,
+        retain_segments: d.retain_segments,
+        ..WalOptions::default()
     }
 }
 

@@ -9,11 +9,11 @@ use std::time::{Duration, Instant};
 
 use larp::{GuardedLarp, HealthState, OnlineStep, Scratch, StreamMemReport};
 use obs::{expo, EventKind, EventRing, Registry};
-use store::{BlobStore, RegisterTuning, StoreOptions, TraceStore, WalOptions, WalRecord};
+use store::{BlobStore, RegisterTuning, WalRecord};
 
 use crate::checkpoint;
-use crate::config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamConfig};
-use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary};
+use crate::config::{BackpressurePolicy, FleetConfig, StreamConfig};
+use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary, StoreStats};
 use crate::health::{merge_counters, FleetHealth, PushReport, ShardHealth};
 use crate::observe::FleetObs;
 use crate::shard::{shard_of, Job, Removed, ShardState, StreamSlot, Tombstone, BATCH_DRAIN};
@@ -238,24 +238,10 @@ impl FleetMemReport {
     }
 }
 
-/// Builds the store options a [`DurabilityConfig`] describes.
-fn store_options(d: &DurabilityConfig) -> StoreOptions {
-    StoreOptions {
-        wal: WalOptions {
-            segment_bytes: d.segment_bytes,
-            fsync: d.fsync,
-            retain_segments: d.retain_segments,
-            ..WalOptions::default()
-        },
-        memtable_rows: d.memtable_rows,
-        ..StoreOptions::default()
-    }
-}
-
 /// Takes a durable checkpoint: quiesces producers via the gate, drains the
-/// queues, persists checkpoint + archive sidecar, then truncates covered WAL
-/// segments. Shared by [`FleetEngine::checkpoint_durable`] and the
-/// background checkpointer.
+/// queues, writes the checkpoint covering every WAL record so far, then
+/// truncates covered WAL segments. Shared by
+/// [`FleetEngine::checkpoint_durable`] and the background checkpointer.
 fn checkpoint_durable_inner(shared: &EngineShared) -> Result<u64> {
     let d = shared
         .durability
@@ -264,10 +250,11 @@ fn checkpoint_durable_inner(shared: &EngineShared) -> Result<u64> {
     let _gate = d.gate.write().expect("durability gate poisoned");
     shared.flush_shards();
     let (payload, streams) = shared.checkpoint_payload()?;
-    let seq = d.store.persist_archive()?;
+    // The write gate holds every appender out, so this is exact.
+    let seq = d.last_seq();
     durability::write_checkpoint_file(&d.ckpt_path, seq, &payload)
         .map_err(|e| FleetError::Durability(format!("checkpoint write: {e}")))?;
-    d.store.truncate_upto(seq)?;
+    d.wal().truncate_upto(seq)?;
     d.records_since_ckpt.store(0, Ordering::Relaxed);
     shared.obs.checkpoints.inc();
     let kind = EventKind::CheckpointSave { streams, bytes: payload.len() as u64 };
@@ -371,10 +358,7 @@ impl FleetEngine {
     pub fn with_stream_defaults(config: FleetConfig, default_stream: StreamConfig) -> Result<Self> {
         config.validate()?;
         let state = match &config.durability {
-            Some(dcfg) => {
-                let trace = TraceStore::create(&dcfg.dir, store_options(dcfg))?;
-                Some(DurabilityState::new(trace, dcfg.clone()))
-            }
+            Some(dcfg) => Some(DurabilityState::create(dcfg.clone())?),
             None => None,
         };
         Self::build(config, default_stream, state)
@@ -547,20 +531,16 @@ impl FleetEngine {
                 (0, None)
             }
         };
-        let mut tail: Vec<(u64, WalRecord)> = Vec::new();
-        let (trace, recovered) =
-            TraceStore::recover(&dcfg.dir, store_options(&dcfg), start_after, |seq, rec| {
-                tail.push((seq, rec));
-            })?;
+        let mut tail: Vec<WalRecord> = Vec::new();
+        let (state, report) =
+            DurabilityState::recover(dcfg, start_after, |_seq, rec| tail.push(rec))?;
         summary.checkpoint_seq = start_after;
-        summary.archive_corrupt = recovered.archive_corrupt;
-        summary.replayed_records = recovered.wal.replayed;
-        summary.gap_records = recovered.wal.gap_records;
-        summary.torn_tail = recovered.wal.torn_tail;
-        summary.corrupt_segments = recovered.wal.corrupt_segments;
-        summary.missing_segments = recovered.wal.missing_segments;
+        summary.replayed_records = report.replayed;
+        summary.gap_records = report.gap_records;
+        summary.torn_tail = report.torn_tail;
+        summary.corrupt_segments = report.corrupt_segments;
+        summary.missing_segments = report.missing_segments;
 
-        let state = DurabilityState::new(trace, dcfg);
         let engine = Self::build(config, default_stream, Some(state))?;
 
         if let Some(payload) = payload {
@@ -579,7 +559,7 @@ impl FleetEngine {
 
         let mut scratch = Scratch::new();
         let mut steps = Vec::new();
-        for (_seq, rec) in &tail {
+        for rec in &tail {
             engine.replay_record(rec, &mut summary, &mut scratch, &mut steps);
         }
         if let Some(d) = engine.shared.durability.as_ref() {
@@ -689,7 +669,7 @@ impl FleetEngine {
                 qa_threshold: config.qa_threshold,
                 f32_history: config.resilience.f32_history,
             };
-            if let Err(e) = d.store.append_register(id, &tuning) {
+            if let Err(e) = d.append_register(id, &tuning) {
                 // Roll back: an unlogged stream would vanish on recovery
                 // while the caller believes it exists.
                 let shard = &self.shared.shards[self.shard_for(id)];
@@ -779,7 +759,7 @@ impl FleetEngine {
             return;
         }
         let t0 = Instant::now();
-        match d.store.append_samples(samples) {
+        match d.append_samples(samples) {
             Ok(info) => {
                 let obs = &self.shared.obs;
                 obs.wal_append_us.record(t0.elapsed().as_micros() as f64);
@@ -1006,11 +986,10 @@ impl FleetEngine {
         self.shared.flush_shards();
     }
 
-    /// Drains every queue to the serving state *and* the durable store, then
-    /// fsyncs the WAL: after this returns, every acked sample survives even
-    /// power loss. The graceful-shutdown hook — netserve's drain path calls
-    /// it before joining. Without durability this is just
-    /// [`flush`](Self::flush).
+    /// Drains every queue to the serving state, then fsyncs the WAL: after
+    /// this returns, every acked sample survives even power loss. The
+    /// graceful-shutdown hook — netserve's drain path calls it before
+    /// joining. Without durability this is just [`flush`](Self::flush).
     ///
     /// # Errors
     ///
@@ -1018,17 +997,16 @@ impl FleetEngine {
     pub fn flush_durable(&self) -> Result<()> {
         self.flush();
         if let Some(d) = self.shared.durability.as_ref() {
-            d.store.flush();
-            d.store.sync()?;
+            d.wal().sync()?;
         }
         Ok(())
     }
 
     /// Takes a durable checkpoint: quiesces producers, drains the queues,
-    /// writes the fleet checkpoint and archive sidecar atomically, then
-    /// truncates the WAL segments the checkpoint covers. Returns the covered
-    /// WAL sequence. Recovery time is proportional to the WAL tail past the
-    /// last checkpoint, so checkpoint cadence bounds restart latency.
+    /// writes the fleet checkpoint atomically, then truncates the WAL
+    /// segments the checkpoint covers. Returns the covered WAL sequence.
+    /// Recovery time is proportional to the WAL tail past the last
+    /// checkpoint, so checkpoint cadence bounds restart latency.
     ///
     /// # Errors
     ///
@@ -1038,38 +1016,10 @@ impl FleetEngine {
         checkpoint_durable_inner(&self.shared)
     }
 
-    /// Durable-store counters (WAL records, fsyncs, compactions, …), or
-    /// `None` without durability.
-    pub fn store_stats(&self) -> Option<store::StoreStats> {
-        self.shared.durability.as_ref().map(|d| d.store.stats())
-    }
-
-    /// Raw retained samples of `stream` in `[from, to]` minutes from the
-    /// durable store's memtable, or `None` without durability. Call
-    /// [`flush`](Self::flush) first for an up-to-date view (the store
-    /// compacts in the background).
-    pub fn trace_raw(&self, stream: StreamId, from: u64, to: u64) -> Option<Vec<(u64, f64)>> {
-        self.shared.durability.as_ref().map(|d| {
-            d.store.flush();
-            d.store.query_raw(stream, from, to)
-        })
-    }
-
-    /// Consolidated RRD rows of `stream` for `[start, end)` minutes at
-    /// `interval` from the durable store's tier cascade (vmkusage layout:
-    /// 1-min×2h → 5-min×24h → 30-min×7d), or `None` without durability or
-    /// when no tier retains the range.
-    pub fn trace_archive(
-        &self,
-        stream: StreamId,
-        start_minute: u64,
-        end_minute: u64,
-        interval_minutes: u64,
-    ) -> Option<Vec<f64>> {
-        self.shared.durability.as_ref().and_then(|d| {
-            d.store.flush();
-            d.store.query_archive(stream, start_minute, end_minute, interval_minutes)
-        })
+    /// Durable-store counters (WAL records, bytes, fsyncs, …), or `None`
+    /// without durability.
+    pub fn store_stats(&self) -> Option<StoreStats> {
+        self.shared.durability.as_ref().map(|d| StoreStats { wal: d.wal().stats() })
     }
 
     /// Evicts streams that have not received a sample (or an info probe —
@@ -1224,7 +1174,7 @@ impl FleetEngine {
         };
         self.insert_restored(id, guarded, next_minute);
         if let Some(d) = self.shared.durability.as_ref() {
-            if let Err(e) = d.store.append_register(id, &tuning) {
+            if let Err(e) = d.append_register(id, &tuning) {
                 let shard = &self.shared.shards[self.shard_for(id)];
                 shard.streams.lock().expect("shard stream table poisoned").remove(id);
                 self.shared.obs.wal_failures.inc();
@@ -1267,12 +1217,8 @@ impl FleetEngine {
             .as_ref()
             .map(|d| d.gate.write().expect("durability gate poisoned"));
         self.shared.flush_shards();
-        let covered_seq = self
-            .shared
-            .durability
-            .as_ref()
-            .map(|d| d.store.next_seq().saturating_sub(1))
-            .unwrap_or(0);
+        let covered_seq =
+            self.shared.durability.as_ref().map(DurabilityState::last_seq).unwrap_or(0);
         let mut deltas = Vec::new();
         let mut alive: HashSet<StreamId> = HashSet::new();
         for s in &self.shared.shards {
@@ -1322,7 +1268,7 @@ impl FleetEngine {
 
     /// Highest WAL sequence assigned so far (0 fresh or without durability).
     pub fn wal_last_seq(&self) -> u64 {
-        self.shared.durability.as_ref().map(|d| d.store.next_seq().saturating_sub(1)).unwrap_or(0)
+        self.shared.durability.as_ref().map(DurabilityState::last_seq).unwrap_or(0)
     }
 
     /// A point-in-time view of one stream. Hibernated streams answer from
@@ -1567,6 +1513,7 @@ impl Drop for FleetEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DurabilityConfig;
 
     fn small_fleet(shards: usize) -> FleetEngine {
         FleetEngine::new(FleetConfig { shards, ..FleetConfig::default() }).unwrap()
@@ -1882,9 +1829,6 @@ mod tests {
             assert_eq!(got.last_forecast, want.last_forecast, "stream {id}");
             assert_eq!(got.health, want.health, "stream {id}");
         }
-        // The tiered archive survived via the sidecar: a 5-minute query over
-        // the full range answers.
-        assert!(back.trace_archive(0, 0, 120, 5).is_some());
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -27,8 +27,8 @@
 //!   retraining a single model, even onto a different shard count.
 //! * **Durability** — with [`DurabilityConfig`] set, every accepted push is
 //!   appended to a crash-safe write-ahead log *before* the call returns;
-//!   [`FleetEngine::checkpoint_durable`] persists checkpoint + archive
-//!   sidecar and truncates the log, and [`FleetEngine::recover`] rebuilds
+//!   [`FleetEngine::checkpoint_durable`] persists a checkpoint and
+//!   truncates the log, and [`FleetEngine::recover`] rebuilds
 //!   the fleet bit-identically from checkpoint + WAL tail after a crash
 //!   (DESIGN.md §8).
 //! * **Health surface** — [`FleetEngine::health`] aggregates per-shard queue
@@ -56,7 +56,7 @@ mod observe;
 pub mod shard;
 
 pub use config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamConfig};
-pub use durability::RecoverySummary;
+pub use durability::{RecoverySummary, StoreStats};
 pub use engine::{process_resident_bytes, DrainToken, FleetEngine, FleetMemReport, StreamInfo};
 pub use health::{FleetHealth, PushReport, ShardHealth};
 pub use shard::shard_of;

@@ -1,7 +1,8 @@
 //! Corruption corpus for durable-engine recovery: torn tails, mid-segment
-//! bit flips, missing segments, corrupt checkpoint/archive/manifest files,
-//! and random multi-file damage. Every scenario must recover into a serving
-//! engine — losses degrade to counted, obs-visible gaps, never a panic.
+//! bit flips, missing segments, corrupt checkpoint/manifest files, a stray
+//! file from an older store layout, and random multi-file damage. Every
+//! scenario must recover into a serving engine — losses degrade to counted,
+//! obs-visible gaps, never a panic.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -238,8 +239,11 @@ fn corrupt_checkpoint_falls_back_to_full_replay_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Older releases kept an `ARCHIVE` sidecar (raw samples + RRD tiers) next
+/// to the checkpoint. A directory they wrote still recovers clean: the file
+/// is neither read nor counted, whatever it holds.
 #[test]
-fn corrupt_archive_sidecar_degrades_without_losing_serving_state() {
+fn stray_archive_file_is_ignored_by_recovery() {
     let dir = temp_dir("archive");
     let engine = FleetEngine::new(durable_config(&dir, true)).expect("engine");
     for id in 0..STREAMS {
@@ -257,26 +261,20 @@ fn corrupt_archive_sidecar_degrades_without_losing_serving_state() {
     }
     engine.flush_durable().expect("drain");
     drop(engine);
-    let archive = dir.join("ARCHIVE");
-    let mut data = std::fs::read(&archive).expect("archive sidecar exists");
-    let mid = data.len() / 2;
-    data[mid] ^= 0xFF;
-    std::fs::write(&archive, data).expect("write");
+    let mut rng = Xoshiro256pp::seed_from_u64(0xA5C1);
+    let junk: Vec<u8> = (0..4096).map(|_| rng.next_u64() as u8).collect();
+    std::fs::write(dir.join("ARCHIVE"), junk).expect("write a stray ARCHIVE");
 
     let (recovered, summary) =
         FleetEngine::recover(durable_config(&dir, true), StreamConfig::default())
-            .expect("corrupt archive recovers");
-    assert!(summary.archive_corrupt, "{summary:?}");
-    assert!(!summary.checkpoint_corrupt, "checkpoint is independent of the sidecar");
-    assert_eq!(summary.gap_records, 0);
-    // Serving state comes from checkpoint + tail, not the sidecar: intact.
+            .expect("recovery ignores the stray file");
+    assert!(summary.clean(), "{summary:?}");
+    assert_eq!(summary.replayed_records, 10, "only the post-checkpoint tail replays");
     let expected = reference_fingerprints(60);
     for id in 0..STREAMS {
         let info = recovered.stream_info(id).expect("recovered stream");
         assert_eq!(fingerprint(&info), expected[id as usize], "stream {id} diverged");
     }
-    // The trace query path must answer (possibly with less history), not panic.
-    let _ = recovered.trace_raw(0, 0, 50);
     assert_serves(&recovered);
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);

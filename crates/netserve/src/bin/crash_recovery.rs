@@ -253,7 +253,6 @@ fn main() {
     assert_eq!(summary.missing_segments, 0, "no segment may vanish");
     assert_eq!(summary.unknown_replayed, 0, "every replayed sample must route");
     assert!(!summary.checkpoint_corrupt, "checkpoint writes must be atomic");
-    assert!(!summary.archive_corrupt, "archive sidecar writes must be atomic");
 
     // Zero acked-sample loss: every batch carries one sample per stream, so
     // a stream's next auto-clock minute counts the batches it absorbed.

@@ -1,6 +1,6 @@
 //! Byte framing shared by every framed format in the workspace: the wire
-//! protocol, WAL records, `STORMAN1`, `STORCKP1`, `STORARCH`, `LARPFEED`
-//! and `LARPRING` (table in DESIGN.md §8).
+//! protocol, WAL records, `STORMAN1`, `STORCKP1`, `LARPFEED` and
+//! `LARPRING` (table in DESIGN.md §8).
 //!
 //! * [`crc32`] — CRC-32/IEEE, the one checksum all of them carry.
 //! * [`seal`] / [`unseal`] — append / verify a CRC trailer over a whole

@@ -1,7 +1,7 @@
-//! Durable trace store: crash-safe WAL + tiered RRD archives.
+//! Durable trace store: a crash-safe segmented write-ahead log.
 //!
 //! Everything the fleet engine serves lives in memory; this crate is the
-//! durability layer underneath it. Three cooperating pieces:
+//! durability layer underneath it.
 //!
 //! * **Write-ahead log** ([`Wal`]) — an append-only sequence of CRC-checked,
 //!   length-prefixed, sequence-numbered records spread over rotating segment
@@ -11,42 +11,27 @@
 //!   and degrades gracefully: torn writes, truncated tails, bit flips and
 //!   missing segments stop replay at the last valid record with a counted
 //!   gap — never a panic.
-//! * **Memtable** ([`Memtable`]) — a bounded in-memory ring of the most
-//!   recent raw samples per stream, the fine-grained query surface.
-//! * **Tiered archives** ([`TieredArchive`]) — the paper's `vmkusage`
-//!   cascade (1-min × 2 h → 5-min × 24 h → 30-min × 7 d): a background
-//!   compactor consolidates memtable samples upward so long histories cost
-//!   coarse rows, not raw samples.
+//! * **Blob store** ([`BlobStore`]) — the fleet's hibernation spill file.
 //!
 //! Every CRC-framed format in the workspace — these files, the netserve
 //! wire, the cluster's feed chunks and rings — frames its bytes through
 //! [`codec`]: one CRC-32, one checked reader, one atomic file writer.
 //!
-//! [`TraceStore`] binds the three together behind one handle and persists
-//! the memtable + archives as a CRC-checked sidecar next to each checkpoint,
-//! so a restart rebuilds the full query surface from checkpoint + WAL tail.
-//!
 //! The crate is dependency-free (std only) and knows nothing about the fleet
 //! engine: records carry plain `(stream, minute, value)` triples and the
 //! wire-tunable registration quadruple. The `fleet` crate owns the policy of
-//! what gets logged when; this crate owns making it durable.
+//! what gets logged when, and the checkpoint that lets the log be truncated;
+//! this crate owns making it durable.
 #![warn(missing_docs)]
 
-pub mod archive;
 pub mod blob;
 pub mod codec;
-pub mod memtable;
 pub mod record;
-pub mod store;
-pub mod tiers;
 pub mod wal;
 
 pub use blob::BlobStore;
-pub use memtable::Memtable;
 pub use record::{RegisterTuning, Sample, WalRecord, MAX_RECORD_PAYLOAD};
-pub use store::{Recovered, StoreOptions, StoreStats, TraceStore};
-pub use tiers::{vmkusage_tiers, TierSpec, TieredArchive};
-pub use wal::{read_tail, AppendInfo, FsyncPolicy, RecoveryReport, Wal, WalOptions};
+pub use wal::{read_tail, AppendInfo, FsyncPolicy, RecoveryReport, Wal, WalOptions, WalStats};
 
 /// Errors from the durable store.
 #[derive(Debug)]

@@ -14,6 +14,12 @@
 //!
 //! Recovery scans segments in manifest order and *degrades, never panics*:
 //!
+//! * **covered segment** — one whose whole range is `<= start_after` (the
+//!   next listed segment starts at or before `start_after + 1`) is not read:
+//!   the checkpoint already holds its records. A covered segment that is
+//!   missing is not a loss either — [`Wal::truncate_upto`] unlinks covered
+//!   segments before it rewrites the manifest, so a crash in between leaves
+//!   a manifest naming them;
 //! * **missing segment** — counted, the seq jump at the next segment becomes
 //!   a counted gap;
 //! * **bad magic / mid-segment corruption** — scan of that segment stops at
@@ -116,7 +122,9 @@ pub struct WalStats {
 pub struct RecoveryReport {
     /// Records delivered to the replay callback (`seq > start_after`).
     pub replayed: u64,
-    /// Valid records skipped because a checkpoint already covers them.
+    /// Valid records read but not delivered: `seq <= start_after` in a
+    /// segment that was scanned, or a repeated sequence number. Covered
+    /// segments are not read, so their records are not counted here.
     pub skipped: u64,
     /// Records known lost via sequence-number discontinuities.
     pub gap_records: u64,
@@ -127,7 +135,8 @@ pub struct RecoveryReport {
     /// Segments whose scan hit permanent corruption (bad magic, bad CRC,
     /// undecodable payload, or an unexpected mid-file truncation).
     pub corrupt_segments: u64,
-    /// Segments listed in the manifest but absent on disk.
+    /// Segments listed in the manifest but absent on disk, not counting
+    /// covered ones.
     pub missing_segments: u64,
     /// The manifest itself was missing or corrupt; segment list rebuilt from
     /// a directory scan.
@@ -180,6 +189,8 @@ impl Wal {
     /// Scans an existing log, invoking `apply` for every valid record with
     /// `seq > start_after` (in order), and reopens the log for appending on
     /// a fresh segment. Corruption degrades to counted gaps in the report.
+    /// Covered segments are skipped unread, as in [`read_tail`]; the ones
+    /// still on disk stay in the manifest for [`Wal::truncate_upto`].
     ///
     /// # Errors
     ///
@@ -210,8 +221,14 @@ impl Wal {
         // 0 = "no baseline yet": the first valid record anchors continuity.
         let mut expected = 0u64;
         let last_listed = listed.last().copied();
-        for first_seq in &listed {
+        for (i, first_seq) in listed.iter().enumerate() {
             let path = dir.join(segment_name(*first_seq));
+            if covered(&listed, i, start_after) {
+                if path.exists() {
+                    kept.push(*first_seq);
+                }
+                continue;
+            }
             let data = match fs::read(&path) {
                 Ok(d) => d,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -445,20 +462,28 @@ fn scan_segment_dir(dir: &Path) -> Result<Vec<u64>> {
     Ok(out)
 }
 
-/// Refuses a resume point with no sequence number after it: a checkpoint or
-/// archive claiming to cover `u64::MAX` is forged or corrupt, and the log
-/// could not continue past it.
+/// Refuses a resume point with no sequence number after it: a checkpoint
+/// claiming to cover `u64::MAX` is forged or corrupt, and the log could not
+/// continue past it.
 ///
 /// # Errors
 ///
 /// Returns [`StoreError::Corrupt`] for `start_after == u64::MAX`.
-pub(crate) fn check_resume_point(start_after: u64) -> Result<()> {
+fn check_resume_point(start_after: u64) -> Result<()> {
     if start_after == u64::MAX {
         return Err(StoreError::Corrupt(format!(
             "resume point {start_after} leaves no sequence number for the next record"
         )));
     }
     Ok(())
+}
+
+/// The coverage rule both scans share: segment `i` of `listed` covers
+/// `[listed[i], listed[i + 1] - 1]`, so it holds nothing past `start_after`
+/// when the next segment starts at or before `start_after + 1`. The last
+/// listed segment is never covered.
+fn covered(listed: &[u64], i: usize, start_after: u64) -> bool {
+    listed.get(i + 1).is_some_and(|next| *next <= start_after.saturating_add(1))
 }
 
 /// Scans one segment's record area, updating continuity state and the
@@ -555,12 +580,8 @@ pub fn read_tail<F: FnMut(u64, WalRecord)>(
     let mut expected = 0u64;
     let last_listed = listed.last().copied();
     for (i, first_seq) in listed.iter().enumerate() {
-        // Segment i covers [first_seq, next first_seq - 1]; skip it when a
-        // later segment proves the whole range is already covered.
-        if let Some(next_first) = listed.get(i + 1) {
-            if *next_first <= start_after.saturating_add(1) {
-                continue;
-            }
+        if covered(&listed, i, start_after) {
+            continue;
         }
         let path = dir.join(segment_name(*first_seq));
         let data = match fs::read(&path) {
@@ -811,6 +832,42 @@ mod tests {
         assert_eq!(report.missing_segments, 1);
         assert_eq!(report.gap_records, span);
         assert_eq!(count, 100 - span);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `truncate_upto` unlinks covered segments before it rewrites the
+    /// manifest. A crash in between leaves the old manifest naming deleted
+    /// segments that the checkpoint covers: no record is lost, so recovery
+    /// at the covered seq must count no missing segment and no gap.
+    #[test]
+    fn covered_segments_missing_after_a_crash_mid_truncate_are_not_counted() {
+        let dir = temp_dir("mid-truncate");
+        let options = WalOptions { segment_bytes: 256, ..WalOptions::default() };
+        let mut wal = Wal::create(&dir, options.clone()).unwrap();
+        for i in 0..100u64 {
+            wal.append_samples(&[sample(1, i, 1.0)]).unwrap();
+        }
+        let old_manifest = fs::read(dir.join(MANIFEST)).unwrap();
+        let removed = wal.truncate_upto(60).unwrap();
+        assert!(removed > 0);
+        let kept = wal.segments.clone();
+        drop(wal);
+        fs::write(dir.join(MANIFEST), &old_manifest).unwrap();
+
+        let mut tail = Vec::new();
+        let report = read_tail(&dir, 60, |seq, _| tail.push(seq)).unwrap();
+        assert_eq!(report.missing_segments, 0);
+        let mut seqs = Vec::new();
+        let (wal, report) = Wal::recover(&dir, options, 60, |seq, _| seqs.push(seq)).unwrap();
+        assert_eq!(report.missing_segments, 0, "{report:?}");
+        assert_eq!(report.gap_records, 0, "{report:?}");
+        assert_eq!(seqs, (61..=100).collect::<Vec<u64>>());
+        assert_eq!(tail, seqs);
+        // The rewritten manifest drops the vanished segments and keeps the
+        // rest, with the fresh active segment last.
+        assert_eq!(wal.segments[..kept.len()], kept[..]);
+        assert_eq!(wal.segments.last(), Some(&101));
+        drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }
 

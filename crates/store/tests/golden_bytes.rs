@@ -1,6 +1,5 @@
 //! Golden-byte fixtures for the store's on-disk formats: a WAL segment pair
-//! holding all three record kinds, its `STORMAN1` manifest, and a
-//! `STORARCH` archive sidecar.
+//! holding all three record kinds and its `STORMAN1` manifest.
 //!
 //! Each test asserts the encoder still writes the committed bytes and that
 //! the decoder reads them back to the same values. Regenerate (only on an
@@ -10,11 +9,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use store::archive::{read_archive, write_archive, ArchiveSnapshot, StreamSnapshot};
-use store::{
-    read_tail, record, vmkusage_tiers, Memtable, RegisterTuning, Sample, TieredArchive, Wal,
-    WalOptions, WalRecord,
-};
+use store::{read_tail, record, RegisterTuning, Sample, Wal, WalOptions, WalRecord};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -81,21 +76,6 @@ fn wal_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
     files
 }
 
-fn archive_snapshot() -> ArchiveSnapshot {
-    let mut memtable = Memtable::new(4);
-    let mut streams = Vec::new();
-    for id in [9u64, 2] {
-        let mut archive = TieredArchive::new(vmkusage_tiers()).unwrap();
-        for m in 0..12u64 {
-            let value = id as f64 + m as f64 * 0.25;
-            memtable.insert(id, m, value);
-            archive.record(m, value);
-        }
-        streams.push(StreamSnapshot { id, next_minute: 12, archive });
-    }
-    ArchiveSnapshot { seq: 42, memtable, streams }
-}
-
 #[test]
 fn wal_segments_and_manifest_match_golden_bytes() {
     let dir = temp_dir("wal");
@@ -134,23 +114,6 @@ fn golden_wal_decodes_to_the_logged_records() {
 }
 
 #[test]
-fn archive_sidecar_matches_golden_bytes_and_round_trips() {
-    let dir = temp_dir("arch");
-    let path = dir.join("ARCHIVE");
-    write_archive(&path, &archive_snapshot()).unwrap();
-    assert_golden("storarch.bin", &fs::read(&path).unwrap());
-
-    let back = read_archive(&fixture("storarch.bin")).unwrap().expect("fixture exists");
-    assert_eq!(back.seq, 42);
-    assert_eq!(back.streams.iter().map(|s| s.id).collect::<Vec<_>>(), [2, 9]);
-    assert_eq!(back.memtable.query(9, 0, 100), archive_snapshot().memtable.query(9, 0, 100));
-    let again = dir.join("ARCHIVE2");
-    write_archive(&again, &back).unwrap();
-    assert_golden("storarch.bin", &fs::read(&again).unwrap());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 #[ignore = "rewrites the golden fixtures"]
 fn regenerate_golden_fixtures() {
     fs::create_dir_all(fixture("")).unwrap();
@@ -158,8 +121,5 @@ fn regenerate_golden_fixtures() {
     for (name, bytes) in wal_files(&dir.join("wal")) {
         fs::write(fixture(&format!("wal_{name}")), bytes).unwrap();
     }
-    let path = dir.join("ARCHIVE");
-    write_archive(&path, &archive_snapshot()).unwrap();
-    fs::copy(&path, fixture("storarch.bin")).unwrap();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -31,9 +31,10 @@ if [[ "$QUICK" -eq 0 ]]; then
   # the workspace build above never compiles it: a renamed public item it
   # calls would only surface when the benchmark runs. Its tests build it
   # and run each workload for 1 s; the diff check proves the build did not
-  # rewrite its committed Cargo.lock.
+  # rewrite its committed Cargo.lock, and that neither the benchmark nor
+  # its config (BENCHMARK.json) has uncommitted edits.
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
-  git diff --exit-code -- perfbench/
+  git diff --exit-code -- perfbench/ BENCHMARK.json
 fi
 
 echo "==> drain-order soak (concurrent shard drainers, 50 runs)"

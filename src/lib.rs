@@ -22,8 +22,7 @@
 //!   12 metrics each, monitor agent, round-robin database, profiler);
 //! * [`fleet`] — the sharded multi-stream serving engine (batching,
 //!   backpressure, lifecycle, fleet-wide checkpointing, durable ingestion);
-//! * [`store`] — the durable trace store (crash-safe segmented WAL,
-//!   memtable, tiered vmkusage-style RRD archives);
+//! * [`store`] — the durable trace store (crash-safe segmented WAL);
 //! * [`cluster`] — the cluster tier (consistent-hash placement, live stream
 //!   migration, warm-standby failover);
 //! * [`simrng`] — deterministic RNG + distributions used everywhere.
