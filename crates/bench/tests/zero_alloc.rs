@@ -1,5 +1,5 @@
 //! The perf gate behind the zero-allocation hot path: once a stream is warm
-//! (trained, scratch sized, rolling state primed), the steady-state
+//! (trained, scratch sized, rings full), the steady-state
 //! sanitize → normalize → classify → predict step must not touch the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator for this test
@@ -80,7 +80,7 @@ fn steady_state_online_step_does_not_allocate() {
     let mut steps = Vec::new();
 
     // Warm-up: initial training, scratch sizing, QA window growth, first
-    // ring compactions and rolling resummations all happen here.
+    // ring compactions all happen here.
     for minute in 0..2048u64 {
         guarded.ingest_into(minute, signal(minute), &mut scratch, &mut steps);
     }

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cluster::{ClusterClient, ClusterClientConfig, ClusterNode, NodeConfig, NodeInfo, Ring};
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine};
 use netserve::{Client, ClientConfig, ServerConfig};
 use vmsim::fleet_signal;
 
@@ -100,7 +100,6 @@ fn parse_args() -> Args {
 fn fleet_config(args: &Args, wal_dir: Option<PathBuf>) -> FleetConfig {
     FleetConfig {
         shards: args.shards,
-        backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
         // `DurabilityConfig::new` keeps auto-checkpointing off, so the

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use cluster::{ClusterClient, ClusterClientConfig, ClusterNode, NodeConfig, NodeInfo, Ring};
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
 use larp::ResilienceConfig;
 use netserve::{Client, ClientConfig, ServerConfig};
 use obs::EventKind;
@@ -27,7 +27,6 @@ fn fleet_config(wal_dir: Option<PathBuf>) -> FleetConfig {
     FleetConfig {
         shards: 2,
         fleet_seed: SEED,
-        backpressure: BackpressurePolicy::Block,
         durability: wal_dir.map(DurabilityConfig::new),
         ..FleetConfig::default()
     }

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use cluster::{FeedChunk, NodeInfo, Ring};
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
 use store::{codec, read_tail, RegisterTuning, Sample, Wal, WalOptions, WalRecord};
 
 /// Records the largest single allocation the current thread makes while
@@ -214,8 +214,6 @@ fn durable(dir: &Path) -> FleetConfig {
     FleetConfig {
         shards: 1,
         queue_capacity: 16,
-        event_capacity: 16,
-        backpressure: BackpressurePolicy::Block,
         durability: Some(DurabilityConfig::new(dir)),
         ..FleetConfig::default()
     }

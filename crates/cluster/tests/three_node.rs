@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use cluster::{ClusterClient, ClusterClientConfig, ClusterNode, NodeConfig, NodeInfo, Ring};
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine};
 use netserve::{Client, ClientConfig, ServerConfig};
 use vmsim::fleet_signal;
 
@@ -20,7 +20,6 @@ fn fleet_config(wal_dir: Option<PathBuf>) -> FleetConfig {
     FleetConfig {
         shards: 4,
         fleet_seed: SEED,
-        backpressure: BackpressurePolicy::Block,
         durability: wal_dir.map(DurabilityConfig::new),
         ..FleetConfig::default()
     }

@@ -22,9 +22,7 @@
 
 use std::time::Instant;
 
-use fleet::{
-    BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamId,
-};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamId};
 use obs::percentile_sorted;
 use vmsim::fleet_signal;
 
@@ -89,7 +87,6 @@ fn run_arm(args: &Args, durability: Option<DurabilityConfig>) -> f64 {
     let durable = durability.is_some();
     let engine = FleetEngine::new(FleetConfig {
         shards: args.shards,
-        backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
         durability,
@@ -184,9 +181,6 @@ fn main() {
     }
     let engine = FleetEngine::new(FleetConfig {
         shards: args.shards,
-        // Lossless under sustained overload: the producer stalls instead of
-        // dropping samples, so the measured rate is the true serving rate.
-        backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
         ..FleetConfig::default()
@@ -276,7 +270,6 @@ fn main() {
     println!("  \"push_steady_calls\": {steady_calls},");
     println!("  \"accepted\": {},", health.pushes.accepted);
     println!("  \"rejected\": {},", health.pushes.rejected);
-    println!("  \"dropped\": {},", health.pushes.dropped);
     println!("  \"steps\": {},", health.steps);
     println!("  \"forecasts\": {},", health.forecasts);
     println!("  \"nonfinite_forecasts\": {},", health.nonfinite_forecasts);

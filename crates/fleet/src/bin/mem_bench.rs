@@ -26,8 +26,7 @@
 //! `cargo run --release -p fleet --bin mem_bench -- --smoke1m --rss-cap-mb 1200`
 
 use fleet::{
-    process_resident_bytes, BackpressurePolicy, FleetConfig, FleetEngine, FleetMemReport,
-    StreamConfig, StreamId,
+    process_resident_bytes, FleetConfig, FleetEngine, FleetMemReport, StreamConfig, StreamId,
 };
 use larp::{IngestConfig, LarpConfig, ResilienceConfig};
 
@@ -196,7 +195,6 @@ fn spill_engine(args: &Args, spill: &std::path::Path) -> FleetEngine {
     FleetEngine::new(FleetConfig {
         shards: args.shards,
         fleet_seed: args.seed,
-        backpressure: BackpressurePolicy::Block,
         spill_dir: Some(spill.to_path_buf()),
         ..FleetConfig::default()
     })

@@ -10,7 +10,7 @@
 //! checkpoints the fleet before dumping so the trace also exercises the
 //! checkpoint events, and validates its own JSON output before printing.
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine};
+use fleet::{FleetConfig, FleetEngine};
 use vmsim::{fleet_trace, FaultConfig, FaultInjector};
 
 struct Args {
@@ -53,9 +53,8 @@ fn main() {
     let engine = FleetEngine::new(FleetConfig {
         shards: args.shards,
         fleet_seed: args.seed,
-        // Lossless so the dump reflects every injected fault reaching its
-        // sanitizer; drop/reject paths are covered by the fleet tests.
-        backpressure: BackpressurePolicy::Block,
+        // Ingestion is lossless, so the dump reflects every injected fault
+        // reaching its sanitizer.
         ..FleetConfig::default()
     })
     .expect("valid fleet config");

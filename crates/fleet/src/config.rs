@@ -7,19 +7,16 @@ use store::FsyncPolicy;
 
 use crate::{FleetError, Result};
 
-/// What a shard does when a sample arrives and its queue is full.
+/// What a shard does when a sample arrives and its queue is full. It has
+/// one value: the engine blocks the pushing thread until the queue has room,
+/// so an accepted sample is never lost and a WAL-logged sample is always
+/// applied. The type stays so configurations that name the policy keep
+/// building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackpressurePolicy {
-    /// Reject the new sample (the caller sees it in
-    /// [`crate::PushReport::rejected`]). Freshness-preserving for the samples
-    /// already queued; the default.
+    /// Block the pushing thread until a drainer frees space. Lossless, at
+    /// the cost of coupling producer latency to drain throughput.
     #[default]
-    RejectNew,
-    /// Drop the oldest queued sample to make room. Latency-preserving: the
-    /// queue always holds the freshest data.
-    DropOldest,
-    /// Block the pushing thread until the worker frees space. Lossless, at
-    /// the cost of coupling producer latency to worker throughput.
     Block,
 }
 
@@ -85,15 +82,12 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Bounded capacity of each shard's ingest queue, in samples.
     pub queue_capacity: usize,
-    /// Policy when a shard queue is full.
+    /// Policy when a shard queue is full; [`BackpressurePolicy::Block`] is
+    /// its only value.
     pub backpressure: BackpressurePolicy,
     /// Seed for the shard-assignment hash (and, by convention, for the
     /// per-stream trace generators driving the fleet in tests and benches).
     pub fleet_seed: u64,
-    /// Capacity of the engine's bounded event-trace ring
-    /// ([`crate::FleetEngine::events`]); overflow evicts the oldest events
-    /// and counts them.
-    pub event_capacity: usize,
     /// Durable ingestion (WAL-before-ack + checkpoint/recovery). `None`
     /// keeps the engine purely in-memory, the previous behavior.
     pub durability: Option<DurabilityConfig>,
@@ -117,9 +111,8 @@ impl Default for FleetConfig {
         Self {
             shards: 4,
             queue_capacity: 1024,
-            backpressure: BackpressurePolicy::RejectNew,
+            backpressure: BackpressurePolicy::Block,
             fleet_seed: 2007,
-            event_capacity: 1024,
             durability: None,
             spill_dir: None,
             auto_hibernate_idle: None,
@@ -132,17 +125,14 @@ impl FleetConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::InvalidConfig`] for zero shards, queue capacity
-    /// or event capacity.
+    /// Returns [`FleetError::InvalidConfig`] for zero shards or queue
+    /// capacity.
     pub fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(FleetError::InvalidConfig("shards must be >= 1".into()));
         }
         if self.queue_capacity == 0 {
             return Err(FleetError::InvalidConfig("queue_capacity must be >= 1".into()));
-        }
-        if self.event_capacity == 0 {
-            return Err(FleetError::InvalidConfig("event_capacity must be >= 1".into()));
         }
         if let Some(d) = &self.durability {
             d.validate()?;
@@ -227,7 +217,6 @@ mod tests {
     fn zero_values_rejected() {
         assert!(FleetConfig { shards: 0, ..FleetConfig::default() }.validate().is_err());
         assert!(FleetConfig { queue_capacity: 0, ..FleetConfig::default() }.validate().is_err());
-        assert!(FleetConfig { event_capacity: 0, ..FleetConfig::default() }.validate().is_err());
     }
 
     #[test]

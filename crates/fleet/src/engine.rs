@@ -12,7 +12,7 @@ use obs::{expo, EventKind, EventRing, Registry};
 use store::{BlobStore, RegisterTuning, WalRecord};
 
 use crate::checkpoint;
-use crate::config::{BackpressurePolicy, FleetConfig, StreamConfig};
+use crate::config::{FleetConfig, StreamConfig};
 use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary, StoreStats};
 use crate::health::{merge_counters, FleetHealth, PushReport, ShardHealth};
 use crate::observe::FleetObs;
@@ -373,7 +373,7 @@ impl FleetEngine {
     ) -> Result<Self> {
         // Fail fast on a default stream config that can never build.
         default_stream.build()?;
-        let obs = FleetObs::new(config.event_capacity);
+        let obs = FleetObs::new();
         // The spill file is a cache, never a durable artifact: open()
         // truncates it, so hibernated state cannot leak across engine
         // lifetimes or confuse recovery.
@@ -703,9 +703,14 @@ impl FleetEngine {
     fn insert_restored(&self, id: StreamId, mut guarded: GuardedLarp, next_minute: u64) {
         guarded.attach_obs(self.shared.obs.larp.for_stream(id));
         guarded.attach_interner(Arc::clone(&self.shared.interner));
+        let mut slot = StreamSlot::new(guarded, next_minute);
+        // The slot tallies are not serialized, but the snapshot carries the
+        // forecast the stream's last step made, which is what
+        // `last_forecast` reports for a stream that keeps forecasting.
+        slot.last_forecast = slot.guarded.online().pending_forecast();
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
-        streams.insert(id, StreamSlot::new(guarded, next_minute));
+        streams.insert(id, slot);
     }
 
     /// Evicts a stream, discarding its serving state. Samples still queued
@@ -795,6 +800,19 @@ impl FleetEngine {
             .iter()
             .map(|s| s.streams.lock().expect("shard stream table poisoned").len())
             .sum()
+    }
+
+    /// Every registered stream (live or hibernated) with its `next_minute`,
+    /// the minute its next auto-clocked sample gets. Does not flush, and
+    /// does not count as activity for [`sweep_idle`](Self::sweep_idle).
+    pub fn stream_clocks(&self) -> Vec<(StreamId, u64)> {
+        let mut out = Vec::new();
+        for s in &self.shared.shards {
+            let table = s.streams.lock().expect("shard stream table poisoned");
+            out.extend(table.iter_live().map(|(id, slot)| (id, slot.next_minute)));
+            out.extend(table.iter_tombs().map(|(id, tomb)| (id, tomb.next_minute)));
+        }
+        out
     }
 
     /// Pushes one auto-clocked sample. Convenience for
@@ -900,13 +918,12 @@ impl FleetEngine {
         DrainToken { pending: Some((Arc::clone(&self.shared), mask)) }
     }
 
-    /// Enqueues jobs on one shard, applying the backpressure policy per
-    /// sample. Holds the queue lock once for the whole group. Unless the
-    /// caller will drain them itself (`inline`), the worker is woken.
+    /// Enqueues jobs on one shard, blocking while its queue is full. Holds
+    /// the queue lock once for the whole group. Unless the caller will drain
+    /// them itself (`inline`), the worker is woken.
     ///
-    /// Backpressure events are traced once per call with the sample counts,
-    /// not once per sample — overflow is bursty and a per-sample event would
-    /// flood the ring exactly when it matters most.
+    /// Samples refused at shutdown are traced once per call with their
+    /// count, not once per sample.
     fn enqueue(
         &self,
         shard: usize,
@@ -917,36 +934,22 @@ impl FleetEngine {
     ) {
         let s = &self.shared.shards[shard];
         let cap = self.shared.config.queue_capacity;
-        let policy = self.shared.config.backpressure;
-        let before = *report;
+        let rejected_before = report.rejected;
         let mut q = s.queue.lock().expect("shard queue poisoned");
         for job in jobs {
+            while q.items.len() >= cap && !q.shutdown {
+                // A full queue needs a drainer before this call can go on,
+                // and a small push's caller drains only after admission:
+                // wake the worker.
+                s.wake_worker(&q);
+                q.space_waiters += 1;
+                q = s.space.wait(q).expect("shard queue poisoned");
+                q.space_waiters -= 1;
+            }
             if q.items.len() >= cap {
-                match policy {
-                    BackpressurePolicy::RejectNew => {
-                        report.rejected += 1;
-                        continue;
-                    }
-                    BackpressurePolicy::DropOldest => {
-                        q.items.pop_front();
-                        report.dropped += 1;
-                    }
-                    BackpressurePolicy::Block => {
-                        while q.items.len() >= cap && !q.shutdown {
-                            // A full queue needs a drainer before this call
-                            // can go on, and a small push's caller drains
-                            // only after admission: wake the worker.
-                            s.wake_worker(&q);
-                            q.space_waiters += 1;
-                            q = s.space.wait(q).expect("shard queue poisoned");
-                            q.space_waiters -= 1;
-                        }
-                        if q.shutdown {
-                            report.rejected += 1;
-                            continue;
-                        }
-                    }
-                }
+                // Still full: the engine is shutting down.
+                report.rejected += 1;
+                continue;
             }
             q.items.push_back(*job);
             report.accepted += 1;
@@ -959,12 +962,7 @@ impl FleetEngine {
             s.wake_worker(&q);
         }
         drop(q);
-        let dropped = report.dropped - before.dropped;
-        if dropped > 0 {
-            let kind = EventKind::BackpressureDrop { shard: shard as u64, count: dropped };
-            self.shared.obs.events.push(None, kind);
-        }
-        let rejected = report.rejected - before.rejected;
+        let rejected = report.rejected - rejected_before;
         if rejected > 0 {
             let kind = EventKind::BackpressureReject { shard: shard as u64, count: rejected };
             self.shared.obs.events.push(None, kind);
@@ -976,7 +974,6 @@ impl FleetEngine {
         obs.enqueue_us.record(started.elapsed().as_micros() as f64);
         obs.push_accepted.add(report.accepted);
         obs.push_rejected.add(report.rejected);
-        obs.push_dropped.add(report.dropped);
     }
 
     /// Blocks until every admitted sample has been fully processed —
@@ -1322,7 +1319,6 @@ impl FleetEngine {
             pushes: PushReport {
                 accepted: self.shared.obs.push_accepted.get(),
                 rejected: self.shared.obs.push_rejected.get(),
-                dropped: self.shared.obs.push_dropped.get(),
                 wal_failed: self.shared.obs.wal_failures.get() > 0,
             },
             ..FleetHealth::default()
@@ -1441,8 +1437,9 @@ impl FleetEngine {
     /// the checkpointing engine; streams are re-sharded by the pure hash.
     ///
     /// Per-stream serving tallies ([`StreamInfo::steps`] etc.) restart at
-    /// zero; model-level state (retrain counts, fault counters) is preserved
-    /// inside each stream's snapshot.
+    /// zero; model-level state (retrain counts, fault counters, the pending
+    /// forecast [`StreamInfo::last_forecast`] reports) is preserved inside
+    /// each stream's snapshot.
     ///
     /// # Errors
     ///
@@ -1533,7 +1530,7 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 240);
-        assert_eq!(report.rejected + report.dropped, 0);
+        assert_eq!(report.rejected, 0);
 
         for id in [7u64, 8] {
             let info = engine.stream_info(id).unwrap();
@@ -1573,47 +1570,10 @@ mod tests {
     }
 
     #[test]
-    fn reject_new_backpressure() {
-        // No registered streams, so the worker drains instantly; stall it by
-        // never starting it: use capacity 2 and push 5 in one locked batch.
-        let engine = FleetEngine::new(FleetConfig {
-            shards: 1,
-            queue_capacity: 2,
-            backpressure: BackpressurePolicy::RejectNew,
-            ..FleetConfig::default()
-        })
-        .unwrap();
-        let report = engine.push_batch(&[(1, 1.0), (1, 2.0), (1, 3.0), (1, 4.0), (1, 5.0)]);
-        // The worker may drain concurrently, so at least 2 are accepted and
-        // accepted + rejected always accounts for all 5.
-        assert_eq!(report.accepted + report.rejected, 5);
-        assert!(report.accepted >= 2);
-        assert_eq!(report.dropped, 0);
-    }
-
-    #[test]
-    fn drop_oldest_backpressure_keeps_freshest() {
-        let engine = FleetEngine::new(FleetConfig {
-            shards: 1,
-            queue_capacity: 2,
-            backpressure: BackpressurePolicy::DropOldest,
-            ..FleetConfig::default()
-        })
-        .unwrap();
-        let report = engine.push_batch(&[(1, 1.0), (1, 2.0), (1, 3.0), (1, 4.0), (1, 5.0)]);
-        assert_eq!(report.accepted, 5);
-        assert_eq!(report.rejected, 0);
-        // Dropped count depends on how fast the worker drains; it can never
-        // exceed the overflow.
-        assert!(report.dropped <= 3);
-    }
-
-    #[test]
     fn block_backpressure_is_lossless() {
         let engine = FleetEngine::new(FleetConfig {
             shards: 1,
             queue_capacity: 4,
-            backpressure: BackpressurePolicy::Block,
             ..FleetConfig::default()
         })
         .unwrap();
@@ -1624,7 +1584,7 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 200);
-        assert_eq!(report.rejected + report.dropped, 0);
+        assert_eq!(report.rejected, 0);
         assert_eq!(engine.stream_info(1).unwrap().steps, 200);
     }
 
@@ -1638,7 +1598,6 @@ mod tests {
             FleetEngine::new(FleetConfig {
                 shards: 2,
                 queue_capacity: 8,
-                backpressure: BackpressurePolicy::Block,
                 ..FleetConfig::default()
             })
             .unwrap(),
@@ -1661,60 +1620,11 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 1000);
-        assert_eq!(report.rejected + report.dropped, 0);
-        assert_eq!(engine.health().steps, 1000);
-    }
-
-    #[test]
-    fn single_batch_overflow_counts_are_exact() {
-        // `enqueue` holds the shard's queue lock for the whole batch, so one
-        // push_batch against one shard sees deterministic policy outcomes:
-        // the worker cannot drain mid-batch. Capacity 2, 5 samples.
-        let batch: Vec<(StreamId, f64)> = (0..5).map(|i| (1u64, i as f64)).collect();
-
-        let reject = FleetEngine::new(FleetConfig {
-            shards: 1,
-            queue_capacity: 2,
-            backpressure: BackpressurePolicy::RejectNew,
-            ..FleetConfig::default()
-        })
-        .unwrap();
-        let r = reject.push_batch(&batch);
-        assert_eq!((r.accepted, r.rejected, r.dropped), (2, 3, 0));
-        reject.flush();
-        let h = reject.health();
-        // Exactly-once: the engine-wide counters equal the per-call report,
-        // and every accepted sample reached a worker (here: all unroutable).
-        assert_eq!(h.pushes, r);
-        assert_eq!(h.unknown_dropped(), 2);
-        let events = reject.events().recent();
-        assert!(
-            events
-                .iter()
-                .any(|e| e.kind == obs::EventKind::BackpressureReject { shard: 0, count: 3 }),
-            "one reject event with the per-call count: {events:?}"
-        );
-
-        let drop_oldest = FleetEngine::new(FleetConfig {
-            shards: 1,
-            queue_capacity: 2,
-            backpressure: BackpressurePolicy::DropOldest,
-            ..FleetConfig::default()
-        })
-        .unwrap();
-        let r = drop_oldest.push_batch(&batch);
-        assert_eq!((r.accepted, r.rejected, r.dropped), (5, 0, 3));
-        drop_oldest.flush();
-        let h = drop_oldest.health();
-        assert_eq!(h.pushes, r);
-        // accepted = enqueued, not retained: 3 of the 5 were evicted before
-        // a worker saw them, so only 2 reached the unknown-stream counter.
-        assert_eq!(h.unknown_dropped(), 2);
-        assert!(drop_oldest
-            .events()
-            .recent()
-            .iter()
-            .any(|e| e.kind == obs::EventKind::BackpressureDrop { shard: 0, count: 3 }));
+        assert_eq!(report.rejected, 0);
+        // Exactly-once: the engine-wide counters equal the per-call reports.
+        let health = engine.health();
+        assert_eq!(health.pushes, report);
+        assert_eq!(health.steps, 1000);
     }
 
     #[test]
@@ -1746,7 +1656,6 @@ mod tests {
     fn durable_config(dir: &std::path::Path, shards: usize) -> FleetConfig {
         FleetConfig {
             shards,
-            backpressure: BackpressurePolicy::Block,
             durability: Some(DurabilityConfig::new(dir)),
             ..FleetConfig::default()
         }

@@ -4,24 +4,15 @@ use larp::OnlineCounters;
 
 /// Outcome of one [`crate::FleetEngine::push_batch`] call.
 ///
-/// Accounting is exactly-once per sample *decision*: every sample of the
-/// batch lands in `accepted` or `rejected` (never both), and `dropped`
-/// counts queued samples evicted by `DropOldest` — which may include samples
-/// accepted by an earlier call, so `accepted` means "enqueued", not
-/// "retained until processing".
+/// Accounting is exactly-once per sample: every sample of the batch lands in
+/// `accepted` or `rejected`, never both. A full queue blocks the pusher
+/// instead of refusing, so an accepted sample is always applied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushReport {
-    /// Samples enqueued for processing (under `DropOldest` some may later be
-    /// evicted before a worker serves them; see [`PushReport::dropped`]).
+    /// Samples enqueued for processing.
     pub accepted: u64,
-    /// Samples refused because a queue was full
-    /// ([`crate::BackpressurePolicy::RejectNew`]), or pushed during engine
-    /// shutdown under `Block`.
+    /// Samples refused because the engine was shutting down.
     pub rejected: u64,
-    /// Older queued samples evicted to make room
-    /// ([`crate::BackpressurePolicy::DropOldest`]). Attributed to the call
-    /// that forced the eviction, not the one that enqueued the victim.
-    pub dropped: u64,
     /// The write-ahead log append for this call failed: the accepted samples
     /// are being served from memory but are *not* durable — a crash before
     /// the next successful checkpoint loses them. Always `false` when the
@@ -34,7 +25,6 @@ impl PushReport {
     pub fn merge(&mut self, other: PushReport) {
         self.accepted += other.accepted;
         self.rejected += other.rejected;
-        self.dropped += other.dropped;
         self.wal_failed |= other.wal_failed;
     }
 }
@@ -125,8 +115,8 @@ mod tests {
     #[test]
     fn push_report_merges() {
         let mut a = PushReport { accepted: 3, rejected: 1, ..PushReport::default() };
-        a.merge(PushReport { accepted: 2, dropped: 5, wal_failed: true, ..PushReport::default() });
-        assert_eq!(a, PushReport { accepted: 5, rejected: 1, dropped: 5, wal_failed: true });
+        a.merge(PushReport { accepted: 2, wal_failed: true, ..PushReport::default() });
+        assert_eq!(a, PushReport { accepted: 5, rejected: 1, wal_failed: true });
     }
 
     #[test]

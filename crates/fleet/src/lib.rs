@@ -15,8 +15,8 @@
 //!   enqueue order and fleet results are reproducible given seed + shard
 //!   count.
 //! * **Batched ingestion with backpressure** — [`FleetEngine::push_batch`]
-//!   fans samples out to per-shard bounded queues; a full queue rejects new
-//!   samples, drops the oldest, or blocks, per [`BackpressurePolicy`].
+//!   fans samples out to per-shard bounded queues; a full queue blocks the
+//!   pusher until it has room, so no accepted sample is lost.
 //!   [`FleetEngine::admit_batch`] splits a push into admission and a
 //!   [`DrainToken`] whose drop applies it, so a server can ack first.
 //! * **Stream lifecycle** — register / evict / idle-expiry sweep

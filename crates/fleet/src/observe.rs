@@ -11,8 +11,7 @@
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `fleet_push_accepted_total` | counter | samples enqueued |
-//! | `fleet_push_rejected_total` | counter | samples refused (queue full) |
-//! | `fleet_push_dropped_total` | counter | queued samples evicted for room |
+//! | `fleet_push_rejected_total` | counter | samples refused because the engine was shutting down |
 //! | `fleet_stream_evictions_total` | counter | streams evicted (any cause) |
 //! | `fleet_checkpoints_total` | counter | checkpoints serialized |
 //! | `fleet_restores_total` | counter | engines restored from bytes |
@@ -57,6 +56,11 @@
 use larp::LarpObs;
 use obs::{Counter, EventRing, Histogram, Registry};
 
+/// Capacity of the engine's bounded event-trace ring
+/// ([`crate::FleetEngine::events`]); overflow evicts the oldest events and
+/// counts them.
+const EVENT_CAPACITY: usize = 1024;
+
 /// The engine's observability bundle: registry, event ring, and the metric
 /// handles the engine itself records into.
 pub(crate) struct FleetObs {
@@ -67,7 +71,6 @@ pub(crate) struct FleetObs {
     pub(crate) larp: LarpObs,
     pub(crate) push_accepted: Counter,
     pub(crate) push_rejected: Counter,
-    pub(crate) push_dropped: Counter,
     pub(crate) evictions: Counter,
     pub(crate) checkpoints: Counter,
     pub(crate) restores: Counter,
@@ -90,15 +93,14 @@ pub(crate) struct FleetObs {
 }
 
 impl FleetObs {
-    pub(crate) fn new(event_capacity: usize) -> Self {
+    pub(crate) fn new() -> Self {
         let registry = Registry::new();
-        let events = EventRing::new(event_capacity);
+        let events = EventRing::new(EVENT_CAPACITY);
         let larp = LarpObs::register(&registry).with_events(events.clone());
         Self {
             larp,
             push_accepted: registry.counter("fleet_push_accepted_total"),
             push_rejected: registry.counter("fleet_push_rejected_total"),
-            push_dropped: registry.counter("fleet_push_dropped_total"),
             evictions: registry.counter("fleet_stream_evictions_total"),
             checkpoints: registry.counter("fleet_checkpoints_total"),
             restores: registry.counter("fleet_restores_total"),

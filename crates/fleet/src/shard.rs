@@ -635,6 +635,47 @@ mod tests {
         StreamSlot::new(StreamConfig::default().build().unwrap(), 0)
     }
 
+    /// A live slot's `last_forecast` equals the forecast its serving stack
+    /// holds pending after every sample: sanitised, gap-filled, dropped as a
+    /// duplicate, and served healthy, degraded or by persistence. A restore
+    /// can therefore take it from the snapshot's pending forecast.
+    #[test]
+    fn last_forecast_is_the_pending_forecast_on_every_path() {
+        let mut s = slot();
+        let clean = vmsim::fleet_trace(2007, 3, 900);
+        let mut injector =
+            vmsim::FaultInjector::new(vmsim::FaultConfig::uniform(0.08), 77).unwrap();
+        let corrupted = injector.corrupt_series(&clean, 0);
+        let (mut scratch, mut steps) = (Scratch::new(), Vec::new());
+        // Forecasting steps per health: healthy, degraded, persistence.
+        let mut served = [0usize; 3];
+        let mut no_step = 0;
+        for (i, &(minute, value)) in corrupted.iter().enumerate() {
+            let job = Job { stream: 3, minute: Some(minute), value, seq: i as u64 + 1 };
+            s.feed_with(&job, &mut scratch, &mut steps);
+            no_step += usize::from(steps.is_empty());
+            for step in steps.iter().filter(|st| st.forecast.is_some()) {
+                served[step.health as usize] += 1;
+            }
+            // Bench whichever member served, in bursts, so the ladder's
+            // lower rungs serve too.
+            if i % 150 >= 140 {
+                if let Some(id) = steps.last().and_then(|st| st.chosen) {
+                    s.guarded.online_mut().quarantine_predictor(id).unwrap();
+                }
+            }
+            assert_eq!(
+                s.last_forecast.map(f64::to_bits),
+                s.guarded.online().pending_forecast().map(f64::to_bits),
+                "sample {i}"
+            );
+        }
+        let stats = s.guarded.sanitizer().stats();
+        assert!(stats.faults_sanitized() > 0 && stats.gap_samples_filled > 0, "{stats:?}");
+        assert!(no_step > 0, "no sample was dropped as a duplicate");
+        assert!(served.iter().all(|&n| n > 0), "a serving rung never served: {served:?}");
+    }
+
     #[test]
     fn table_insert_get_remove() {
         let mut t = StreamTable::new();

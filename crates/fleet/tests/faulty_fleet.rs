@@ -1,7 +1,7 @@
 //! End-to-end resilience: 64 streams, every one fed through a deterministic
 //! fault injector, served concurrently — no forecast is ever non-finite.
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine};
+use fleet::{FleetConfig, FleetEngine};
 use vmsim::{fleet_trace, FaultConfig, FaultInjector};
 
 const STREAMS: u64 = 64;
@@ -11,13 +11,9 @@ const SAMPLES: usize = 240;
 fn sixty_four_faulty_streams_never_serve_nonfinite() {
     // Block backpressure: a sustained overload stalls the producer instead
     // of losing samples, so every corrupted reading reaches its sanitizer.
-    let engine = FleetEngine::new(FleetConfig {
-        shards: 4,
-        fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
-        ..FleetConfig::default()
-    })
-    .unwrap();
+    let engine =
+        FleetEngine::new(FleetConfig { shards: 4, fleet_seed: 2007, ..FleetConfig::default() })
+            .unwrap();
 
     // Per-stream corrupted traces: drops, gaps, NaNs, sentinels, stuck
     // sensors, spikes and duplicates, deterministic per stream id.

@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -26,7 +26,6 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn config(dir: &Path) -> FleetConfig {
     FleetConfig {
         shards: 1,
-        backpressure: BackpressurePolicy::Block,
         durability: Some(DurabilityConfig::new(dir)),
         ..FleetConfig::default()
     }

@@ -6,9 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fleet::{
-    BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamInfo,
-};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamInfo};
 
 const STREAMS: u64 = 6;
 
@@ -25,7 +23,6 @@ fn spill_config(dir: &Path) -> FleetConfig {
     FleetConfig {
         shards: 2,
         fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
         spill_dir: Some(dir.to_path_buf()),
         ..FleetConfig::default()
     }
@@ -133,13 +130,9 @@ fn stream_info_answers_from_the_tombstone_without_waking() {
 /// or the sweep evicts a stream that is actively being consumed.
 #[test]
 fn info_probes_refresh_the_idle_clock() {
-    let engine = FleetEngine::new(FleetConfig {
-        shards: 2,
-        fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
-        ..FleetConfig::default()
-    })
-    .expect("engine");
+    let engine =
+        FleetEngine::new(FleetConfig { shards: 2, fleet_seed: 2007, ..FleetConfig::default() })
+            .expect("engine");
     engine.register(1).expect("register");
     engine.register(2).expect("register");
     // Stream 2 is warmed once, then only ever *read* while stream 1 takes

@@ -7,10 +7,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fleet::{
-    BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, FleetError, StreamConfig,
-    StreamInfo,
-};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, FleetError, StreamConfig, StreamInfo};
 use larp::ResilienceConfig;
 
 const STREAMS: u64 = 6;
@@ -28,12 +25,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn config() -> FleetConfig {
-    FleetConfig {
-        shards: 2,
-        fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
-        ..FleetConfig::default()
-    }
+    FleetConfig { shards: 2, fleet_seed: 2007, ..FleetConfig::default() }
 }
 
 fn register_all(engine: &FleetEngine) {

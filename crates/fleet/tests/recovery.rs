@@ -7,10 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fleet::{
-    BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, FleetHealth, StreamConfig,
-    StreamInfo,
-};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, FleetHealth, StreamConfig, StreamInfo};
 use simrng::{Rng64, Xoshiro256pp};
 
 const STREAMS: u64 = 4;
@@ -27,7 +24,6 @@ fn durable_config(dir: &Path, retain_segments: bool) -> FleetConfig {
     FleetConfig {
         shards: 1, // one WAL record per pushed batch: exact record accounting
         fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
         durability: Some(DurabilityConfig {
             segment_bytes: 2 << 10, // force many segments from a short log
             retain_segments,
@@ -71,13 +67,9 @@ fn fingerprint(info: &StreamInfo) -> (u64, usize, Option<u64>, larp::HealthState
 
 /// Reference state: an in-memory engine fed the identical input sequence.
 fn reference_fingerprints(batches: u64) -> Vec<(u64, usize, Option<u64>, larp::HealthState)> {
-    let engine = FleetEngine::new(FleetConfig {
-        shards: 1,
-        fleet_seed: 2007,
-        backpressure: BackpressurePolicy::Block,
-        ..FleetConfig::default()
-    })
-    .expect("reference engine");
+    let engine =
+        FleetEngine::new(FleetConfig { shards: 1, fleet_seed: 2007, ..FleetConfig::default() })
+            .expect("reference engine");
     for id in 0..STREAMS {
         engine.register(id).expect("register");
     }
@@ -235,6 +227,37 @@ fn corrupt_checkpoint_falls_back_to_full_replay_bit_identically() {
         );
     }
     assert_serves(&recovered);
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash right after a durable checkpoint leaves no WAL record to replay:
+/// the restored streams must still report the forecast their last step
+/// made, which the checkpoint carries as each stream's pending forecast.
+#[test]
+fn checkpoint_without_a_tail_restores_the_last_forecast() {
+    let dir = temp_dir("ckpt-no-tail");
+    let engine = FleetEngine::new(durable_config(&dir, false)).expect("engine");
+    for id in 0..STREAMS {
+        engine.register(id).expect("register");
+    }
+    for round in 0..50 {
+        engine.push_batch(&batch_for(round));
+    }
+    engine.checkpoint_durable().expect("durable checkpoint");
+    drop(engine);
+
+    let (recovered, summary) =
+        FleetEngine::recover(durable_config(&dir, false), StreamConfig::default())
+            .expect("recovery");
+    assert_eq!(summary.checkpoint_streams, STREAMS);
+    assert_eq!(summary.replayed_records, 0, "{summary:?}");
+    let expected = reference_fingerprints(50);
+    for id in 0..STREAMS {
+        let info = recovered.stream_info(id).expect("recovered stream");
+        assert!(info.last_forecast.is_some(), "stream {id} forecast lost");
+        assert_eq!(fingerprint(&info), expected[id as usize], "stream {id}");
+    }
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }

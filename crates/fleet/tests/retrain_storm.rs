@@ -6,12 +6,12 @@
 //! then evolves exactly like the source: same forecasts, same retrain counts,
 //! same serving bytes.
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine, StreamConfig, StreamInfo};
+use fleet::{FleetConfig, FleetEngine, StreamConfig, StreamInfo};
 
 const STREAMS: u64 = 8;
 
 fn config() -> FleetConfig {
-    FleetConfig { shards: 2, backpressure: BackpressurePolicy::Block, ..FleetConfig::default() }
+    FleetConfig { shards: 2, ..FleetConfig::default() }
 }
 
 /// A twitchy QA so the regime change below forces repeated retrains.

@@ -30,7 +30,6 @@ use std::time::Instant;
 
 use learn::PcaInterner;
 use predictors::PredictorId;
-use timeseries::RollingMoments;
 
 use crate::config::{LarpConfig, ResilienceConfig};
 use crate::model::{Scratch, TrainedLarp};
@@ -112,9 +111,6 @@ pub struct OnlineLarp {
     /// trained. This is what lets the serving path skip the per-step
     /// `apply_slice` pass over the whole history.
     pub(crate) norm: HistoryRing,
-    /// Incremental mean/variance over the most recent `train_size` samples
-    /// (runtime-only diagnostic; rebuilt from history on restore).
-    pub(crate) rolling: RollingMoments,
     /// Internal scratch backing [`OnlineLarp::push`]; runtime-only.
     pub(crate) scratch: Scratch,
     /// Total observations consumed (unlike `history.len()`, never truncated).
@@ -246,8 +242,6 @@ impl OnlineLarp {
             qa,
             history: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
             norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
-            rolling: RollingMoments::new(train_size)
-                .expect("train_size validated >= window + 2 above"),
             scratch: Scratch::new(),
             resilience,
             seen: 0,
@@ -362,7 +356,6 @@ impl OnlineLarp {
             // eviction) so downstream never re-normalises the whole history.
             self.norm.push(model.zscore().apply(stored));
         }
-        self.rolling.push(stored);
         self.seen += 1;
 
         // Keep the fallback error accounting warm while anything is benched.
@@ -690,28 +683,16 @@ impl OnlineLarp {
         }
     }
 
-    /// Rebuilds all runtime-only derived state (the normalised mirror and the
-    /// rolling moments) from the serialized fields; used by snapshot restore.
-    pub(crate) fn rebuild_runtime(&mut self) {
-        self.rolling =
-            RollingMoments::new(self.train_size).expect("train_size validated at construction");
-        let tail = self.history.len().saturating_sub(self.train_size);
-        for v in self.history.iter64().skip(tail) {
-            self.rolling.push(v);
-        }
-        self.rebuild_norm();
-    }
-
-    /// Incrementally maintained mean/variance over the most recent
-    /// `train_size` observations — the normalisation coefficients a retrain
-    /// would derive right now, available in O(1) without a history pass.
-    pub fn rolling_moments(&self) -> &RollingMoments {
-        &self.rolling
-    }
-
     /// Number of (re)trainings performed, including the initial one.
     pub fn retrain_count(&self) -> usize {
         self.retrain_count
+    }
+
+    /// The forecast the most recent step made for the value not yet seen
+    /// (raw scale); `None` before the first forecast, or when the most
+    /// recent step made none. Snapshots carry it.
+    pub fn pending_forecast(&self) -> Option<f64> {
+        self.pending.map(|(_, forecast)| forecast)
     }
 
     /// Whether a model is currently trained.

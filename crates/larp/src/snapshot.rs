@@ -40,7 +40,7 @@ use std::collections::VecDeque;
 use learn::{KnnBackend, KnnClassifier, Pca};
 use linalg::Matrix;
 use predictors::{ModelSpec, PredictorId, PredictorPool};
-use timeseries::{RollingMoments, ZScore};
+use timeseries::ZScore;
 
 use crate::config::{FeatureReduction, LarpConfig, ResilienceConfig};
 use crate::ingest::{GapFill, GuardedLarp, IngestConfig, IngestStats, OutlierPolicy, Sanitizer};
@@ -691,7 +691,6 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
             resilience.f32_history,
         ),
         norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
-        rolling: RollingMoments::new(train_size).expect("train_size validated above"),
         scratch: Scratch::new(),
         resilience,
         seen,
@@ -709,9 +708,9 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
         obs: None,
         interner: None,
     };
-    // Derived runtime state (normalised mirror, rolling moments) is not part
-    // of the wire format; rebuild it from the restored fields.
-    online.rebuild_runtime();
+    // The normalised mirror is derived runtime state, not part of the wire
+    // format; rebuild it from the restored fields.
+    online.rebuild_norm();
     Ok(online)
 }
 

@@ -120,13 +120,6 @@ pub fn sum(xs: &[f64]) -> f64 {
     dispatch!(avx2::sum(xs), scalar::sum(xs))
 }
 
-/// Shifted first and second moments in one pass:
-/// `(Σ (xᵢ−s), Σ (xᵢ−s)²)` — the rolling-moments resummation kernel.
-#[inline]
-pub fn centered_sums(xs: &[f64], shift: f64) -> (f64, f64) {
-    dispatch!(avx2::centered_sums(xs, shift), scalar::centered_sums(xs, shift))
-}
-
 /// Centered sum of squares `Σ (xᵢ−m)²` — the variance numerator.
 #[inline]
 pub fn centered_sum_sq(xs: &[f64], m: f64) -> f64 {
@@ -378,38 +371,6 @@ mod scalar {
         acc
     }
 
-    pub(super) fn centered_sums(xs: &[f64], shift: f64) -> (f64, f64) {
-        let n = xs.len();
-        let lanes = n & !3;
-        let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-        let (mut q0, mut q1, mut q2, mut q3) = (0.0, 0.0, 0.0, 0.0);
-        let mut i = 0;
-        while i < lanes {
-            let d0 = xs[i] - shift;
-            let d1 = xs[i + 1] - shift;
-            let d2 = xs[i + 2] - shift;
-            let d3 = xs[i + 3] - shift;
-            s0 += d0;
-            s1 += d1;
-            s2 += d2;
-            s3 += d3;
-            q0 += d0 * d0;
-            q1 += d1 * d1;
-            q2 += d2 * d2;
-            q3 += d3 * d3;
-            i += 4;
-        }
-        let mut s = (s0 + s2) + (s1 + s3);
-        let mut q = (q0 + q2) + (q1 + q3);
-        while i < n {
-            let d = xs[i] - shift;
-            s += d;
-            q += d * d;
-            i += 1;
-        }
-        (s, q)
-    }
-
     pub(super) fn centered_sum_sq(xs: &[f64], m: f64) -> f64 {
         let n = xs.len();
         let lanes = n & !3;
@@ -637,31 +598,6 @@ mod avx2 {
             i += 1;
         }
         total
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) fn centered_sums(xs: &[f64], shift: f64) -> (f64, f64) {
-        let n = xs.len();
-        let lanes = n & !3;
-        let vshift = _mm256_set1_pd(shift);
-        let mut accs = _mm256_setzero_pd();
-        let mut accq = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < lanes {
-            let d = _mm256_sub_pd(load(xs, i), vshift);
-            accs = _mm256_add_pd(accs, d);
-            accq = _mm256_add_pd(accq, _mm256_mul_pd(d, d));
-            i += 4;
-        }
-        let mut s = hsum(accs);
-        let mut q = hsum(accq);
-        while i < n {
-            let d = xs[i] - shift;
-            s += d;
-            q += d * d;
-            i += 1;
-        }
-        (s, q)
     }
 
     #[target_feature(enable = "avx2")]
@@ -961,7 +897,6 @@ mod tests {
                 let s_dot = scalar::dot(ax, bx);
                 let s_sq = scalar::squared_distance(ax, bx);
                 let s_sum = scalar::sum(ax);
-                let s_cs = scalar::centered_sums(ax, shift);
                 let s_css = scalar::centered_sum_sq(ax, shift);
                 let s_cd = scalar::centered_dot(ax, bx, shift);
                 let s_pd = scalar::project_dot(ax, bx, &vec![shift; ax.len()]);
@@ -972,9 +907,6 @@ mod tests {
                         check_reduction("dot", s_dot, Some(avx2::dot(ax, bx)));
                         check_reduction("sqdist", s_sq, Some(avx2::squared_distance(ax, bx)));
                         check_reduction("sum", s_sum, Some(avx2::sum(ax)));
-                        let (vs, vq) = avx2::centered_sums(ax, shift);
-                        assert_bits_eq(s_cs.0, vs, "centered_sums.s");
-                        assert_bits_eq(s_cs.1, vq, "centered_sums.q");
                         check_reduction(
                             "centered_sum_sq",
                             s_css,
@@ -995,7 +927,7 @@ mod tests {
                 #[cfg(not(target_arch = "x86_64"))]
                 {
                     check_reduction("dot", s_dot, None);
-                    let _ = (s_sq, s_sum, s_cs, s_css, s_cd, s_pd);
+                    let _ = (s_sq, s_sum, s_css, s_cd, s_pd);
                 }
             }
         }

@@ -33,9 +33,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fleet::{
-    BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamInfo,
-};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig, StreamInfo};
 use larp::HealthState;
 use netserve::{Client, ClientConfig, Server, ServerConfig};
 use vmsim::fleet_signal;
@@ -99,7 +97,6 @@ fn parse_args() -> Args {
 fn fleet_config(args: &Args, durable: bool) -> FleetConfig {
     FleetConfig {
         shards: args.shards,
-        backpressure: BackpressurePolicy::Block,
         queue_capacity: 8192,
         fleet_seed: args.seed,
         durability: durable.then(|| DurabilityConfig {

@@ -38,7 +38,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine};
+use fleet::{FleetConfig, FleetEngine};
 use netserve::{Client, ClientConfig, Server, ServerConfig};
 use obs::percentile_sorted;
 use store::{RegisterTuning, Sample, Wal, WalOptions, WalRecord};
@@ -149,7 +149,6 @@ struct WorkerStats {
     samples_pushed: u64,
     accepted: u64,
     rejected: u64,
-    dropped: u64,
 }
 
 /// One raw wire connection a worker drives: its own stream subset,
@@ -294,7 +293,6 @@ fn worker(
             stats.samples_pushed += conn.batch.len() as u64;
             stats.accepted += outcome.accepted;
             stats.rejected += outcome.rejected;
-            stats.dropped += outcome.dropped;
         }
         if rounds.is_multiple_of(32) {
             let slot = predict_rotor % conns.len();
@@ -364,7 +362,6 @@ struct PointResult {
     rtt_p99_us: f64,
     accepted: u64,
     rejected: u64,
-    dropped: u64,
     health: netserve::HealthReply,
     checkpoint_bytes: usize,
     obs_json: String,
@@ -379,7 +376,6 @@ fn run_point(args: &Args, conns: usize, record: Option<&str>) -> PointResult {
             // run fits without the enqueue path stalling on the serving
             // drain — the bench measures the wire path; the engine's own
             // drain rate is reported separately as fleet_steps.
-            backpressure: BackpressurePolicy::Block,
             queue_capacity: 1 << 19,
             fleet_seed: args.seed,
             ..FleetConfig::default()
@@ -505,12 +501,11 @@ fn run_point(args: &Args, conns: usize, record: Option<&str>) -> PointResult {
         total.samples_pushed += s.samples_pushed;
         total.accepted += s.accepted;
         total.rejected += s.rejected;
-        total.dropped += s.dropped;
     }
     rtt_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let pct = |p: f64| percentile_sorted(&rtt_us, p).unwrap_or(0.0);
 
-    assert_eq!(total.rejected, 0, "Block backpressure must be lossless");
+    assert_eq!(total.rejected, 0, "ingestion must be lossless");
     assert_eq!(health.nonfinite_forecasts, 0, "non-finite forecast escaped the fleet");
     assert_eq!(
         health.pushes.accepted, total.accepted,
@@ -539,7 +534,6 @@ fn run_point(args: &Args, conns: usize, record: Option<&str>) -> PointResult {
         rtt_p99_us: pct(0.99),
         accepted: total.accepted,
         rejected: total.rejected,
-        dropped: total.dropped,
         health,
         checkpoint_bytes: checkpoint.len(),
         obs_json: obs::expo::json(engine.registry(), None),
@@ -658,7 +652,6 @@ fn main() {
     out.push_str(&format!("  \"rtt_p99_us\": {:.1},\n", headline.rtt_p99_us));
     out.push_str(&format!("  \"accepted\": {},\n", headline.accepted));
     out.push_str(&format!("  \"rejected\": {},\n", headline.rejected));
-    out.push_str(&format!("  \"dropped\": {},\n", headline.dropped));
     out.push_str(&format!("  \"fleet_steps\": {},\n", headline.health.steps));
     out.push_str(&format!("  \"fleet_forecasts\": {},\n", headline.health.forecasts));
     out.push_str(&format!("  \"nonfinite_forecasts\": {},\n", headline.health.nonfinite_forecasts));

@@ -235,8 +235,9 @@ impl Client {
         })
     }
 
-    /// Pushes one auto-clocked sample. A backpressure rejection surfaces as
-    /// [`NetError::Server`] with [`crate::msg::ErrorCode::Backpressure`].
+    /// Pushes one auto-clocked sample. A sample the engine refuses because
+    /// it is shutting down surfaces as [`NetError::Server`] with
+    /// [`crate::msg::ErrorCode::Backpressure`].
     pub fn push(&mut self, id: u64, value: f64) -> Result<PushOutcome, NetError> {
         self.expect(&Request::Push { id, minute: None, value }, |r| match r {
             Response::Push(o) => Some(o),
@@ -253,8 +254,8 @@ impl Client {
     }
 
     /// Pushes a batch of auto-clocked samples in one round trip — the bulk
-    /// ingestion path; per-sample backpressure outcomes come back in the
-    /// [`PushOutcome`] counts.
+    /// ingestion path; per-sample outcomes come back in the [`PushOutcome`]
+    /// counts.
     pub fn push_batch(&mut self, samples: &[(u64, f64)]) -> Result<PushOutcome, NetError> {
         self.expect(&Request::PushBatch { samples: samples.to_vec() }, |r| match r {
             Response::PushBatch(o) => Some(o),

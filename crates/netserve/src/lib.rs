@@ -16,7 +16,7 @@
 //!   `StreamInfo`/`Health`/`Checkpoint`/`Evict`/`Shutdown`, plus the
 //!   cluster tier's `RingInfo`/`RingUpdate`/`MigrateOut`/`MigrateIn`/
 //!   `StandbyFeed`/`PushSeq`) and a typed error-code table covering
-//!   framing, addressing, configuration, backpressure, lifecycle and
+//!   framing, addressing, configuration, durability, lifecycle and
 //!   ownership failures.
 //! * [`cluster`] — cluster-mode plumbing: the [`ClusterHooks`] trait a
 //!   cluster node lends a [`Server::start_clustered`] server (ring
@@ -25,11 +25,11 @@
 //! * [`server`] — an event-driven TCP server on the [`reactor`] crate's
 //!   epoll loops: sharded accept across per-core event loops, an
 //!   edge-triggered per-connection state machine with streaming zero-copy
-//!   frame decode (clients may pipeline), bounded connections, engine
-//!   backpressure mapped onto wire errors, idle/slow-reader reaping off a
-//!   timer wheel, graceful drain-then-`flush_durable` shutdown, and a
-//!   second-port HTTP/1.1 shim serving Prometheus `/metrics` and
-//!   `/healthz` off the same loops. Fully instrumented through the
+//!   frame decode (clients may pipeline), bounded connections, lossless
+//!   engine admission (a full queue blocks the push), idle/slow-reader
+//!   reaping off a timer wheel, graceful drain-then-`flush_durable`
+//!   shutdown, and a second-port HTTP/1.1 shim serving Prometheus
+//!   `/metrics` and `/healthz` off the same loops. Fully instrumented through the
 //!   engine's own [`obs`] registry (`net_*` and `reactor_*` metric sets)
 //!   and event ring.
 //! * [`client`] — a blocking client with connect/request timeouts,

@@ -135,9 +135,9 @@ pub enum ErrorCode {
     DuplicateStream = 7,
     /// Stream tuning failed validation.
     InvalidConfig = 8,
-    /// The engine refused the sample(s) under backpressure
-    /// (`RejectNew`: queue full; `DropOldest` reports drops in the push
-    /// outcome instead).
+    /// The engine refused the sample(s) because it was shutting down. (A
+    /// full queue blocks the push instead of refusing it; the code keeps its
+    /// historical name and number.)
     Backpressure = 9,
     /// Checkpoint serialization/restore failure.
     Checkpoint = 10,
@@ -365,27 +365,29 @@ pub struct StreamInfoReply {
     pub retrains: u64,
 }
 
-/// Push outcome: the engine's per-call backpressure accounting.
+/// Push outcome: the engine's per-call accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushOutcome {
     /// Samples enqueued.
     pub accepted: u64,
-    /// Samples refused (queue full under `RejectNew`).
+    /// Samples refused because the engine was shutting down.
     pub rejected: u64,
-    /// Older queued samples evicted (`DropOldest`).
+    /// Always 0: the engine never evicts a queued sample. The field keeps
+    /// the wire layout of `Push`, `PushBatch`, `PushSeq` and `Health`
+    /// replies unchanged.
     pub dropped: u64,
 }
 
 impl From<fleet::PushReport> for PushOutcome {
     fn from(r: fleet::PushReport) -> Self {
-        Self { accepted: r.accepted, rejected: r.rejected, dropped: r.dropped }
+        Self { accepted: r.accepted, rejected: r.rejected, dropped: 0 }
     }
 }
 
 /// Outcome of a sequenced push ([`Request::PushSeq`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PushSeqOutcome {
-    /// The engine's backpressure accounting for the admitted samples.
+    /// The engine's accounting for the admitted samples.
     pub outcome: PushOutcome,
     /// Samples dropped as already-applied duplicates.
     pub deduped: u64,

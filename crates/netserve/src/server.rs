@@ -11,9 +11,15 @@
 //! are reaped off a timer wheel; pipelining works because responses are
 //! queued in request order.
 //!
-//! Engine backpressure surfaces as data, not stalls: a rejected push
-//! becomes a typed [`ErrorCode::Backpressure`] error, a partially-accepted
-//! batch returns its accept/reject/drop counts.
+//! A full engine queue blocks the push until a drainer makes room, so an
+//! accepted sample is never lost. The engine refuses samples only while it
+//! shuts down: a refused single
+//! push becomes a typed [`ErrorCode::Backpressure`] error, a batch returns
+//! its accept/reject counts.
+//!
+//! A server started over a recovered engine arms the sequenced-push dedup
+//! floor of every stream it holds at the stream's `next_minute`, so a
+//! `PushSeq` retried across the restart is not applied twice.
 //!
 //! Shutdown (via [`Server::shutdown`] or the wire `Shutdown` opcode) is a
 //! reactor drain: listeners deregister, every connection's queued
@@ -52,15 +58,9 @@ pub struct ServerConfig {
     /// Maximum concurrently-open protocol connections; further clients get
     /// a [`ErrorCode::TooManyConnections`] error and are closed.
     pub max_connections: usize,
-    /// Cap on one request frame's payload, in bytes. Frames declaring more
-    /// are rejected before allocation and the connection is closed.
-    pub max_frame_payload: usize,
     /// Stream configuration used by `Register` and as the base that
     /// `RegisterWith` tuning is applied onto.
     pub stream_defaults: StreamConfig,
-    /// Event-loop threads; `0` sizes to the machine (one per core, capped
-    /// at 8).
-    pub event_loops: usize,
     /// Reap protocol connections that send nothing for this long. A peer
     /// that trickle-reads a response without ever draining it counts as
     /// idle too — slow readers cannot pin buffers forever. `None` disables
@@ -74,9 +74,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".into(),
             http_addr: Some("127.0.0.1:0".into()),
             max_connections: 64,
-            max_frame_payload: MAX_REQUEST_PAYLOAD,
             stream_defaults: StreamConfig::default(),
-            event_loops: 0,
             idle_timeout: Some(Duration::from_secs(60)),
         }
     }
@@ -262,7 +260,7 @@ impl Handler for ProtoConn {
             let started = Instant::now();
             // The decode borrows the input buffer; everything that
             // outlives the borrow (response, consumed count) is owned.
-            let step = match wire::decode_ref(conn.input(), self.shared.config.max_frame_payload) {
+            let step = match wire::decode_ref(conn.input(), MAX_REQUEST_PAYLOAD) {
                 Ok(None) => {
                     self.mid_frame = !conn.input().is_empty();
                     return Verdict::Continue;
@@ -398,10 +396,17 @@ impl Server {
             None => None,
         };
 
-        let reactor_config =
-            ReactorConfig { loops: config.event_loops, ..ReactorConfig::default() };
-        let nloops = resolved_loops(config.event_loops);
-        let obs = NetObs::new(engine.registry(), nloops);
+        // Samples the engine already holds count as applied: a `PushSeq`
+        // retried across a restart must not apply them twice. Sequences
+        // count a stream's samples from 1, so the floor is `next_minute`,
+        // the rule migration and failover takeover use too.
+        for (id, next_minute) in engine.stream_clocks() {
+            if next_minute > 0 {
+                dedup.set_floor(id, next_minute);
+            }
+        }
+        let reactor_config = ReactorConfig::default();
+        let obs = NetObs::new(engine.registry(), reactor_config.resolved_loops());
         let events = engine.events().clone();
         let shared = Arc::new(Shared {
             engine,
@@ -482,15 +487,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Mirrors the reactor's auto-sizing so per-loop gauges can be registered
-/// up front.
-fn resolved_loops(configured: usize) -> usize {
-    if configured > 0 {
-        return configured;
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 /// What the connection state machine does after queueing the response.
@@ -658,7 +654,7 @@ fn dispatch(
                 if report.rejected > 0 {
                     Response::Error {
                         code: ErrorCode::Backpressure,
-                        detail: format!("stream {id}: queue full, sample rejected"),
+                        detail: format!("stream {id}: engine shutting down, sample rejected"),
                     }
                 } else if report.wal_failed {
                     // The sample is being served from memory but its WAL
@@ -709,7 +705,7 @@ fn dispatch(
                 // Advance the dedup cursor only when the engine accepted the
                 // whole admitted batch; a partial acceptance leaves it
                 // untouched so the retry is re-screened from scratch.
-                if report.rejected == 0 && report.dropped == 0 {
+                if report.rejected == 0 {
                     shared.dedup.commit(&admission);
                 }
                 drop(fences);

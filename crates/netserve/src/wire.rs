@@ -16,8 +16,8 @@
 //!
 //! The fixed body header is [`HEADER_LEN`] bytes; `len` must be at least
 //! that and at most `HEADER_LEN + max_payload`, where `max_payload` is the
-//! *reader's* cap — the server defaults to [`MAX_REQUEST_PAYLOAD`], the
-//! client to [`MAX_RESPONSE_PAYLOAD`] (checkpoints come back large). A
+//! *reader's* cap — the server's is [`MAX_REQUEST_PAYLOAD`], the
+//! client's defaults to [`MAX_RESPONSE_PAYLOAD`] (checkpoints come back large). A
 //! declared length over the cap is rejected *before* any allocation, so a
 //! hostile 4 GiB length costs the server twelve bytes of reads, not memory.
 //!
@@ -36,7 +36,8 @@ pub const PROTOCOL_VERSION: u8 = 1;
 /// Fixed body-header length: version + opcode + reserved + request_id.
 pub const HEADER_LEN: usize = 12;
 
-/// Default cap on a request frame's payload (server side): 1 MiB.
+/// Cap on a request frame's payload (server side): 1 MiB. Frames declaring
+/// more are rejected before allocation and the connection is closed.
 pub const MAX_REQUEST_PAYLOAD: usize = 1 << 20;
 
 /// Default cap on a response frame's payload (client side): 64 MiB, sized

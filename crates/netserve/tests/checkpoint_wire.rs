@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{FleetConfig, FleetEngine, StreamConfig};
 use larp::ResilienceConfig;
 use netserve::{Client, ClientConfig, Server, ServerConfig};
 use vmsim::fleet_signal;
@@ -46,7 +46,6 @@ fn wire_checkpoint_restores_bit_identical_predictions() {
             shards: 2,
             fleet_seed: SEED,
             // Lossless ingestion: the test accounts for every sample.
-            backpressure: BackpressurePolicy::Block,
             ..FleetConfig::default()
         })
         .expect("valid fleet config"),
@@ -81,12 +80,7 @@ fn wire_checkpoint_restores_bit_identical_predictions() {
     // count, behind a fresh listener.
     let engine_b = Arc::new(
         FleetEngine::restore(
-            FleetConfig {
-                shards: 5,
-                fleet_seed: SEED,
-                backpressure: BackpressurePolicy::Block,
-                ..FleetConfig::default()
-            },
+            FleetConfig { shards: 5, fleet_seed: SEED, ..FleetConfig::default() },
             &snapshot,
         )
         .expect("restore from wire bytes"),

@@ -7,7 +7,7 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{FleetConfig, FleetEngine, StreamConfig};
 use larp::ResilienceConfig;
 use netserve::msg::{OpCode, Request};
 use netserve::{wire, Client, ClientConfig, ErrorCode, NetError, Server, ServerConfig};
@@ -22,9 +22,8 @@ fn fleet_config() -> FleetConfig {
     FleetConfig {
         shards: 2,
         fleet_seed: SEED,
-        // Lossless ingestion: sequenced dedup only commits fully-applied
-        // batches, so the tests run free of backpressure rejections.
-        backpressure: BackpressurePolicy::Block,
+        // The engine's ingestion is lossless, so every sequenced batch is
+        // fully applied and its dedup cursor committed.
         ..FleetConfig::default()
     }
 }

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
 use netserve::{Client, ClientConfig, Server, ServerConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -20,7 +20,6 @@ fn durable_config(dir: &Path, shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
         fleet_seed: 7,
-        backpressure: BackpressurePolicy::Block,
         durability: Some(DurabilityConfig::new(dir.to_path_buf())),
         ..FleetConfig::default()
     }
@@ -152,5 +151,55 @@ fn durable_server_keeps_logging_after_restart() {
     assert_eq!(again.next_minute, 80);
 
     drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn retried_push_seq_is_deduped_after_a_restart() {
+    let dir = temp_dir("seq-restart");
+    let seqs = |from: u64, to: u64| -> Vec<(u64, u64, f64)> {
+        (from..=to).map(|seq| (9, seq, 10.0 + (seq as f64 * 0.3).sin())).collect()
+    };
+    {
+        let engine =
+            Arc::new(FleetEngine::new(durable_config(&dir, 2)).expect("durable engine starts"));
+        let mut server = Server::start(
+            Arc::clone(&engine),
+            ServerConfig { http_addr: None, ..ServerConfig::default() },
+        )
+        .expect("server starts");
+        let mut client = quick_client(&server);
+        client.register(9).expect("register");
+        assert_eq!(client.push_seq(&seqs(1, 40)).expect("seqs 1-40").outcome.accepted, 40);
+        assert_eq!(client.push_seq(&seqs(41, 50)).expect("seqs 41-50").outcome.accepted, 10);
+        // In the same process the retry is already screened out.
+        let retry = client.push_seq(&seqs(41, 50)).expect("retry before restart");
+        assert_eq!((retry.outcome.accepted, retry.deduped), (0, 10));
+        client.shutdown_server().expect("wire shutdown acked");
+        server.shutdown();
+    }
+
+    // A client whose ack was lost to the restart retries into a server that
+    // starts over the recovered engine: the samples are already applied.
+    let (engine, summary) = FleetEngine::recover(durable_config(&dir, 2), StreamConfig::default())
+        .expect("recovery succeeds");
+    assert!(summary.clean(), "{summary:?}");
+    let mut server = Server::start(
+        Arc::new(engine),
+        ServerConfig { http_addr: None, ..ServerConfig::default() },
+    )
+    .expect("recovered server starts");
+    let mut client = quick_client(&server);
+    let retry = client.push_seq(&seqs(41, 50)).expect("retry after restart");
+    assert_eq!((retry.outcome.accepted, retry.deduped), (0, 10));
+    assert_eq!(retry.last_seqs, vec![(9, 50)]);
+    assert_eq!(client.stream_info(9).expect("stream_info").next_minute, 50);
+
+    // Fresh seqs still land after the floor.
+    let fresh = client.push_seq(&seqs(51, 55)).expect("fresh seqs");
+    assert_eq!((fresh.outcome.accepted, fresh.deduped), (5, 0));
+    client.shutdown_server().expect("wire shutdown acked");
+    server.shutdown();
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,19 +8,14 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fleet::{BackpressurePolicy, DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
+use fleet::{DurabilityConfig, FleetConfig, FleetEngine, StreamConfig};
 use netserve::wire::{self, Frame};
 use netserve::{Client, ClientConfig, Request, Response, Server, ServerConfig, StreamTuning};
 
 fn start_server(shards: usize, config: ServerConfig) -> Server {
     let engine = Arc::new(
-        FleetEngine::new(FleetConfig {
-            shards,
-            fleet_seed: 7,
-            backpressure: BackpressurePolicy::Block,
-            ..FleetConfig::default()
-        })
-        .expect("valid fleet config"),
+        FleetEngine::new(FleetConfig { shards, fleet_seed: 7, ..FleetConfig::default() })
+            .expect("valid fleet config"),
     );
     Server::start(engine, config).expect("server starts")
 }
@@ -204,7 +199,6 @@ fn reactor_drain_flushes_queued_batches_to_durable_state() {
     let durable = |dir: &Path| FleetConfig {
         shards: 2,
         fleet_seed: 7,
-        backpressure: BackpressurePolicy::Block,
         durability: Some(DurabilityConfig::new(dir.to_path_buf())),
         ..FleetConfig::default()
     };

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fleet::{BackpressurePolicy, FleetConfig, FleetEngine};
+use fleet::{FleetConfig, FleetEngine};
 use netserve::wire::{self, Frame};
 use netserve::{
     Client, ClientConfig, ErrorCode, NetError, OpCode, Response, Server, ServerConfig, StreamTuning,
@@ -19,7 +19,6 @@ fn start_server(shards: usize, config: ServerConfig) -> Server {
             shards,
             fleet_seed: 7,
             // Lossless ingestion: these tests account for every sample.
-            backpressure: BackpressurePolicy::Block,
             ..FleetConfig::default()
         })
         .expect("valid fleet config"),

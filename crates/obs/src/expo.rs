@@ -125,8 +125,7 @@ fn event_json(e: &Event) -> String {
         EventKind::DegradationTransition { from, to } => {
             format!("\"from\": {}, \"to\": {}", quote(from.name()), quote(to.name()))
         }
-        EventKind::BackpressureDrop { shard, count }
-        | EventKind::BackpressureReject { shard, count } => {
+        EventKind::BackpressureReject { shard, count } => {
             format!("\"shard\": {shard}, \"count\": {count}")
         }
         EventKind::RetrainSucceeded { duration_us } => format!("\"duration_us\": {duration_us}"),

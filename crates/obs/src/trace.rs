@@ -2,7 +2,7 @@
 //!
 //! Metrics answer "how many / how fast"; the event ring answers "what
 //! happened, in what order": which predictor the selector switched to, when
-//! a stream entered quarantine, which shard rejected samples. Events are
+//! a stream entered quarantine, which shard refused samples. Events are
 //! discrete and comparatively rare (transitions, not per-sample ticks), so a
 //! mutex-guarded ring is cheap; when producers outrun the buffer the oldest
 //! events are evicted and counted, never silently lost.
@@ -64,17 +64,9 @@ pub enum EventKind {
         /// Rung after this step.
         to: ServingRung,
     },
-    /// A full queue evicted queued samples (`DropOldest`).
-    BackpressureDrop {
-        /// Shard whose queue overflowed.
-        shard: u64,
-        /// Samples evicted in this enqueue call.
-        count: u64,
-    },
-    /// A full queue refused new samples (`RejectNew`, or `Block` during
-    /// shutdown).
+    /// Samples pushed while the engine shut down were refused.
     BackpressureReject {
-        /// Shard whose queue overflowed.
+        /// Shard whose queue refused them.
         shard: u64,
         /// Samples refused in this enqueue call.
         count: u64,
@@ -211,7 +203,6 @@ impl EventKind {
             EventKind::QuarantineEnter { .. } => "quarantine_enter",
             EventKind::QuarantineExit { .. } => "quarantine_exit",
             EventKind::DegradationTransition { .. } => "degradation_transition",
-            EventKind::BackpressureDrop { .. } => "backpressure_drop",
             EventKind::BackpressureReject { .. } => "backpressure_reject",
             EventKind::RetrainSucceeded { .. } => "retrain_succeeded",
             EventKind::RetrainFailed { .. } => "retrain_failed",

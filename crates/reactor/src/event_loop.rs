@@ -27,6 +27,14 @@ const GEN_MASK: u32 = (1 << 30) - 1;
 const ACCEPT_BURST: usize = 64;
 /// Bytes asked of the socket per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
+/// Readiness records per `epoll_wait`.
+const EVENTS_PER_WAIT: usize = 256;
+/// Per-connection bytes read per wake before yielding to peers (the
+/// fairness cap; capped connections resume next iteration).
+const READ_BUDGET: usize = 256 * 1024;
+/// How long a graceful drain may wait for queued responses to flush before
+/// remaining connections are force-closed.
+const DRAIN_GRACE_MS: u64 = 2_000;
 
 /// A connection handed across loops by the accepting thread.
 pub(crate) enum Inject {
@@ -165,17 +173,10 @@ impl Handler for RejectSink {
     fn on_close(&mut self, _reason: CloseReason) {}
 }
 
-pub(crate) struct LoopConfig {
-    pub(crate) events_per_wait: usize,
-    pub(crate) read_budget: usize,
-    pub(crate) drain_grace_ms: u64,
-}
-
 /// One event-loop thread's whole world.
 pub(crate) struct EventLoop {
     idx: usize,
     nloops: usize,
-    cfg: LoopConfig,
     poller: Poller,
     wheel: TimerWheel,
     conns: Vec<Option<Conn>>,
@@ -199,7 +200,6 @@ impl EventLoop {
     pub(crate) fn new(
         idx: usize,
         nloops: usize,
-        cfg: LoopConfig,
         shared: Arc<LoopShared>,
         ctl: Arc<Ctl>,
         listeners: Arc<Vec<ListenerEntry>>,
@@ -208,8 +208,7 @@ impl EventLoop {
         Ok(EventLoop {
             idx,
             nloops,
-            poller: Poller::new(cfg.events_per_wait)?,
-            cfg,
+            poller: Poller::new(EVENTS_PER_WAIT)?,
             wheel: TimerWheel::new(),
             conns: Vec::new(),
             free: Vec::new(),
@@ -241,7 +240,7 @@ impl EventLoop {
             i += 1;
         }
 
-        let mut ready: Vec<Ready> = Vec::with_capacity(self.cfg.events_per_wait);
+        let mut ready: Vec<Ready> = Vec::with_capacity(EVENTS_PER_WAIT);
         let mut expired: Vec<u64> = Vec::new();
         loop {
             let now = self.now_ms();
@@ -296,7 +295,7 @@ impl EventLoop {
                 if self.live == 0 {
                     break;
                 }
-                if now.saturating_sub(self.drain_started_ms) > self.cfg.drain_grace_ms {
+                if now.saturating_sub(self.drain_started_ms) > DRAIN_GRACE_MS {
                     self.force_close_all();
                     break;
                 }
@@ -438,7 +437,7 @@ impl EventLoop {
     /// budget, driving the handler after every chunk.
     fn read_conn(&mut self, slot: usize, token: u64) {
         let now = self.now_ms();
-        let mut budget = self.cfg.read_budget;
+        let mut budget = READ_BUDGET;
         let mut begin_shutdown = false;
         loop {
             let conn = match self.conns.get_mut(slot) {

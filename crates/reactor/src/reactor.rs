@@ -7,39 +7,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::event_loop::{Ctl, EventLoop, ListenerEntry, LoopConfig, LoopShared};
+use crate::event_loop::{Ctl, EventLoop, ListenerEntry, LoopShared};
 use crate::wake::Waker;
 use crate::{default_observer, Observer, Service};
 
-/// Reactor sizing and policy.
-#[derive(Debug, Clone)]
+/// Reactor sizing. The per-loop limits (readiness records per wait, the
+/// per-connection read budget, the drain grace period) are fixed constants
+/// of the event loop.
+#[derive(Debug, Clone, Default)]
 pub struct ReactorConfig {
     /// Event-loop threads; `0` sizes to the machine (available
     /// parallelism, capped at 8).
     pub loops: usize,
-    /// Readiness records per `epoll_wait`.
-    pub events_per_wait: usize,
-    /// Per-connection bytes read per wake before yielding to peers (the
-    /// fairness cap; capped connections resume next iteration).
-    pub read_budget: usize,
-    /// How long a graceful drain may wait for queued responses to flush
-    /// before remaining connections are force-closed.
-    pub drain_grace_ms: u64,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            loops: 0,
-            events_per_wait: 256,
-            read_budget: 256 * 1024,
-            drain_grace_ms: 2_000,
-        }
-    }
 }
 
 impl ReactorConfig {
-    fn resolved_loops(&self) -> usize {
+    /// The number of event loops this configuration starts.
+    pub fn resolved_loops(&self) -> usize {
         if self.loops > 0 {
             return self.loops;
         }
@@ -104,11 +88,6 @@ impl ReactorBuilder {
             let el = EventLoop::new(
                 idx,
                 nloops,
-                LoopConfig {
-                    events_per_wait: self.config.events_per_wait,
-                    read_budget: self.config.read_budget.max(4096),
-                    drain_grace_ms: self.config.drain_grace_ms,
-                },
                 shared.clone(),
                 ctl.clone(),
                 listeners.clone(),

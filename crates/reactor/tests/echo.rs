@@ -50,7 +50,7 @@ fn start_echo(loops: usize) -> (Reactor, SocketAddr, Arc<AtomicUsize>) {
     let closes = Arc::new(AtomicUsize::new(0));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let reactor = ReactorBuilder::new(ReactorConfig { loops, ..Default::default() })
+    let reactor = ReactorBuilder::new(ReactorConfig { loops })
         .listen(listener, Arc::new(Echo { closes: closes.clone() }))
         .expect("listen")
         .start()
@@ -103,7 +103,7 @@ impl Service for Bouncer {
 fn rejected_connections_get_parting_bytes_then_eof() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1, ..Default::default() })
+    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1 })
         .listen(listener, Arc::new(Bouncer))
         .expect("listen")
         .start()
@@ -136,7 +136,7 @@ fn idle_connections_are_reaped_and_active_ones_kept() {
     let closes = Arc::new(AtomicUsize::new(0));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1, ..Default::default() })
+    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1 })
         .listen(
             listener,
             Arc::new(ImpatientEcho { closes: closes.clone(), idle: Duration::from_millis(150) }),
@@ -275,7 +275,7 @@ fn after_flush_runs_once_the_reply_is_on_the_wire() {
     let read = Arc::new(ClientRead::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1, ..Default::default() })
+    let _reactor = ReactorBuilder::new(ReactorConfig { loops: 1 })
         .listen(listener, Arc::new(FlushFirstEcho { read: read.clone() }))
         .expect("listen")
         .start()

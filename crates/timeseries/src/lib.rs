@@ -20,13 +20,11 @@
 pub mod diff;
 pub mod metrics;
 pub mod normalize;
-pub mod rolling;
 pub mod series;
 pub mod stats;
 pub mod window;
 
 pub use normalize::ZScore;
-pub use rolling::RollingMoments;
 pub use series::Series;
 pub use window::Frames;
 

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
-use larpredictor::fleet::{BackpressurePolicy, FleetConfig, FleetEngine, StreamId};
+use larpredictor::fleet::{FleetConfig, FleetEngine, StreamId};
 use larpredictor::vmsim::fleet_trace;
 
 const STREAMS: u64 = 64;
@@ -17,12 +17,7 @@ const TAIL: usize = 60;
 const SEED: u64 = 2007;
 
 fn config(shards: usize) -> FleetConfig {
-    FleetConfig {
-        shards,
-        fleet_seed: SEED,
-        backpressure: BackpressurePolicy::Block,
-        ..FleetConfig::default()
-    }
+    FleetConfig { shards, fleet_seed: SEED, ..FleetConfig::default() }
 }
 
 /// One fleet-wide batch: every stream's sample for `minute`.

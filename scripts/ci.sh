@@ -35,6 +35,13 @@ if [[ "$QUICK" -eq 0 ]]; then
   # its config (BENCHMARK.json) has uncommitted edits.
   cargo test --release --offline --manifest-path perfbench/Cargo.toml
   git diff --exit-code -- perfbench/ BENCHMARK.json
+
+  echo "==> paper tables regenerate bit-identically (default and scalar kernels)"
+  # The ten reproduction binaries are deterministic per seed, and their
+  # output must not depend on kernel dispatch: regenerate results/*.txt
+  # under each mode and require the committed bytes (~12 s per mode).
+  scripts/paper_tables.sh --check
+  LARP_KERNELS=scalar scripts/paper_tables.sh --check
 fi
 
 echo "==> drain-order soak (concurrent shard drainers, 50 runs)"
