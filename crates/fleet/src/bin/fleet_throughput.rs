@@ -269,7 +269,6 @@ fn main() {
     println!("  \"push_warmup_calls\": {warmup_calls},");
     println!("  \"push_steady_calls\": {steady_calls},");
     println!("  \"accepted\": {},", health.pushes.accepted);
-    println!("  \"rejected\": {},", health.pushes.rejected);
     println!("  \"steps\": {},", health.steps);
     println!("  \"forecasts\": {},", health.forecasts);
     println!("  \"nonfinite_forecasts\": {},", health.nonfinite_forecasts);

@@ -2,7 +2,7 @@
 //!
 //! Default mode builds a steady-state fleet the way the memory budget
 //! (DESIGN.md §11) prescribes for large deployments: `--streams` diet
-//! streams (f32 history rings, 64-sample retention, small training window)
+//! streams (f32 history rings, a small training window that bounds them)
 //! pass through the engine in cohorts — registered, driven to a trained
 //! steady state, then spilled cold via `hibernate_idle` — and finally a
 //! `--hot` working set is woken with fresh traffic. The printed JSON report
@@ -81,8 +81,8 @@ fn parse_args() -> Args {
     args
 }
 
-/// The million-stream diet (DESIGN.md §11): f32 rings, 64 retained samples,
-/// the paper's m=5 window with a 24-sample training set, and a lean
+/// The million-stream diet (DESIGN.md §11): f32 rings, the paper's m=5
+/// window with a 24-sample training set (so 24 retained samples), and a lean
 /// sanitizer footprint. Every knob trades warmup breadth for bytes; the
 /// serving semantics (quantize-once, deterministic restore) are unchanged.
 fn diet_config() -> StreamConfig {
@@ -93,11 +93,7 @@ fn diet_config() -> StreamConfig {
         qa_threshold: 2.0,
         qa_window: 8,
         qa_period: 4,
-        resilience: ResilienceConfig {
-            max_history: 64,
-            f32_history: true,
-            ..ResilienceConfig::default()
-        },
+        resilience: ResilienceConfig { f32_history: true, ..ResilienceConfig::default() },
     }
 }
 

@@ -920,10 +920,8 @@ impl FleetEngine {
 
     /// Enqueues jobs on one shard, blocking while its queue is full. Holds
     /// the queue lock once for the whole group. Unless the caller will drain
-    /// them itself (`inline`), the worker is woken.
-    ///
-    /// Samples refused at shutdown are traced once per call with their
-    /// count, not once per sample.
+    /// them itself (`inline`), the worker is woken. Every job is accepted: the
+    /// queues shut down only when the engine drops, when no push can run.
     fn enqueue(
         &self,
         shard: usize,
@@ -934,10 +932,9 @@ impl FleetEngine {
     ) {
         let s = &self.shared.shards[shard];
         let cap = self.shared.config.queue_capacity;
-        let rejected_before = report.rejected;
         let mut q = s.queue.lock().expect("shard queue poisoned");
         for job in jobs {
-            while q.items.len() >= cap && !q.shutdown {
+            while q.items.len() >= cap {
                 // A full queue needs a drainer before this call can go on,
                 // and a small push's caller drains only after admission:
                 // wake the worker.
@@ -945,11 +942,6 @@ impl FleetEngine {
                 q.space_waiters += 1;
                 q = s.space.wait(q).expect("shard queue poisoned");
                 q.space_waiters -= 1;
-            }
-            if q.items.len() >= cap {
-                // Still full: the engine is shutting down.
-                report.rejected += 1;
-                continue;
             }
             q.items.push_back(*job);
             report.accepted += 1;
@@ -961,19 +953,12 @@ impl FleetEngine {
         if !inline {
             s.wake_worker(&q);
         }
-        drop(q);
-        let rejected = report.rejected - rejected_before;
-        if rejected > 0 {
-            let kind = EventKind::BackpressureReject { shard: shard as u64, count: rejected };
-            self.shared.obs.events.push(None, kind);
-        }
     }
 
     fn account(&self, report: PushReport, started: Instant) {
         let obs = &self.shared.obs;
         obs.enqueue_us.record(started.elapsed().as_micros() as f64);
         obs.push_accepted.add(report.accepted);
-        obs.push_rejected.add(report.rejected);
     }
 
     /// Blocks until every admitted sample has been fully processed —
@@ -1318,7 +1303,6 @@ impl FleetEngine {
         let mut health = FleetHealth {
             pushes: PushReport {
                 accepted: self.shared.obs.push_accepted.get(),
-                rejected: self.shared.obs.push_rejected.get(),
                 wal_failed: self.shared.obs.wal_failures.get() > 0,
             },
             ..FleetHealth::default()
@@ -1530,7 +1514,6 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 240);
-        assert_eq!(report.rejected, 0);
 
         for id in [7u64, 8] {
             let info = engine.stream_info(id).unwrap();
@@ -1584,7 +1567,6 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 200);
-        assert_eq!(report.rejected, 0);
         assert_eq!(engine.stream_info(1).unwrap().steps, 200);
     }
 
@@ -1620,7 +1602,6 @@ mod tests {
         }
         engine.flush();
         assert_eq!(report.accepted, 1000);
-        assert_eq!(report.rejected, 0);
         // Exactly-once: the engine-wide counters equal the per-call reports.
         let health = engine.health();
         assert_eq!(health.pushes, report);

@@ -4,15 +4,12 @@ use larp::OnlineCounters;
 
 /// Outcome of one [`crate::FleetEngine::push_batch`] call.
 ///
-/// Accounting is exactly-once per sample: every sample of the batch lands in
-/// `accepted` or `rejected`, never both. A full queue blocks the pusher
-/// instead of refusing, so an accepted sample is always applied.
+/// Every sample of the batch is accepted exactly once: a full queue blocks
+/// the pusher instead of refusing, and an accepted sample is always applied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PushReport {
     /// Samples enqueued for processing.
     pub accepted: u64,
-    /// Samples refused because the engine was shutting down.
-    pub rejected: u64,
     /// The write-ahead log append for this call failed: the accepted samples
     /// are being served from memory but are *not* durable — a crash before
     /// the next successful checkpoint loses them. Always `false` when the
@@ -24,7 +21,6 @@ impl PushReport {
     /// Accumulates another report into this one.
     pub fn merge(&mut self, other: PushReport) {
         self.accepted += other.accepted;
-        self.rejected += other.rejected;
         self.wal_failed |= other.wal_failed;
     }
 }
@@ -114,9 +110,9 @@ mod tests {
 
     #[test]
     fn push_report_merges() {
-        let mut a = PushReport { accepted: 3, rejected: 1, ..PushReport::default() };
-        a.merge(PushReport { accepted: 2, wal_failed: true, ..PushReport::default() });
-        assert_eq!(a, PushReport { accepted: 5, rejected: 1, wal_failed: true });
+        let mut a = PushReport { accepted: 3, ..PushReport::default() };
+        a.merge(PushReport { accepted: 2, wal_failed: true });
+        assert_eq!(a, PushReport { accepted: 5, wal_failed: true });
     }
 
     #[test]

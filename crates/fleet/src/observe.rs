@@ -11,7 +11,6 @@
 //! | name | kind | meaning |
 //! |---|---|---|
 //! | `fleet_push_accepted_total` | counter | samples enqueued |
-//! | `fleet_push_rejected_total` | counter | samples refused because the engine was shutting down |
 //! | `fleet_stream_evictions_total` | counter | streams evicted (any cause) |
 //! | `fleet_checkpoints_total` | counter | checkpoints serialized |
 //! | `fleet_restores_total` | counter | engines restored from bytes |
@@ -70,7 +69,6 @@ pub(crate) struct FleetObs {
     /// `larp.for_stream(id)` clones.
     pub(crate) larp: LarpObs,
     pub(crate) push_accepted: Counter,
-    pub(crate) push_rejected: Counter,
     pub(crate) evictions: Counter,
     pub(crate) checkpoints: Counter,
     pub(crate) restores: Counter,
@@ -100,7 +98,6 @@ impl FleetObs {
         Self {
             larp,
             push_accepted: registry.counter("fleet_push_accepted_total"),
-            push_rejected: registry.counter("fleet_push_rejected_total"),
             evictions: registry.counter("fleet_stream_evictions_total"),
             checkpoints: registry.counter("fleet_checkpoints_total"),
             restores: registry.counter("fleet_restores_total"),

@@ -146,7 +146,6 @@ fn concurrent_drainers_preserve_per_stream_order() {
     });
     assert!(drains.iter().all(|&n| n > 0), "callers and workers both drained: {drains:?}");
     assert_eq!(report.accepted, PRODUCERS * SAMPLES_PER_PRODUCER as u64);
-    assert_eq!(report.rejected, 0);
     assert!(got == want, "concurrent drains changed the served state");
 }
 
@@ -182,7 +181,6 @@ fn block_backpressure_with_caller_drains_cannot_deadlock() {
         (report, engine.health().steps)
     });
     assert_eq!(report.accepted, PRODUCERS * PUSHES + 12);
-    assert_eq!(report.rejected, 0);
     assert_eq!(steps, PRODUCERS * PUSHES + 12, "every admitted sample was applied");
 }
 

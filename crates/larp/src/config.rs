@@ -109,7 +109,10 @@ impl LarpConfig {
 }
 
 /// Fault-tolerance policy for [`crate::OnlineLarp`]: predictor quarantine,
-/// retrain retry backoff, and history bounding.
+/// retrain retry backoff, and the history ring's storage precision.
+///
+/// The retained history length is not a knob: the stream derives it from
+/// what serving reads ([`crate::OnlineLarp::history_cap`]).
 ///
 /// The defaults are deliberately permissive — clean streams behave exactly as
 /// they did without a resilience layer — and every knob exists to survive the
@@ -133,14 +136,12 @@ pub struct ResilienceConfig {
     pub retrain_backoff_base: usize,
     /// Upper bound on the retrain retry delay, in steps.
     pub retrain_backoff_cap: usize,
-    /// Retained history length in samples (`0` = unbounded). Must be at least
-    /// the online predictor's `train_size`.
-    pub max_history: usize,
     /// Store the history and normalised-mirror rings as `f32` instead of
-    /// `f64`, halving the dominant per-stream allocation (the million-stream
-    /// memory diet, DESIGN.md §11).
+    /// `f64`, halving the two rings' allocation (the million-stream memory
+    /// diet, DESIGN.md §11).
     ///
-    /// Quantization happens exactly once, on push (`value as f32`); every
+    /// Quantization happens exactly once, on push (the nearest `f32`, a
+    /// finite value beyond ±`f32::MAX` saturating to ±`f32::MAX`); every
     /// read widens back to `f64`, so all downstream math runs in `f64` over
     /// the same quantized inputs. Within a mode, serving stays fully
     /// deterministic and snapshots restore bit-identically — but forecasts
@@ -158,7 +159,6 @@ impl Default for ResilienceConfig {
             quarantine_cap: 256,
             retrain_backoff_base: 4,
             retrain_backoff_cap: 64,
-            max_history: 4096,
             f32_history: false,
         }
     }

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use learn::PcaInterner;
-use predictors::PredictorId;
+use predictors::{ModelSpec, PredictorId};
 
 use crate::config::{LarpConfig, ResilienceConfig};
 use crate::model::{Scratch, TrainedLarp};
@@ -103,13 +103,14 @@ pub struct OnlineLarp {
     pub(crate) resilience: ResilienceConfig,
     pub(crate) qa: QualityAssuror,
     /// Most recent observations (raw scale), bounded by
-    /// [`ResilienceConfig::max_history`].
+    /// [`history_cap`].
     pub(crate) history: HistoryRing,
     /// The same observations normalised with the *current* model's train
     /// coefficients, maintained incrementally (one `ZScore::apply` per push,
     /// rebuilt wholesale on retrain/restore). Empty while no model is
     /// trained. This is what lets the serving path skip the per-step
-    /// `apply_slice` pass over the whole history.
+    /// `apply_slice` pass over the whole history. Shares the raw ring's
+    /// capacity: the fallback tracker indexes it with history positions.
     pub(crate) norm: HistoryRing,
     /// Internal scratch backing [`OnlineLarp::push`]; runtime-only.
     pub(crate) scratch: Scratch,
@@ -141,6 +142,28 @@ pub struct OnlineLarp {
     /// model's basis is interned so byte-identical bases across streams share
     /// one allocation.
     pub(crate) interner: Option<Arc<PcaInterner>>,
+}
+
+/// Ring capacity of a stream whose pool has a whole-history member (MEAN,
+/// EWMA, the adaptive-window models): their forecasts read every retained
+/// value, so a bound derived from the reads does not exist.
+const WHOLE_HISTORY_CAP: usize = 4096;
+
+/// The history a stream's raw ring and normalised mirror retain: exactly
+/// what serving reads. A refit reads the last `train_size` values,
+/// selection the last `m`, the fallback tracker `4·m` values before the
+/// newest one, and each pool member its
+/// [`history_span`](ModelSpec::history_span). A pool with a whole-history
+/// member keeps [`WHOLE_HISTORY_CAP`]. Either way the ring holds at least
+/// one training window.
+pub(crate) fn history_cap(config: &LarpConfig, train_size: usize) -> usize {
+    let pool_span = config
+        .pool
+        .iter()
+        .map(ModelSpec::history_span)
+        .try_fold(0, |widest, span| Some(widest.max(span?)))
+        .unwrap_or(WHOLE_HISTORY_CAP);
+    train_size.max(4 * config.window + 1).max(pool_span)
 }
 
 /// Resident heap bytes of one stream's predictor state, by component — the
@@ -214,8 +237,7 @@ impl OnlineLarp {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`OnlineLarp::new`], plus an invalid `resilience`
-    /// or a bounded `max_history` smaller than `train_size`.
+    /// Same conditions as [`OnlineLarp::new`], plus an invalid `resilience`.
     pub fn with_resilience(
         config: LarpConfig,
         train_size: usize,
@@ -231,17 +253,12 @@ impl OnlineLarp {
                 config.window, config.k
             )));
         }
-        if resilience.max_history != 0 && resilience.max_history < train_size {
-            return Err(LarpError::InvalidConfig(format!(
-                "max_history {} cannot hold train_size {train_size}",
-                resilience.max_history
-            )));
-        }
+        let cap = history_cap(&config, train_size);
         Ok(Self {
             config,
             qa,
-            history: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
-            norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
+            history: HistoryRing::new_mode(cap, resilience.f32_history),
+            norm: HistoryRing::new_mode(cap, resilience.f32_history),
             scratch: Scratch::new(),
             resilience,
             seen: 0,
@@ -683,6 +700,22 @@ impl OnlineLarp {
         }
     }
 
+    /// How many most-recent observations this stream retains: derived from
+    /// `train_size` and the pool, never configured (see DESIGN.md §11).
+    pub fn history_cap(&self) -> usize {
+        self.history.cap()
+    }
+
+    /// Replaces both (still empty) rings with ones of capacity `cap`, so a
+    /// test can run the same stream at another bound.
+    #[cfg(test)]
+    pub(crate) fn set_history_cap(&mut self, cap: usize) {
+        assert!(self.history.is_empty(), "set the cap before the first push");
+        let f32_mode = self.resilience.f32_history;
+        self.history = HistoryRing::new_mode(cap, f32_mode);
+        self.norm = HistoryRing::new_mode(cap, f32_mode);
+    }
+
     /// Number of (re)trainings performed, including the initial one.
     pub fn retrain_count(&self) -> usize {
         self.retrain_count
@@ -878,11 +911,6 @@ mod tests {
     fn construction_validates_resilience() {
         let bad = ResilienceConfig { divergence_factor: -1.0, ..ResilienceConfig::default() };
         assert!(OnlineLarp::with_resilience(LarpConfig::default(), 40, qa(), bad).is_err());
-        // Bounded history must hold at least one training window.
-        let tiny = ResilienceConfig { max_history: 10, ..ResilienceConfig::default() };
-        assert!(OnlineLarp::with_resilience(LarpConfig::default(), 40, qa(), tiny).is_err());
-        let unbounded = ResilienceConfig { max_history: 0, ..ResilienceConfig::default() };
-        assert!(OnlineLarp::with_resilience(LarpConfig::default(), 40, qa(), unbounded).is_ok());
     }
 
     #[test]
@@ -897,16 +925,145 @@ mod tests {
     }
 
     #[test]
-    fn history_stays_bounded() {
-        let resilience = ResilienceConfig { max_history: 64, ..ResilienceConfig::default() };
-        let mut o =
-            OnlineLarp::with_resilience(LarpConfig::default(), 40, qa(), resilience).unwrap();
+    fn history_cap_is_derived_from_what_serving_reads() {
+        let cap = |config: LarpConfig, train_size| {
+            OnlineLarp::new(config, train_size, qa()).unwrap().history_cap()
+        };
+        // The standard pool reads at most m = 5: the training window rules.
+        assert_eq!(cap(LarpConfig::default(), 40), 40);
+        assert_eq!(cap(LarpConfig::default(), 300), 300);
+        // train_size below 4·m + 1: the fallback tracker's lookback rules.
+        assert_eq!(cap(LarpConfig::default(), 8), 21);
+        assert_eq!(cap(LarpConfig::paper(16), 40), 65);
+        // A member whose span beats both.
+        let wide = LarpConfig {
+            pool: vec![ModelSpec::Last, ModelSpec::SwAvg { window: 90 }],
+            ..LarpConfig::default()
+        };
+        assert_eq!(cap(wide, 40), 90);
+        // A whole-history member keeps the fixed bound, or a larger window.
+        assert_eq!(cap(LarpConfig::extended(5), 40), WHOLE_HISTORY_CAP);
+        assert_eq!(cap(LarpConfig::extended(5), 5000), 5000);
+
+        let mut o = online();
         for t in 0..500 {
             o.push((t as f64 * 0.2).sin());
         }
         assert_eq!(o.seen(), 500);
-        assert!(o.history.len() <= 64, "history {} exceeds bound", o.history.len());
+        assert_eq!(o.history.len(), 40);
+        assert_eq!(o.norm.len(), 40);
         assert!(o.is_trained());
+    }
+
+    /// Deterministic drifting, regime-switching load with hashed jitter, so
+    /// both QA configs below refit many times.
+    fn load(stream: u64, t: u64) -> f64 {
+        let mut x = (stream + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ t.wrapping_mul(0xBF58_476D);
+        x ^= x >> 31;
+        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^= x >> 29;
+        let jitter = (x >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+        let regime = (t / (150 + 37 * stream)) % 4;
+        let level = 50.0 + 30.0 * regime as f64 + stream as f64;
+        let wave = (t as f64 * (0.05 + 0.02 * stream as f64)).sin() * 10.0;
+        level + wave + jitter * (2.0 + 6.0 * (regime % 2) as f64)
+    }
+
+    /// [`load`] with sensor faults: NaN reads, sentinels, spikes and stuck
+    /// runs (dropped minutes are skipped by the caller).
+    fn faulty(stream: u64, t: u64) -> f64 {
+        match t {
+            t if t % 97 == 3 => f64::NAN,
+            t if t % 89 == 5 => -1.0,
+            t if t % 131 == 7 => load(stream, t) * 50.0,
+            t if t % 700 < 14 => load(stream, t - t % 700),
+            t => load(stream, t),
+        }
+    }
+
+    /// FNV-1a over every bit a step reports.
+    fn fold_step(hash: &mut u64, step: &OnlineStep) {
+        let forecast = step.forecast.map_or([0; 9], |f| {
+            let mut b = [1; 9];
+            b[1..].copy_from_slice(&f.to_bits().to_le_bytes());
+            b
+        });
+        let chosen = step.chosen.map_or(0, |id| id.0 as u64 + 1);
+        let tail = [step.retrained as u8, step.health as u8];
+        for &b in forecast.iter().chain(&chosen.to_le_bytes()).chain(&tail) {
+            *hash = (*hash ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
+        }
+    }
+
+    /// Drives one stream for 6,000 minutes with its rings at `cap` (`None`:
+    /// the derived cap) and returns its step digest and retrain count. A
+    /// bare stream has a member benched every 211 steps, so the fallback
+    /// tracker's lookback is read too; a guarded one gets faulty input.
+    fn digest_run(
+        f32_history: bool,
+        train_size: usize,
+        qa: QualityAssuror,
+        stream: u64,
+        guarded: bool,
+        cap: Option<usize>,
+    ) -> (u64, usize) {
+        let resilience = ResilienceConfig { f32_history, ..ResilienceConfig::default() };
+        let mut online =
+            OnlineLarp::with_resilience(LarpConfig::default(), train_size, qa, resilience).unwrap();
+        if let Some(cap) = cap {
+            online.set_history_cap(cap);
+        }
+        let mut hash = 0xCBF2_9CE4_8422_2325;
+        if guarded {
+            let mut g = crate::GuardedLarp::from_parts(Default::default(), online).unwrap();
+            for t in (0..6_000).filter(|t| t % 61 != 17) {
+                for step in g.ingest(t, faulty(stream, t)) {
+                    fold_step(&mut hash, &step);
+                }
+            }
+            return (hash, g.online().retrain_count());
+        }
+        for t in 0..6_000 {
+            if t % 211 == 100 {
+                let _ = online.quarantine_predictor(PredictorId((t / 211 % 3) as usize));
+            }
+            fold_step(&mut hash, &online.push(load(stream, t)));
+        }
+        (hash, online.retrain_count())
+    }
+
+    #[test]
+    fn derived_history_cap_changes_no_forecast() {
+        // What served streams run: perfbench `steady`'s QA (threshold 3.0,
+        // window 16, period 28-36) and the default QA (2.0/8/4), with
+        // train_size 40 (cap 40); plus train_size 12, where the fallback
+        // tracker's 4·m lookback sets the cap (21).
+        let mut refits = 0;
+        for f32_history in [false, true] {
+            for stream in 0..2u64 {
+                let steady = || QualityAssuror::new(3.0, 16, 28 + stream as usize * 5).unwrap();
+                for (train_size, qa) in [(40, steady()), (40, qa()), (12, qa())] {
+                    for guarded in [false, true] {
+                        let run = |cap| {
+                            digest_run(f32_history, train_size, qa.clone(), stream, guarded, cap)
+                        };
+                        let (derived, retrains) = run(None);
+                        let wide = run(Some(WHOLE_HISTORY_CAP));
+                        assert_eq!(
+                            (derived, retrains),
+                            wide,
+                            "f32 {f32_history}, stream {stream}, train {train_size}, \
+                             guarded {guarded}"
+                        );
+                        refits += retrains;
+                    }
+                }
+            }
+        }
+        assert!(refits > 10_000, "only {refits} refits");
+        // An extended-pool stream keeps the whole-history bound.
+        let extended = OnlineLarp::new(LarpConfig::extended(5), 40, qa()).unwrap();
+        assert_eq!(extended.history_cap(), WHOLE_HISTORY_CAP);
     }
 
     #[test]
@@ -1057,7 +1214,6 @@ mod tests {
         // backoff. Once the NaNs wash out of the training window, a retry
         // succeeds and serving returns to Healthy.
         let resilience = ResilienceConfig {
-            max_history: 60,
             retrain_backoff_base: 4,
             retrain_backoff_cap: 16,
             ..ResilienceConfig::default()

@@ -14,9 +14,9 @@
 //! # Storage precision
 //!
 //! The ring stores either `f64` (default) or `f32` values. The `f32` mode
-//! halves the dominant per-stream allocation for the million-stream memory
-//! budget (DESIGN.md §11): a value is quantized once on `push`
-//! (`value as f32`) and read back widened to `f64`, so every downstream
+//! halves the per-stream ring allocation for the million-stream memory
+//! budget (DESIGN.md §11): a value is quantized once on `push` (see
+//! [`quantize`]) and read back widened to `f64`, so every downstream
 //! computation still runs in `f64` over the *same* quantized inputs — which
 //! keeps serve/snapshot/restore bit-identical within a mode. Reading the ring
 //! as a contiguous `&[f64]` goes through [`HistoryRing::materialized`]: a
@@ -32,15 +32,10 @@ enum RingBuf {
     F32(Vec<f32>),
 }
 
-impl Default for RingBuf {
-    fn default() -> Self {
-        RingBuf::F64(Vec::new())
-    }
-}
-
-/// A contiguous sliding window over the most recent `cap` values
-/// (`cap == 0` means unbounded — plain append-only storage).
-#[derive(Debug, Clone, Default)]
+/// A contiguous sliding window over the most recent `cap` values. The
+/// owning [`OnlineLarp`](crate::OnlineLarp) derives `cap` from what serving
+/// reads (`OnlineLarp::history_cap`).
+#[derive(Debug, Clone)]
 pub(crate) struct HistoryRing {
     buf: RingBuf,
     /// Index of the logically-first retained value in `buf`.
@@ -49,7 +44,7 @@ pub(crate) struct HistoryRing {
 }
 
 impl HistoryRing {
-    /// Creates an `f64` ring retaining the last `cap` values (0 = unbounded).
+    /// Creates an `f64` ring retaining the last `cap` values.
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn new(cap: usize) -> Self {
         Self::new_mode(cap, false)
@@ -59,6 +54,7 @@ impl HistoryRing {
     /// allocated lazily on the first push (`2·cap` values), so a registered
     /// but never-pushed stream holds no ring memory at all.
     pub(crate) fn new_mode(cap: usize, f32_mode: bool) -> Self {
+        debug_assert!(cap > 0, "a history ring retains at least one value");
         let buf = if f32_mode { RingBuf::F32(Vec::new()) } else { RingBuf::F64(Vec::new()) };
         Self { buf, start: 0, cap }
     }
@@ -71,12 +67,11 @@ impl HistoryRing {
     }
 
     /// [`HistoryRing::from_vec`] in the requested storage mode. In `f32` mode
-    /// each value goes through the same `as f32` quantization `push` applies,
+    /// each value goes through the same [`quantize`] step `push` applies,
     /// so restoring a snapshot written by an `f32` ring is exact.
     pub(crate) fn from_vec_mode(values: Vec<f64>, cap: usize, f32_mode: bool) -> Self {
         let mut ring = Self::new_mode(cap, f32_mode);
-        let skip = if cap != 0 && values.len() > cap { values.len() - cap } else { 0 };
-        for &v in &values[skip..] {
+        for &v in &values[values.len().saturating_sub(cap)..] {
             ring.push(v);
         }
         ring
@@ -100,7 +95,7 @@ impl HistoryRing {
             RingBuf::F64(buf) => {
                 reserve_on_first_fill(buf, cap, 1);
                 buf.push(value);
-                if cap != 0 && buf.len() - *start > cap {
+                if buf.len() - *start > cap {
                     *start += 1;
                     if *start >= cap {
                         buf.copy_within(*start.., 0);
@@ -111,8 +106,8 @@ impl HistoryRing {
             }
             RingBuf::F32(buf) => {
                 reserve_on_first_fill(buf, cap, 1);
-                buf.push(value as f32);
-                if cap != 0 && buf.len() - *start > cap {
+                buf.push(quantize(value));
+                if buf.len() - *start > cap {
                     *start += 1;
                     if *start >= cap {
                         buf.copy_within(*start.., 0);
@@ -193,7 +188,7 @@ impl HistoryRing {
                 let src = &src[source.start..];
                 reserve_on_first_fill(buf, cap, src.len());
                 buf.clear();
-                buf.extend(src.iter().map(|&v| zscore.apply(f64::from(v)) as f32));
+                buf.extend(src.iter().map(|&v| quantize(zscore.apply(f64::from(v)))));
             }
             _ => unreachable!("a normalised mirror shares its history's storage mode"),
         }
@@ -208,8 +203,7 @@ impl HistoryRing {
         self.start = 0;
     }
 
-    /// The retention capacity (0 = unbounded).
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// The retention capacity.
     pub(crate) fn cap(&self) -> usize {
         self.cap
     }
@@ -247,11 +241,24 @@ impl Iterator for RingIter64<'_> {
 
 impl ExactSizeIterator for RingIter64<'_> {}
 
+/// The `f32` storage of a reading: the nearest `f32`, with a finite value
+/// beyond ±`f32::MAX` saturated to ±`f32::MAX` instead of overflowing to
+/// ±inf (a finite input must not turn into a non-finite history value).
+/// NaN and ±inf pass through. A stored value re-quantizes to itself.
+#[inline]
+fn quantize(value: f64) -> f32 {
+    if value.is_finite() {
+        value.clamp(-f64::from(f32::MAX), f64::from(f32::MAX)) as f32
+    } else {
+        value as f32
+    }
+}
+
 /// The lazy `2·cap` backing reservation, made when the first `len > 0`
-/// values go into a bounded ring's still-unallocated buffer.
+/// values go into a ring's still-unallocated buffer.
 #[inline]
 fn reserve_on_first_fill<T>(buf: &mut Vec<T>, cap: usize, len: usize) {
-    if cap != 0 && buf.capacity() == 0 && len > 0 {
+    if buf.capacity() == 0 && len > 0 {
         buf.reserve_exact(2 * cap);
     }
 }
@@ -294,17 +301,6 @@ mod tests {
                 assert_eq!(bits(&refilled), bits(&pushed_norm));
             }
         }
-    }
-
-    #[test]
-    fn unbounded_ring_is_append_only() {
-        let mut r = HistoryRing::new(0);
-        for i in 0..100 {
-            r.push(i as f64);
-        }
-        assert_eq!(r.len(), 100);
-        assert_eq!(contents(&r)[0], 0.0);
-        assert_eq!(r.last().unwrap(), 99.0);
     }
 
     #[test]
@@ -370,17 +366,37 @@ mod tests {
 
     #[test]
     fn f32_mode_quantizes_once_and_reads_back_stably() {
+        let max = f64::from(f32::MAX);
         let mut r = HistoryRing::new_mode(8, true);
         assert!(r.is_f32());
-        let v = 0.1f64; // not f32-representable
-        r.push(v);
-        let q = v as f32 as f64;
-        assert_eq!(r.last().unwrap().to_bits(), q.to_bits());
-        // Re-quantizing the read-back value is a fixed point: pushing what we
-        // read produces the identical stored value (hibernate/restore cycles
-        // cannot drift).
-        r.push(r.last().unwrap());
-        assert_eq!(r.last().unwrap().to_bits(), q.to_bits());
+        for (pushed, stored) in [
+            (0.1, 0.1f32 as f64), // not f32-representable
+            // A finite value beyond f32 range saturates instead of
+            // overflowing to inf; non-finite values pass through.
+            (3.5e38, max),
+            (-1e300, -max),
+            (f64::INFINITY, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::NEG_INFINITY),
+        ] {
+            r.push(pushed);
+            assert_eq!(r.last().unwrap().to_bits(), stored.to_bits(), "{pushed}");
+            // Re-quantizing the read-back value is a fixed point: pushing what
+            // we read stores the identical value (hibernate/restore cycles
+            // cannot drift).
+            r.push(r.last().unwrap());
+            assert_eq!(r.last().unwrap().to_bits(), stored.to_bits(), "{pushed} again");
+        }
+        r.push(f64::NAN);
+        assert!(r.last().unwrap().is_nan());
+
+        // The normalised mirror quantizes the same way.
+        let mut source = HistoryRing::new_mode(4, true);
+        for v in [0.0, 1.0, 3.0e38, 3.4e38] {
+            source.push(v);
+        }
+        let mut mirror = HistoryRing::new_mode(4, true);
+        mirror.refill_normalized(&source, &ZScore::fit(&[0.0, 1e-30]).unwrap());
+        assert!(mirror.iter64().all(f64::is_finite));
     }
 
     #[test]
@@ -401,9 +417,7 @@ mod tests {
         assert_eq!(contents(&r), &[6.0, 7.0, 8.0, 9.0]);
         let r = HistoryRing::from_vec(vec![1.0, 2.0], 4);
         assert_eq!(contents(&r), &[1.0, 2.0]);
-        let r = HistoryRing::from_vec(vec![1.0, 2.0, 3.0], 0);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.cap(), 0);
+        assert_eq!(r.cap(), 4);
     }
 
     #[test]

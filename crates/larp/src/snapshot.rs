@@ -45,7 +45,7 @@ use timeseries::ZScore;
 use crate::config::{FeatureReduction, LarpConfig, ResilienceConfig};
 use crate::ingest::{GapFill, GuardedLarp, IngestConfig, IngestStats, OutlierPolicy, Sanitizer};
 use crate::model::{Scratch, TrainedLarp};
-use crate::online::{OnlineCounters, OnlineLarp, PredictorHealth};
+use crate::online::{history_cap, OnlineCounters, OnlineLarp, PredictorHealth};
 use crate::qa::QualityAssuror;
 use crate::ring::HistoryRing;
 use crate::selector::PoolErrorTracker;
@@ -385,32 +385,38 @@ fn get_backend(r: &mut Reader) -> Result<KnnBackend> {
     }
 }
 
-fn put_resilience(w: &mut Writer, c: &ResilienceConfig) {
+/// Writes the resilience block. `stored_cap` fills the slot that once held
+/// the configured history bound (`max_history`); it now records the
+/// stream's derived ring capacity and is informational only.
+fn put_resilience(w: &mut Writer, c: &ResilienceConfig, stored_cap: usize) {
     w.f64(c.divergence_factor);
     w.usize(c.max_strikes);
     w.usize(c.quarantine_base);
     w.usize(c.quarantine_cap);
     w.usize(c.retrain_backoff_base);
     w.usize(c.retrain_backoff_cap);
-    w.usize(c.max_history);
+    w.usize(stored_cap);
     w.bool(c.f32_history); // appended in v2
 }
 
-fn get_resilience(r: &mut Reader) -> Result<ResilienceConfig> {
-    let c = ResilienceConfig {
+/// Reads the resilience block and the stored ring capacity (see
+/// [`put_resilience`]).
+fn get_resilience(r: &mut Reader) -> Result<(ResilienceConfig, usize)> {
+    let mut c = ResilienceConfig {
         divergence_factor: r.f64()?,
         max_strikes: r.usize()?,
         quarantine_base: r.usize()?,
         quarantine_cap: r.usize()?,
         retrain_backoff_base: r.usize()?,
         retrain_backoff_cap: r.usize()?,
-        max_history: r.usize()?,
-        // v1 snapshots predate the f32 ring mode: they were written by (and
-        // restore as) f64-ring streams.
-        f32_history: if r.version >= 2 { r.bool()? } else { false },
+        f32_history: false,
     };
+    let stored_cap = r.usize()?;
+    // v1 snapshots predate the f32 ring mode: they were written by (and
+    // restore as) f64-ring streams.
+    c.f32_history = r.version >= 2 && r.bool()?;
     c.validate()?;
-    Ok(c)
+    Ok((c, stored_cap))
 }
 
 fn put_ingest_config(w: &mut Writer, c: &IngestConfig) {
@@ -573,7 +579,7 @@ fn get_qa(r: &mut Reader) -> Result<QualityAssuror> {
 
 fn put_online(w: &mut Writer, o: &OnlineLarp) {
     put_larp_config(w, &o.config);
-    put_resilience(w, &o.resilience);
+    put_resilience(w, &o.resilience, o.history.cap());
     put_qa(w, &o.qa);
     // `f32`-ring values widen to `f64` losslessly, so one wire type serves
     // both modes; restore re-quantizes, which is exact for these values.
@@ -615,7 +621,7 @@ fn put_online(w: &mut Writer, o: &OnlineLarp) {
 
 fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     let config = get_larp_config(r)?;
-    let resilience = get_resilience(r)?;
+    let (resilience, stored_cap) = get_resilience(r)?;
     let qa = get_qa(r)?;
     let history = r.f64_seq()?;
     let seen = r.usize()?;
@@ -672,12 +678,15 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     if train_size < min_train {
         return Err(err(format!("train_size {train_size} below minimum {min_train}")));
     }
-    if resilience.max_history != 0 && resilience.max_history < train_size {
+    // The stored capacity (0 once meant unbounded) is checked as the writer
+    // left it, then ignored: the restored rings take the capacity derived
+    // from this build's rule and keep the newest values that fit.
+    if stored_cap != 0 && stored_cap < train_size {
         return Err(err(format!(
-            "max_history {} cannot hold train_size {train_size}",
-            resilience.max_history
+            "stored history cap {stored_cap} cannot hold train_size {train_size}"
         )));
     }
+    let cap = history_cap(&config, train_size);
     // The fallback error tracker is advisory, windowed state; it restarts
     // cold exactly as it does after a retrain.
     let tracker =
@@ -685,12 +694,8 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     let mut online = OnlineLarp {
         config,
         qa,
-        history: HistoryRing::from_vec_mode(
-            history,
-            resilience.max_history,
-            resilience.f32_history,
-        ),
-        norm: HistoryRing::new_mode(resilience.max_history, resilience.f32_history),
+        history: HistoryRing::from_vec_mode(history, cap, resilience.f32_history),
+        norm: HistoryRing::new_mode(cap, resilience.f32_history),
         scratch: Scratch::new(),
         resilience,
         seen,

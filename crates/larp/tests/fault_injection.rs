@@ -232,3 +232,28 @@ fn unsanitized_nan_stream_is_still_survivable() {
         }
     }
 }
+
+#[test]
+fn f32_history_saturates_a_finite_reading_beyond_f32_range() {
+    // 3.5e38 is finite in f64 but beyond f32::MAX (~3.4028e38). The f32 ring
+    // stores it as f32::MAX, so the step still serves a finite forecast
+    // instead of falling back on a stored +inf.
+    let resilience = ResilienceConfig { f32_history: true, ..ResilienceConfig::default() };
+    let online = OnlineLarp::with_resilience(
+        LarpConfig::default(),
+        40,
+        QualityAssuror::new(2.0, 8, 4).unwrap(),
+        resilience,
+    )
+    .unwrap();
+    let ingest = IngestConfig { outlier: larp::OutlierPolicy::None, ..IngestConfig::default() };
+    let mut g = GuardedLarp::from_parts(ingest, online).unwrap();
+    for t in 0..60u64 {
+        g.ingest(t, 1e38 * (1.0 + (t as f64 * 0.3).sin() * 0.2));
+    }
+    assert!(g.online().is_trained());
+    let steps = g.ingest(60, 3.5e38);
+    assert_eq!(steps.len(), 1);
+    let forecast = steps[0].forecast.expect("a finite reading gets a forecast");
+    assert!(forecast.is_finite(), "{forecast}");
+}

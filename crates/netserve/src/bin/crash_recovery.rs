@@ -283,8 +283,7 @@ fn main() {
         shadow.register(id).expect("shadow register");
     }
     for round in 0..recovered_batches {
-        let report = shadow.push_batch(&batch_for(&mut shadow_signals, round));
-        assert_eq!(report.rejected, 0, "shadow push rejected");
+        shadow.push_batch(&batch_for(&mut shadow_signals, round));
     }
     shadow.flush();
     for info in &recovered {

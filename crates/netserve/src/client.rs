@@ -235,9 +235,7 @@ impl Client {
         })
     }
 
-    /// Pushes one auto-clocked sample. A sample the engine refuses because
-    /// it is shutting down surfaces as [`NetError::Server`] with
-    /// [`crate::msg::ErrorCode::Backpressure`].
+    /// Pushes one auto-clocked sample.
     pub fn push(&mut self, id: u64, value: f64) -> Result<PushOutcome, NetError> {
         self.expect(&Request::Push { id, minute: None, value }, |r| match r {
             Response::Push(o) => Some(o),

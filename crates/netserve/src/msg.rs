@@ -135,9 +135,8 @@ pub enum ErrorCode {
     DuplicateStream = 7,
     /// Stream tuning failed validation.
     InvalidConfig = 8,
-    /// The engine refused the sample(s) because it was shutting down. (A
-    /// full queue blocks the push instead of refusing it; the code keeps its
-    /// historical name and number.)
+    /// No longer sent: the engine accepts every sample (a full queue blocks
+    /// the push). The code keeps its number so old peers still decode.
     Backpressure = 9,
     /// Checkpoint serialization/restore failure.
     Checkpoint = 10,
@@ -370,7 +369,8 @@ pub struct StreamInfoReply {
 pub struct PushOutcome {
     /// Samples enqueued.
     pub accepted: u64,
-    /// Samples refused because the engine was shutting down.
+    /// Always 0: the engine accepts every sample it is handed. The field,
+    /// like `dropped`, keeps the wire layout unchanged.
     pub rejected: u64,
     /// Always 0: the engine never evicts a queued sample. The field keeps
     /// the wire layout of `Push`, `PushBatch`, `PushSeq` and `Health`
@@ -380,7 +380,7 @@ pub struct PushOutcome {
 
 impl From<fleet::PushReport> for PushOutcome {
     fn from(r: fleet::PushReport) -> Self {
-        Self { accepted: r.accepted, rejected: r.rejected, dropped: 0 }
+        Self { accepted: r.accepted, rejected: 0, dropped: 0 }
     }
 }
 
@@ -440,10 +440,9 @@ pub enum Response {
     Register,
     /// Stream registered with tuning.
     RegisterWith,
-    /// Single-sample push accepted (rejections surface as
-    /// [`ErrorCode::Backpressure`] errors instead).
+    /// Single-sample push accepted.
     Push(PushOutcome),
-    /// Batch push outcome (partial acceptance is not an error).
+    /// Batch push outcome.
     PushBatch(PushOutcome),
     /// Latest forecast and health.
     Predict(PredictReply),

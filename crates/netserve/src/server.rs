@@ -11,11 +11,9 @@
 //! are reaped off a timer wheel; pipelining works because responses are
 //! queued in request order.
 //!
-//! A full engine queue blocks the push until a drainer makes room, so an
-//! accepted sample is never lost. The engine refuses samples only while it
-//! shuts down: a refused single
-//! push becomes a typed [`ErrorCode::Backpressure`] error, a batch returns
-//! its accept/reject counts.
+//! A full engine queue blocks the push until a drainer makes room, so every
+//! sample is accepted and none is lost; the acks' `rejected` and `dropped`
+//! counts are always 0.
 //!
 //! A server started over a recovered engine arms the sequenced-push dedup
 //! floor of every stream it holds at the stream's `next_minute`, so a
@@ -651,12 +649,7 @@ fn dispatch(
                     None => engine.admit_batch(&[(id, value)]),
                 };
                 drain.absorb(token);
-                if report.rejected > 0 {
-                    Response::Error {
-                        code: ErrorCode::Backpressure,
-                        detail: format!("stream {id}: engine shutting down, sample rejected"),
-                    }
-                } else if report.wal_failed {
+                if report.wal_failed {
                     // The sample is being served from memory but its WAL
                     // append failed: the ack must say so, or the client would
                     // treat a non-durable write as crash-safe.
@@ -702,12 +695,9 @@ fn dispatch(
                 let admission = shared.dedup.screen(&client, &samples);
                 let (report, token) = engine.admit_batch(&admission.admitted);
                 drain.absorb(token);
-                // Advance the dedup cursor only when the engine accepted the
-                // whole admitted batch; a partial acceptance leaves it
-                // untouched so the retry is re-screened from scratch.
-                if report.rejected == 0 {
-                    shared.dedup.commit(&admission);
-                }
+                // The engine accepts every admitted sample, so the dedup
+                // cursor advances past the whole admission.
+                shared.dedup.commit(&admission);
                 drop(fences);
                 if report.wal_failed {
                     Response::Error {

@@ -125,9 +125,6 @@ fn event_json(e: &Event) -> String {
         EventKind::DegradationTransition { from, to } => {
             format!("\"from\": {}, \"to\": {}", quote(from.name()), quote(to.name()))
         }
-        EventKind::BackpressureReject { shard, count } => {
-            format!("\"shard\": {shard}, \"count\": {count}")
-        }
         EventKind::RetrainSucceeded { duration_us } => format!("\"duration_us\": {duration_us}"),
         EventKind::RetrainFailed { consecutive } => format!("\"consecutive\": {consecutive}"),
         EventKind::SlowRetrain { fit_us, threshold_us } => {

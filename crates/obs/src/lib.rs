@@ -14,8 +14,8 @@
 //!   registration and exposition time.
 //! * [`EventRing`] — a bounded, drop-counting ring buffer of structured
 //!   [`Event`]s for discrete occurrences: selector decisions, quarantine
-//!   enter/exit, degradation-ladder transitions, pushes refused at
-//!   shutdown, checkpoint save/restore, stream evictions.
+//!   enter/exit, degradation-ladder transitions, checkpoint
+//!   save/restore, stream evictions.
 //! * [`expo`] — two exposition formats over both: Prometheus text format
 //!   and a self-contained JSON dump (used by the `fleet_throughput` and
 //!   `obs_dump` binaries).

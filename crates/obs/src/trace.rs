@@ -2,7 +2,7 @@
 //!
 //! Metrics answer "how many / how fast"; the event ring answers "what
 //! happened, in what order": which predictor the selector switched to, when
-//! a stream entered quarantine, which shard refused samples. Events are
+//! a stream entered quarantine, when a checkpoint was written. Events are
 //! discrete and comparatively rare (transitions, not per-sample ticks), so a
 //! mutex-guarded ring is cheap; when producers outrun the buffer the oldest
 //! events are evicted and counted, never silently lost.
@@ -63,13 +63,6 @@ pub enum EventKind {
         from: ServingRung,
         /// Rung after this step.
         to: ServingRung,
-    },
-    /// Samples pushed while the engine shut down were refused.
-    BackpressureReject {
-        /// Shard whose queue refused them.
-        shard: u64,
-        /// Samples refused in this enqueue call.
-        count: u64,
     },
     /// A (re)training succeeded.
     RetrainSucceeded {
@@ -203,7 +196,6 @@ impl EventKind {
             EventKind::QuarantineEnter { .. } => "quarantine_enter",
             EventKind::QuarantineExit { .. } => "quarantine_exit",
             EventKind::DegradationTransition { .. } => "degradation_transition",
-            EventKind::BackpressureReject { .. } => "backpressure_reject",
             EventKind::RetrainSucceeded { .. } => "retrain_succeeded",
             EventKind::RetrainFailed { .. } => "retrain_failed",
             EventKind::SlowRetrain { .. } => "slow_retrain",

@@ -96,6 +96,32 @@ impl ModelSpec {
         })
     }
 
+    /// How many most-recent values the built model's forecast reads: it
+    /// returns the same bits for any history that ends in the same `span`
+    /// values. `None` for the whole-history models (MEAN, EWMA and the
+    /// adaptive-window members), whose forecast depends on every value
+    /// provided.
+    pub fn history_span(&self) -> Option<usize> {
+        match self {
+            ModelSpec::Last => Some(1),
+            ModelSpec::SwAvg { window }
+            | ModelSpec::Median { window }
+            | ModelSpec::TrimmedMean { window, .. }
+            | ModelSpec::PolyFit { window, .. } => Some(*window),
+            // The mean step over `window` increments, plus the sign of the
+            // last one.
+            ModelSpec::Tendency { window } => Some(window + 1),
+            ModelSpec::Ar { order } => Some(*order),
+            // AR over the d-times differenced tail, integrated from the last
+            // value of each level.
+            ModelSpec::Ari { order, diff } => Some(order + diff),
+            ModelSpec::Mean
+            | ModelSpec::Ewma { .. }
+            | ModelSpec::AdaptiveMean
+            | ModelSpec::AdaptiveMedian => None,
+        }
+    }
+
     /// Reinstantiates the model from a previously extracted
     /// [`Predictor::fitted_state`](crate::Predictor::fitted_state) vector,
     /// without training data — the restore half of model serialization.
@@ -191,6 +217,27 @@ mod tests {
             let h = &t[..30];
             assert!(h.len() >= model.min_history(), "{}", model.name());
             assert!(model.predict(h).is_finite(), "{}", model.name());
+        }
+    }
+
+    #[test]
+    fn history_span_is_all_a_forecast_reads() {
+        let t = train();
+        for spec in ModelSpec::extended_pool(5).into_iter().chain(ModelSpec::standard_pool(16)) {
+            let model = spec.build(&t).unwrap();
+            let Some(span) = spec.history_span() else {
+                assert!(matches!(
+                    spec,
+                    ModelSpec::Mean
+                        | ModelSpec::Ewma { .. }
+                        | ModelSpec::AdaptiveMean
+                        | ModelSpec::AdaptiveMedian
+                ));
+                continue;
+            };
+            assert!(span >= model.min_history(), "{}", model.name());
+            let tail = &t[t.len() - span..];
+            assert_eq!(model.predict(&t).to_bits(), model.predict(tail).to_bits(), "{spec:?}");
         }
     }
 
