@@ -6,35 +6,33 @@
 //! binary; the test warms a guarded stack past training, then asserts that
 //! thousands of further steps perform zero allocations. Regressions here are
 //! invisible to correctness tests but show up directly as fleet throughput
-//! loss, so this pins the property rather than the symptom.
+//! loss, so this pins the property rather than the symptom. The same holds
+//! for a step served while a pool member is quarantined.
 //!
 //! The same allocator also pins the allocation budget of one warm refit
 //! (`TrainedLarp::train` on a 40-sample tail), the fit the quality assuror
 //! triggers every few steps on busy streams.
+//!
+//! Each test counts only its own thread's allocations: the serving step runs
+//! on the caller's thread, and the harness threads reporting other tests
+//! must not land in a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-use larp::{GuardedLarp, IngestConfig, LarpConfig, QualityAssuror, Scratch, TrainedLarp};
+use larp::{
+    GuardedLarp, HealthState, IngestConfig, LarpConfig, OnlineLarp, QualityAssuror,
+    ResilienceConfig, Scratch, TrainedLarp,
+};
 
 struct CountingAlloc;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     /// Allocations made by the current thread.
     static THREAD_ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The tests below run on parallel harness threads but read the
-/// process-wide counter; each holds this lock for its whole body so one
-/// test's allocations never land in another's measured window.
-static MEASURING: Mutex<()> = Mutex::new(());
-
 fn count() {
-    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
     let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
 }
 
@@ -70,7 +68,6 @@ fn signal(minute: u64) -> f64 {
 
 #[test]
 fn steady_state_online_step_does_not_allocate() {
-    let _measuring = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     // A QA threshold this high never signals a retrain, so the measured
     // window exercises exactly the steady-state serving path.
     let qa = QualityAssuror::new(1e12, 8, 4).expect("valid QA config");
@@ -87,13 +84,13 @@ fn steady_state_online_step_does_not_allocate() {
     let retrains_before = guarded.online().retrain_count();
     assert!(retrains_before >= 1, "stream must be trained before measurement");
 
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = THREAD_ALLOC_CALLS.with(Cell::get);
     let mut forecasts = 0u64;
     for minute in 2048..6144u64 {
         guarded.ingest_into(minute, signal(minute), &mut scratch, &mut steps);
         forecasts += steps.iter().filter(|s| s.forecast.is_some()).count() as u64;
     }
-    let allocations = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+    let allocations = THREAD_ALLOC_CALLS.with(Cell::get) - before;
 
     // The measured window must have done real serving work, entirely on the
     // steady-state path.
@@ -106,19 +103,59 @@ fn steady_state_online_step_does_not_allocate() {
     assert_eq!(allocations, 0, "steady-state online step allocated {allocations} times");
 }
 
+#[test]
+fn quarantined_step_does_not_allocate() {
+    // A quarantine that outlasts the test, and a QA that never refits (a
+    // refit would lift it): every measured step runs the fallback tracker
+    // over the whole pool and serves from the degradation ladder.
+    let resilience = ResilienceConfig {
+        quarantine_base: 1 << 20,
+        quarantine_cap: 1 << 20,
+        ..ResilienceConfig::default()
+    };
+    let qa = QualityAssuror::new(1e12, 8, 4).expect("valid QA config");
+    let online = OnlineLarp::with_resilience(LarpConfig::default(), 40, qa, resilience)
+        .expect("valid online stack");
+    let mut guarded = GuardedLarp::from_parts(IngestConfig::default(), online).expect("valid");
+    let mut scratch = Scratch::new();
+    let mut steps = Vec::new();
+    for minute in 0..2048u64 {
+        guarded.ingest_into(minute, signal(minute), &mut scratch, &mut steps);
+    }
+    // Bench the member the selector would choose next, then let the first
+    // quarantined steps create the tracker and size its error windows.
+    let chosen = steps[0].chosen.expect("a trained stream forecasts");
+    guarded.online_mut().quarantine_predictor(chosen).expect("pool member");
+    for minute in 2048..2112u64 {
+        guarded.ingest_into(minute, signal(minute), &mut scratch, &mut steps);
+    }
+
+    let before = THREAD_ALLOC_CALLS.with(Cell::get);
+    let mut degraded = 0u64;
+    for minute in 2112..6208u64 {
+        guarded.ingest_into(minute, signal(minute), &mut scratch, &mut steps);
+        degraded += steps.iter().filter(|s| s.health == HealthState::Degraded).count() as u64;
+    }
+    let allocations = THREAD_ALLOC_CALLS.with(Cell::get) - before;
+
+    assert!(guarded.online().is_quarantined(chosen), "the quarantine must last the window");
+    assert!(degraded > 0, "some measured steps must be served by the fallback rung");
+    assert_eq!(guarded.online().retrain_count(), 1, "no refit inside the measured window");
+    assert_eq!(allocations, 0, "quarantined online step allocated {allocations} times");
+}
+
 /// Heap allocations of one warm refit: the pool (model list, spec list, the
 /// boxed SW_AVG and AR members, the AR coefficients, and the AR fit's three
 /// temporaries — autocovariances, previous-order coefficients, reflection
 /// coefficients), the k-NN labels and point store, the PCA mean, components
-/// and eigenvalues plus the basis's `Arc`, and the config's pool list. The
-/// fit's other temporaries — normalised tail, window matrix, projected
-/// features, covariance, eigen workspace — live in reused per-thread buffers
-/// or on the stack. A lower count is progress: lower the pin with it.
-const REFIT_ALLOCATIONS: u64 = 15;
+/// and eigenvalues, and the config's pool list. The fit's other temporaries
+/// — normalised tail, window labels, window matrix, projected features,
+/// covariance, eigen workspace — live in reused per-thread buffers or on the
+/// stack. A lower count is progress: lower the pin with it.
+const REFIT_ALLOCATIONS: u64 = 14;
 
 #[test]
 fn warm_refit_stays_within_its_allocation_budget() {
-    let _measuring = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     let tail: Vec<f64> = (0..40u64).map(signal).collect();
     let config = LarpConfig::default();
     // The first fit on this thread sizes the reused fit buffers.

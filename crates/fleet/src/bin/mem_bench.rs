@@ -8,9 +8,10 @@
 //! `--hot` working set is woken with fresh traffic. The printed JSON report
 //! carries the headline `bytes_per_stream` (accounted heap over all
 //! registered streams, hot and cold) plus the component-wise breakdown of
-//! one live stream's stack (history ring, model, interned PCA share, QA
-//! window, tracker, sanitizer mirror, slab/table overhead) and the process
-//! RSS from `/proc/self/statm` as the honesty cross-check.
+//! one live stream's stack (the slot's inline bytes, history ring and
+//! normalised mirror, model, PCA basis, QA window, tracker, sanitizer
+//! window and mirror) and the slab/table overhead, with the process RSS
+//! from `/proc/self/statm` as the honesty cross-check.
 //! `results/BENCH_mem.json` commits this report; `scripts/ci.sh`
 //! regenerates it and fails if `bytes_per_stream` grows past 120% of the
 //! committed baseline.
@@ -155,11 +156,10 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
         "{{\n  \"live_streams\": {},\n  \"hibernated_streams\": {},\n  \
          \"elapsed_sec\": {:.3},\n  \"bytes_per_stream\": {:.0},\n  \
          \"heap_total_bytes\": {},\n  \"resident_bytes\": {},\n  \
-         \"per_live_stream\": {{\n    \"history\": {:.1},\n    \"norm\": {:.1},\n    \
-         \"model\": {:.1},\n    \"pca_shared\": {:.1},\n    \"qa\": {:.1},\n    \
-         \"tracker\": {:.1},\n    \"sanitizer\": {:.1}\n  }},\n  \
+         \"per_live_stream\": {{\n    \"slot\": {},\n    \"history\": {:.1},\n    \
+         \"norm\": {:.1},\n    \"model\": {:.1},\n    \"pca\": {:.1},\n    \
+         \"qa\": {:.1},\n    \"tracker\": {:.1},\n    \"sanitizer\": {:.1}\n  }},\n  \
          \"table_bytes\": {},\n  \
-         \"pca\": {{\"handles\": {}, \"unique_bytes\": {}}},\n  \
          \"spill\": {{\"live_bytes\": {}, \"dead_bytes\": {}}}{}\n}}",
         report.live_streams,
         report.hibernated_streams,
@@ -167,16 +167,15 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
         report.heap_total() as f64 / n as f64,
         report.heap_total(),
         report.resident_bytes.map_or_else(|| "null".into(), |b| b.to_string()),
+        report.slot_bytes,
         per(s.history_bytes),
         per(s.norm_bytes),
         per(s.model_bytes),
-        report.pca_unique_bytes as f64 / report.live_streams.max(1) as f64,
+        per(s.pca_bytes),
         per(s.qa_bytes),
         per(s.tracker_bytes),
         per(s.sanitizer_bytes),
         report.table_bytes,
-        report.pca_handles,
-        report.pca_unique_bytes,
         report.spill_live_bytes,
         report.spill_dead_bytes,
         extra,

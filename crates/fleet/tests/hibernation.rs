@@ -312,9 +312,6 @@ fn mem_report_accounts_the_diet() {
     assert!(warm.table_bytes > 0);
     assert!(warm.heap_total() > 0);
     assert!(warm.bytes_per_stream() > 0.0);
-    // Identical configs training on identical windows intern to shared
-    // bases: the deduplicated footprint cannot exceed the per-handle sum.
-    assert!(warm.pca_unique_bytes <= warm.stream.pca_bytes);
     assert!(warm.resident_bytes.is_some(), "statm is readable on Linux");
 
     let hibernated = engine.hibernate_idle(0).expect("hibernate");

@@ -86,6 +86,14 @@ impl LarpConfig {
         if self.pool.is_empty() {
             return Err(LarpError::InvalidConfig("pool must contain a model".into()));
         }
+        // The k-NN index stores each window's best member as a byte.
+        if self.pool.len() > learn::knn::MAX_LABEL + 1 {
+            return Err(LarpError::InvalidConfig(format!(
+                "pool has {} models; at most {} are supported",
+                self.pool.len(),
+                learn::knn::MAX_LABEL + 1
+            )));
+        }
         match &self.reduction {
             FeatureReduction::Pca { dims } => {
                 if *dims == 0 || *dims > self.window {
@@ -231,6 +239,12 @@ mod tests {
 
         let c = LarpConfig { pool: Vec::new(), ..LarpConfig::default() };
         assert!(c.validate().is_err());
+
+        // The k-NN index labels windows with a byte: 256 members fit, 257 do not.
+        for (members, ok) in [(256, true), (257, false)] {
+            let c = LarpConfig { pool: vec![ModelSpec::Last; members], ..LarpConfig::default() };
+            assert_eq!(c.validate().is_ok(), ok, "{members} members");
+        }
 
         let c =
             LarpConfig { reduction: FeatureReduction::Pca { dims: 9 }, ..LarpConfig::default() };

@@ -26,7 +26,7 @@ use timeseries::stats;
 
 use crate::config::LarpConfig;
 use crate::model::Scratch;
-use crate::online::{OnlineLarp, OnlineStep};
+use crate::online::{with_push_scratch, OnlineLarp, OnlineStep};
 use crate::qa::QualityAssuror;
 use crate::{LarpError, Result};
 
@@ -171,8 +171,6 @@ pub struct Sanitizer {
     /// every median). Runtime-only, never snapshotted; rebuilt on restore.
     /// Kept empty when the outlier policy never reads it.
     pub(crate) robust_scratch: Vec<f64>,
-    /// Absolute-deviation buffer for the MAD (runtime-only scratch).
-    pub(crate) dev_scratch: Vec<f64>,
 }
 
 impl Sanitizer {
@@ -193,7 +191,6 @@ impl Sanitizer {
             stuck_counted: false,
             stats: IngestStats::default(),
             robust_scratch: Vec::new(),
-            dev_scratch: Vec::new(),
         })
     }
 
@@ -255,20 +252,26 @@ impl Sanitizer {
         self.last_value = Some(repaired);
         self.last_raw = Some(value);
         let keep_mirror = matches!(self.config.outlier, OutlierPolicy::MadClamp { .. });
+        let window = self.config.robust_window;
         for &v in out.iter() {
-            self.recent.push_back(v);
-            if keep_mirror {
-                let at = self.robust_scratch.partition_point(|&x| x.total_cmp(&v).is_lt());
-                self.robust_scratch.insert(at, v);
-            }
-            if self.recent.len() > self.config.robust_window {
-                let evicted = self.recent.pop_front().expect("len > window >= 4");
+            // Evict before inserting, so neither buffer ever holds more than
+            // `window` values: both stay at exactly `window` slots.
+            if self.recent.len() >= window {
+                let evicted = self.recent.pop_front().expect("len >= window >= 4");
                 if keep_mirror {
                     let at =
                         self.robust_scratch.partition_point(|&x| x.total_cmp(&evicted).is_lt());
                     debug_assert!(self.robust_scratch[at].to_bits() == evicted.to_bits());
                     self.robust_scratch.remove(at);
                 }
+            } else {
+                self.recent.reserve_exact(window - self.recent.len());
+            }
+            self.recent.push_back(v);
+            if keep_mirror {
+                self.robust_scratch.reserve_exact(window.saturating_sub(self.robust_scratch.len()));
+                let at = self.robust_scratch.partition_point(|&x| x.total_cmp(&v).is_lt());
+                self.robust_scratch.insert(at, v);
             }
         }
         self.stats.emitted += out.len();
@@ -279,6 +282,7 @@ impl Sanitizer {
     pub(crate) fn rebuild_robust_mirror(&mut self) {
         self.robust_scratch.clear();
         if matches!(self.config.outlier, OutlierPolicy::MadClamp { .. }) {
+            self.robust_scratch.reserve_exact(self.config.robust_window.max(self.recent.len()));
             self.robust_scratch.extend(self.recent.iter().copied());
             self.robust_scratch.sort_unstable_by(f64::total_cmp);
         }
@@ -311,17 +315,13 @@ impl Sanitizer {
         // `robust_scratch` is a sorted mirror of the window, so the median is
         // a direct read; a median is invariant to input order, so the mirror
         // gives bit-identical answers to re-sorting the window each time. The
-        // MAD goes through an O(n) selection rather than a sort — also
-        // order-invariant, also bit-identical (see `stats::quantile_select`).
+        // MAD walks the same sorted mirror outward from the median (see
+        // `mad_sorted`), with no deviation buffer.
         debug_assert_eq!(self.robust_scratch.len(), self.recent.len());
         let Ok(med) = stats::quantile_sorted(&self.robust_scratch, 0.5) else {
             return value;
         };
-        self.dev_scratch.clear();
-        self.dev_scratch.extend(self.robust_scratch.iter().map(|x| (x - med).abs()));
-        let Ok(mad) = stats::quantile_select(&mut self.dev_scratch, 0.5) else {
-            return value;
-        };
+        let mad = mad_sorted(&self.robust_scratch, med);
         // 1.4826 · MAD estimates sigma for Gaussian data; the floor keeps a
         // perfectly flat window (MAD = 0) from clamping every legitimate
         // level shift to the median — a few percent of the level always
@@ -359,7 +359,6 @@ impl Sanitizer {
     pub fn heap_bytes(&self) -> usize {
         (self.recent.capacity()
             + self.robust_scratch.capacity()
-            + self.dev_scratch.capacity()
             + self.config.sentinel_values.capacity())
             * std::mem::size_of::<f64>()
     }
@@ -373,6 +372,44 @@ impl Sanitizer {
     pub fn config(&self) -> &IngestConfig {
         &self.config
     }
+}
+
+/// The median absolute deviation of a sorted, non-empty, NaN-free window
+/// around its median `med`, bit-identical to
+/// `stats::quantile_select(&mut |x − med| for x in sorted, 0.5)`.
+///
+/// `x − med` rounds monotonically in `x`, so the deviations of the values
+/// below `med` fall as the values rise toward it and those at or above it
+/// rise with them: two sorted runs that meet at the median. Merging them
+/// outward reaches the two middle order statistics of the deviations after
+/// half the window, and the interpolation between them is the one
+/// `quantile_select` performs. `abs` never yields −0.0, so equal
+/// deviations are equal bits and the merge order of ties cannot matter.
+fn mad_sorted(sorted: &[f64], med: f64) -> f64 {
+    let n = sorted.len();
+    let pos = 0.5 * (n - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let frac = pos - lo as f64;
+    // Left run: sorted[..left] read right to left; right run: sorted[right..].
+    let mut right = sorted.partition_point(|&x| x < med);
+    let mut left = right;
+    let (mut lo_v, mut hi_v) = (0.0, 0.0);
+    for rank in 0..=hi {
+        let take_left = left > 0
+            && (right == n || (sorted[left - 1] - med).abs() <= (sorted[right] - med).abs());
+        let dev = if take_left {
+            left -= 1;
+            (sorted[left] - med).abs()
+        } else {
+            right += 1;
+            (sorted[right - 1] - med).abs()
+        };
+        if rank == lo {
+            lo_v = dev;
+        }
+        hi_v = dev;
+    }
+    lo_v * (1.0 - frac) + hi_v * frac
 }
 
 /// An [`OnlineLarp`] behind a [`Sanitizer`]: the one-call serving stack for
@@ -420,12 +457,8 @@ impl GuardedLarp {
     /// Ingests one raw reading; returns one [`OnlineStep`] per clean sample
     /// that reached the predictor (empty for dropped readings).
     pub fn ingest(&mut self, minute: u64, value: f64) -> Vec<OnlineStep> {
-        // Reuse the online layer's internal scratch (moved out and back — a
-        // pointer swap) so only the returned Vec allocates.
-        let mut scratch = std::mem::take(&mut self.online.scratch);
         let mut out = Vec::new();
-        self.ingest_into(minute, value, &mut scratch, &mut out);
-        self.online.scratch = scratch;
+        with_push_scratch(|scratch| self.ingest_into(minute, value, scratch, &mut out));
         out
     }
 
@@ -456,18 +489,6 @@ impl GuardedLarp {
             out.push(self.online.push_with(v, scratch));
         }
         scratch.clean = clean;
-    }
-
-    /// Attaches a shared PCA interner to the online layer (see
-    /// [`OnlineLarp::attach_interner`]).
-    pub fn attach_interner(&mut self, interner: std::sync::Arc<learn::PcaInterner>) {
-        self.online.attach_interner(interner);
-    }
-
-    /// The shared handle to the online layer's PCA basis, if any (see
-    /// [`OnlineLarp::pca_shared`]).
-    pub fn pca_shared(&self) -> Option<&std::sync::Arc<learn::Pca>> {
-        self.online.pca_shared()
     }
 
     /// Measures the resident heap bytes of the whole guarded stack, by
@@ -645,6 +666,42 @@ mod tests {
         assert!(IngestConfig { outlier: OutlierPolicy::None, ..IngestConfig::default() }
             .validate()
             .is_ok());
+    }
+
+    #[test]
+    fn mad_walk_matches_selection_bit_for_bit() {
+        use simrng::{Rng64, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(0x004D_4144);
+        let mut windows: Vec<Vec<f64>> = Vec::new();
+        for n in 4..=64usize {
+            for case in 0..12 {
+                let w: Vec<f64> = (0..n)
+                    .map(|i| match case {
+                        // Constant windows, of either sign or zero.
+                        0 => 3.25,
+                        1 => -0.0,
+                        // Few distinct values: ties and duplicates everywhere.
+                        2 => [1.0, 2.0, 2.0, 5.0][(rng.next_u64() % 4) as usize],
+                        3 => [-1.0, 0.0, 1.0][(rng.next_u64() % 3) as usize],
+                        // Mixed signs across magnitudes.
+                        4 => rng.uniform(-1.0, 1.0) * 10f64.powi((rng.next_u64() % 9) as i32 - 4),
+                        // Symmetric pairs around the median: equal deviations.
+                        5 => (i / 2) as f64 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                        // A level with one far outlier.
+                        6 if i == n / 2 => 1e12,
+                        _ => 50.0 + rng.uniform(-5.0, 5.0),
+                    })
+                    .collect();
+                windows.push(w);
+            }
+        }
+        for mut w in windows {
+            w.sort_unstable_by(f64::total_cmp);
+            let med = stats::quantile_sorted(&w, 0.5).unwrap();
+            let mut dev: Vec<f64> = w.iter().map(|x| (x - med).abs()).collect();
+            let reference = stats::quantile_select(&mut dev, 0.5).unwrap();
+            assert_eq!(mad_sorted(&w, med).to_bits(), reference.to_bits(), "window {w:?}");
+        }
     }
 
     #[test]

@@ -107,33 +107,35 @@ pub fn label_windows_parallel(
     Ok(results.into_iter().flatten().collect())
 }
 
-/// Labels every `(window, next-value)` pair of `train` returning the class
-/// indices only — no window copies, no per-window forecast vectors. Produces
-/// exactly `label_windows_parallel(..).iter().map(|lw| lw.label.0)` (a test
-/// pins this), but the only allocation is the returned label vector itself,
-/// which the k-NN fit consumes: each range runs
-/// [`PredictorPool::best_ids_into`], member by member over stack-held
-/// blocks of windows. This is the path the online retrain loop takes several
-/// thousand times per minute.
+/// Labels every `(window, next-value)` pair of `train` with class indices
+/// only — no window copies, no per-window forecast vectors — into `labels`
+/// (cleared first). Produces exactly
+/// `label_windows_parallel(..).iter().map(|lw| lw.label.0)` (a test pins
+/// this); the sequential path allocates nothing once `labels` is sized: each
+/// range runs [`PredictorPool::best_ids_into`], member by member over
+/// stack-held blocks of windows. This is the path the online retrain loop
+/// takes several thousand times per minute.
 ///
 /// # Errors
 ///
 /// Same conditions as [`label_windows_parallel`].
-pub fn label_ids(
+pub fn label_ids_into(
     pool: &PredictorPool,
     train: &[f64],
     window: usize,
     threads: usize,
-) -> Result<Vec<usize>> {
+    labels: &mut Vec<usize>,
+) -> Result<()> {
     if threads == 0 {
         return Err(LarpError::InvalidConfig("threads must be >= 1".into()));
     }
     let frames = prepare(pool, train, window)?;
     let total = frames.count_with_targets();
-    let mut labels = Vec::with_capacity(total);
+    labels.clear();
+    labels.reserve(total);
     if threads == 1 || total < 256 {
-        pool.best_ids_into(train, window, &mut labels);
-        return Ok(labels);
+        pool.best_ids_into(train, window, labels);
+        return Ok(());
     }
     let chunk = total.div_ceil(threads);
     let ranges: Vec<(usize, usize)> = (0..threads)
@@ -159,7 +161,7 @@ pub fn label_ids(
     for part in results {
         labels.extend_from_slice(&part);
     }
-    Ok(labels)
+    Ok(())
 }
 
 fn prepare<'a>(pool: &PredictorPool, train: &'a [f64], window: usize) -> Result<Frames<'a>> {
@@ -239,11 +241,9 @@ mod tests {
             let p = pool(&t, 5);
             let reference: Vec<usize> =
                 label_windows(&p, &t, 5).unwrap().iter().map(|lw| lw.label.0).collect();
-            assert_eq!(
-                label_ids(&p, &t, 5, threads).unwrap(),
-                reference,
-                "n={n} threads={threads}"
-            );
+            let mut labels = vec![7; 3];
+            label_ids_into(&p, &t, 5, threads, &mut labels).unwrap();
+            assert_eq!(labels, reference, "n={n} threads={threads}");
         }
     }
 

@@ -1,13 +1,11 @@
 //! The trained LARPredictor: normaliser + pool + PCA + k-NN, bundled.
 
-use std::sync::Arc;
-
 use learn::{KnnClassifier, Pca};
 use predictors::{PredictorId, PredictorPool};
 use timeseries::ZScore;
 
 use crate::config::{FeatureReduction, LarpConfig};
-use crate::labeler::label_ids;
+use crate::labeler::label_ids_into;
 use crate::selector::KnnSelector;
 use crate::{LarpError, Result};
 
@@ -54,29 +52,17 @@ impl Scratch {
     pub fn ranked(&self) -> &[PredictorId] {
         &self.ranked
     }
-
-    /// Heap bytes currently held by the scratch buffers.
-    pub fn heap_bytes(&self) -> usize {
-        self.features.capacity() * 8
-            + self.neighbors.capacity() * std::mem::size_of::<(usize, f64)>()
-            + self.votes.capacity() * std::mem::size_of::<usize>()
-            + self.nearest.capacity() * 8
-            + self.ranked.capacity() * std::mem::size_of::<PredictorId>()
-            + self.rolling.capacity() * 8
-            + self.clean.capacity() * 8
-            + self.hist64.capacity() * 8
-            + self.norm64.capacity() * 8
-    }
 }
 
 /// Temporaries of one training phase, reused by every fit on the same
-/// thread: the normalised series, its window matrix, the projected features
-/// and the probe's k-NN neighbours. An online refit (a 40-sample tail,
-/// several thousand times a minute per fleet) then allocates only what the
-/// fitted model keeps.
+/// thread: the normalised series, its window labels and window matrix, the
+/// projected features and the probe's k-NN neighbours. An online refit (a
+/// 40-sample tail, several thousand times a minute per fleet) then
+/// allocates only what the fitted model keeps.
 #[derive(Default)]
 struct FitBuffers {
     normalized: Vec<f64>,
+    labels: Vec<usize>,
     windows: Vec<f64>,
     features: Vec<f64>,
     neighbors: Vec<(usize, f64)>,
@@ -93,6 +79,9 @@ impl FitBuffers {
             if buf.capacity() > Self::RETAIN_MAX {
                 *buf = Vec::new();
             }
+        }
+        if self.labels.capacity() > Self::RETAIN_MAX {
+            self.labels = Vec::new();
         }
     }
 }
@@ -119,11 +108,7 @@ pub struct TrainedLarp {
     pub(crate) config: LarpConfig,
     pub(crate) zscore: ZScore,
     pub(crate) pool: PredictorPool,
-    /// Reference-counted so byte-identical bases can be interned and shared
-    /// across streams trained on similar signals (see
-    /// [`learn::PcaInterner`]) — at fleet scale many streams carry the same
-    /// workload shape and need only one resident basis.
-    pub(crate) pca: Option<Arc<Pca>>,
+    pub(crate) pca: Option<Pca>,
     pub(crate) knn: KnnClassifier,
     pub(crate) train_len: usize,
 }
@@ -179,13 +164,13 @@ impl TrainedLarp {
         bufs: &mut FitBuffers,
     ) -> Result<Self> {
         let m = config.window;
-        let FitBuffers { normalized, windows, features, .. } = bufs;
+        let FitBuffers { normalized, labels, windows, features, .. } = bufs;
         zscore.apply_slice_into(train, normalized);
 
         let pool = PredictorPool::from_specs(&config.pool, normalized)?;
         // Labels only — the windows are overlapping subslices of
-        // `normalized`; the label vector becomes the k-NN index's own.
-        let labels = label_ids(&pool, normalized, m, threads)?;
+        // `normalized`; the k-NN index keeps its own byte copy.
+        label_ids_into(&pool, normalized, m, threads, labels)?;
         let n_windows = labels.len();
 
         // Flat row-major window matrix: (u - m) × m.
@@ -206,7 +191,7 @@ impl TrainedLarp {
                 };
                 p.transform_rows_into(windows, features)?;
                 let dim = p.n_components();
-                (Some(Arc::new(p)), &features[..], dim)
+                (Some(p), &features[..], dim)
             }
         };
         let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;
@@ -231,32 +216,15 @@ impl TrainedLarp {
 
     /// The fitted PCA projection (if reduction is enabled).
     pub fn pca(&self) -> Option<&Pca> {
-        self.pca.as_deref()
-    }
-
-    /// The shared handle to the PCA basis, for interning and for identity-
-    /// based memory accounting (a basis shared by many streams must be
-    /// counted once).
-    pub fn pca_shared(&self) -> Option<&Arc<Pca>> {
         self.pca.as_ref()
     }
 
-    /// Replaces the PCA basis with an interned shared handle (same bytes,
-    /// possibly an existing allocation).
-    pub(crate) fn intern_pca(&mut self, interner: &learn::PcaInterner) {
-        if let Some(p) = self.pca.take() {
-            self.pca = Some(interner.intern(p));
-        }
-    }
-
-    /// Heap bytes of the model, split as `(pool + knn + config, pca)`. The
-    /// PCA share is reported separately because interned bases are shared
-    /// across streams and must be deduplicated by the fleet-level accounting.
+    /// Heap bytes of the model, split as `(pool + knn + config, pca)`.
     pub fn heap_bytes_split(&self) -> (usize, usize) {
         let own = self.pool.heap_bytes()
             + self.knn.heap_bytes()
             + self.config.pool.capacity() * std::mem::size_of::<predictors::ModelSpec>();
-        let pca = self.pca.as_deref().map_or(0, Pca::heap_bytes);
+        let pca = self.pca.as_ref().map_or(0, Pca::heap_bytes);
         (own, pca)
     }
 

@@ -2,10 +2,11 @@
 //!
 //! [`LarpObs`] bundles the metric handles and (optionally) the event ring
 //! one serving stack records into. It is label-free by design: every stream
-//! of a fleet holds clones of the *same* named counters, so fleet-wide
+//! of a fleet shares *one* bundle of the named counters, so fleet-wide
 //! rollups fall out of the registry with zero aggregation code, while
 //! [`LarpObs::for_stream`] tags the *events* with the stream id so traces
-//! stay attributable.
+//! stay attributable. A stream holds only that shared handle, its id and
+//! its last serving choice.
 //!
 //! Metric set (naming scheme in DESIGN.md §5):
 //!
@@ -28,6 +29,7 @@
 //! the serving rung changed), never per sample.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use obs::{Counter, EventKind, EventRing, Histogram, Registry, ServingRung};
 
@@ -73,7 +75,17 @@ fn unpack_rung(packed: u64) -> ServingRung {
 /// [`crate::GuardedLarp::attach_obs`].
 #[derive(Debug)]
 pub struct LarpObs {
+    metrics: Arc<LarpMetrics>,
     stream: Option<u64>,
+    /// Last `(chosen, rung)` served, packed via [`pack_choice`] (0 = none),
+    /// for transition-only event emission. Runtime-only: deliberately not
+    /// part of any snapshot.
+    last_choice: AtomicU64,
+}
+
+/// The handles every stream of a fleet shares.
+#[derive(Debug, Clone)]
+struct LarpMetrics {
     selections: Counter,
     degraded_steps: Counter,
     fallback_steps: Counter,
@@ -89,18 +101,13 @@ pub struct LarpObs {
     /// [`EventKind::SlowRetrain`] event and bumps `larp_slow_retrains_total`).
     slow_retrain_threshold_us: u64,
     events: Option<EventRing>,
-    /// Last `(chosen, rung)` served, packed via [`pack_choice`] (0 = none),
-    /// for transition-only event emission. Runtime-only: deliberately not
-    /// part of any snapshot.
-    last_choice: AtomicU64,
 }
 
 impl LarpObs {
     /// Registers (or re-uses — registration is idempotent) the `larp_*`
     /// metric set on `registry`.
     pub fn register(registry: &Registry) -> Self {
-        Self {
-            stream: None,
+        let metrics = LarpMetrics {
             selections: registry.counter("larp_selections_total"),
             degraded_steps: registry.counter("larp_degraded_steps_total"),
             fallback_steps: registry.counter("larp_fallback_steps_total"),
@@ -114,8 +121,8 @@ impl LarpObs {
             slow_retrains: registry.counter("larp_slow_retrains_total"),
             slow_retrain_threshold_us: Self::DEFAULT_SLOW_RETRAIN_US,
             events: None,
-            last_choice: AtomicU64::new(0),
-        }
+        };
+        Self { metrics: Arc::new(metrics), stream: None, last_choice: AtomicU64::new(0) }
     }
 
     /// Default slow-retrain threshold: 100 ms of fit time, ~3000× the
@@ -125,7 +132,7 @@ impl LarpObs {
     /// Routes transition events into `ring` (metrics alone otherwise).
     #[must_use]
     pub fn with_events(mut self, ring: EventRing) -> Self {
-        self.events = Some(ring);
+        Arc::make_mut(&mut self.metrics).events = Some(ring);
         self
     }
 
@@ -133,7 +140,7 @@ impl LarpObs {
     /// above it count as slow).
     #[must_use]
     pub fn with_slow_retrain_threshold_us(mut self, threshold_us: u64) -> Self {
-        self.slow_retrain_threshold_us = threshold_us;
+        Arc::make_mut(&mut self.metrics).slow_retrain_threshold_us = threshold_us;
         self
     }
 
@@ -141,26 +148,14 @@ impl LarpObs {
     /// what a fleet attaches to each of its streams.
     pub fn for_stream(&self, id: u64) -> Self {
         Self {
+            metrics: Arc::clone(&self.metrics),
             stream: Some(id),
-            events: self.events.clone(),
             last_choice: AtomicU64::new(0),
-            selections: self.selections.clone(),
-            degraded_steps: self.degraded_steps.clone(),
-            fallback_steps: self.fallback_steps.clone(),
-            quarantines: self.quarantines.clone(),
-            quarantine_exits: self.quarantine_exits.clone(),
-            retrains: self.retrains.clone(),
-            retrain_failures: self.retrain_failures.clone(),
-            nonfinite: self.nonfinite.clone(),
-            sanitized: self.sanitized.clone(),
-            retrain_us: self.retrain_us.clone(),
-            slow_retrains: self.slow_retrains.clone(),
-            slow_retrain_threshold_us: self.slow_retrain_threshold_us,
         }
     }
 
     fn emit(&self, kind: EventKind) {
-        if let Some(ring) = &self.events {
+        if let Some(ring) = &self.metrics.events {
             ring.push(self.stream, kind);
         }
     }
@@ -169,10 +164,11 @@ impl LarpObs {
     /// serving rung changed since the previous step.
     pub(crate) fn record_step(&self, chosen: Option<u64>, health: HealthState) {
         let rung = rung_of(health);
+        let m = &self.metrics;
         match health {
-            HealthState::Healthy => self.selections.inc(),
-            HealthState::Degraded => self.degraded_steps.inc(),
-            HealthState::Fallback => self.fallback_steps.inc(),
+            HealthState::Healthy => m.selections.inc(),
+            HealthState::Degraded => m.degraded_steps.inc(),
+            HealthState::Fallback => m.fallback_steps.inc(),
         }
         let now = pack_choice(chosen, rung);
         let before = self.last_choice.swap(now, Ordering::Relaxed);
@@ -188,40 +184,38 @@ impl LarpObs {
     }
 
     pub(crate) fn record_quarantine(&self, predictor: usize, until_step: u64) {
-        self.quarantines.inc();
+        self.metrics.quarantines.inc();
         self.emit(EventKind::QuarantineEnter { predictor: predictor as u64, until_step });
     }
 
     pub(crate) fn record_quarantine_exit(&self, predictor: usize) {
-        self.quarantine_exits.inc();
+        self.metrics.quarantine_exits.inc();
         self.emit(EventKind::QuarantineExit { predictor: predictor as u64 });
     }
 
     /// Records one successful (re)train and its fit time.
     pub(crate) fn record_retrain_success(&self, fit_us: u64) {
-        self.retrains.inc();
-        self.retrain_us.record(fit_us as f64);
+        let m = &self.metrics;
+        m.retrains.inc();
+        m.retrain_us.record(fit_us as f64);
         self.emit(EventKind::RetrainSucceeded { duration_us: fit_us });
-        if fit_us > self.slow_retrain_threshold_us {
-            self.slow_retrains.inc();
-            self.emit(EventKind::SlowRetrain {
-                fit_us,
-                threshold_us: self.slow_retrain_threshold_us,
-            });
+        if fit_us > m.slow_retrain_threshold_us {
+            m.slow_retrains.inc();
+            self.emit(EventKind::SlowRetrain { fit_us, threshold_us: m.slow_retrain_threshold_us });
         }
     }
 
     pub(crate) fn record_retrain_failure(&self, consecutive: u64) {
-        self.retrain_failures.inc();
+        self.metrics.retrain_failures.inc();
         self.emit(EventKind::RetrainFailed { consecutive });
     }
 
     pub(crate) fn record_nonfinite(&self) {
-        self.nonfinite.inc();
+        self.metrics.nonfinite.inc();
     }
 
     pub(crate) fn record_sanitized(&self, repairs: u64) {
-        self.sanitized.add(repairs);
+        self.metrics.sanitized.add(repairs);
     }
 }
 
@@ -238,8 +232,8 @@ mod tests {
         a.record_step(Some(0), HealthState::Healthy);
         b.record_step(Some(1), HealthState::Healthy);
         b.record_step(None, HealthState::Fallback);
-        assert_eq!(a.selections.get(), 2, "streams share the fleet-wide cell");
-        assert_eq!(b.fallback_steps.get(), 1);
+        assert_eq!(a.metrics.selections.get(), 2, "streams share the fleet-wide cell");
+        assert_eq!(b.metrics.fallback_steps.get(), 1);
     }
 
     #[test]
@@ -267,6 +261,6 @@ mod tests {
         let b = LarpObs::register(&registry);
         a.record_nonfinite();
         b.record_nonfinite();
-        assert_eq!(a.nonfinite.get(), 2);
+        assert_eq!(a.metrics.nonfinite.get(), 2);
     }
 }

@@ -85,10 +85,14 @@ impl QualityAssuror {
         if !sq.is_finite() {
             sq = 2.0 * self.threshold * self.audit_window as f64;
         }
-        self.errors.push_back(sq);
-        if self.errors.len() > self.audit_window {
+        // Evict before pushing, so the window holds exactly `audit_window`
+        // slots and never grows past them.
+        if self.errors.len() >= self.audit_window {
             self.errors.pop_front();
+        } else {
+            self.errors.reserve_exact(self.audit_window - self.errors.len());
         }
+        self.errors.push_back(sq);
         self.since_audit += 1;
         if self.since_audit < self.audit_period {
             return AuditOutcome::NotAudited;

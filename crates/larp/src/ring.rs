@@ -6,10 +6,11 @@
 //! one slot on every steady-state push — `O(len)` per sample. [`HistoryRing`]
 //! keeps the same logical contents contiguous while amortising eviction:
 //! values append at the tail, a start cursor advances past evicted ones, and
-//! the buffer compacts with one `copy_within` only after `cap` evictions.
-//! Steady-state cost is O(1) per push with zero heap allocation (the backing
-//! `Vec` is sized to hold `2·cap` values on the first push and never grows
-//! past it).
+//! the buffer compacts with one `copy_within` of `cap` values after every
+//! `slack = max(cap/4, 1)` evictions. Steady-state cost is O(1) amortised per
+//! push (four copied values per push at most) with zero heap allocation:
+//! the backing `Vec` is sized to hold `cap + slack` values on the first push
+//! and never grows past it.
 //!
 //! # Storage precision
 //!
@@ -51,8 +52,8 @@ impl HistoryRing {
     }
 
     /// Creates a ring in the requested storage mode. The backing buffer is
-    /// allocated lazily on the first push (`2·cap` values), so a registered
-    /// but never-pushed stream holds no ring memory at all.
+    /// allocated lazily on the first push (`cap + slack` values), so a
+    /// registered but never-pushed stream holds no ring memory at all.
     pub(crate) fn new_mode(cap: usize, f32_mode: bool) -> Self {
         debug_assert!(cap > 0, "a history ring retains at least one value");
         let buf = if f32_mode { RingBuf::F32(Vec::new()) } else { RingBuf::F64(Vec::new()) };
@@ -85,38 +86,30 @@ impl HistoryRing {
 
     /// Appends one value, evicting the oldest when over capacity.
     pub(crate) fn push(&mut self, value: f64) {
-        // 2·cap backing: each slot between compactions absorbs one eviction,
-        // so the copy_within runs once per cap pushes — amortised O(1). The
-        // reservation happens here, not at construction, so idle streams pay
-        // nothing.
-        let cap = self.cap;
+        // `cap + slack` backing: each slot past `cap` absorbs one eviction,
+        // so the copy_within of `cap` values runs once per `slack` pushes.
+        // The reservation happens here, not at construction, so idle
+        // streams pay nothing.
+        let (cap, slack) = (self.cap, self.slack());
         let start = &mut self.start;
         match &mut self.buf {
             RingBuf::F64(buf) => {
-                reserve_on_first_fill(buf, cap, 1);
+                reserve_on_first_fill(buf, cap + slack, 1);
                 buf.push(value);
-                if buf.len() - *start > cap {
-                    *start += 1;
-                    if *start >= cap {
-                        buf.copy_within(*start.., 0);
-                        buf.truncate(buf.len() - *start);
-                        *start = 0;
-                    }
-                }
+                evict_one(buf, start, cap, slack);
             }
             RingBuf::F32(buf) => {
-                reserve_on_first_fill(buf, cap, 1);
+                reserve_on_first_fill(buf, cap + slack, 1);
                 buf.push(quantize(value));
-                if buf.len() - *start > cap {
-                    *start += 1;
-                    if *start >= cap {
-                        buf.copy_within(*start.., 0);
-                        buf.truncate(buf.len() - *start);
-                        *start = 0;
-                    }
-                }
+                evict_one(buf, start, cap, slack);
             }
         }
+    }
+
+    /// Evictions a compaction absorbs: the backing buffer holds this many
+    /// values beyond `cap`.
+    pub(crate) fn slack(&self) -> usize {
+        (self.cap / 4).max(1)
     }
 
     /// Number of retained values.
@@ -176,17 +169,17 @@ impl HistoryRing {
     /// history's.
     pub(crate) fn refill_normalized(&mut self, source: &HistoryRing, zscore: &ZScore) {
         debug_assert_eq!(self.cap, source.cap);
-        let cap = self.cap;
+        let backing = self.cap + self.slack();
         self.start = 0;
         match (&mut self.buf, &source.buf) {
             (RingBuf::F64(buf), RingBuf::F64(src)) => {
                 let src = &src[source.start..];
-                reserve_on_first_fill(buf, cap, src.len());
+                reserve_on_first_fill(buf, backing, src.len());
                 zscore.apply_slice_into(src, buf);
             }
             (RingBuf::F32(buf), RingBuf::F32(src)) => {
                 let src = &src[source.start..];
-                reserve_on_first_fill(buf, cap, src.len());
+                reserve_on_first_fill(buf, backing, src.len());
                 buf.clear();
                 buf.extend(src.iter().map(|&v| quantize(zscore.apply(f64::from(v)))));
             }
@@ -254,12 +247,27 @@ fn quantize(value: f64) -> f32 {
     }
 }
 
-/// The lazy `2·cap` backing reservation, made when the first `len > 0`
-/// values go into a ring's still-unallocated buffer.
+/// The lazy `cap + slack` backing reservation (`backing` values), made when
+/// the first `len > 0` values go into a ring's still-unallocated buffer.
 #[inline]
-fn reserve_on_first_fill<T>(buf: &mut Vec<T>, cap: usize, len: usize) {
+fn reserve_on_first_fill<T>(buf: &mut Vec<T>, backing: usize, len: usize) {
     if buf.capacity() == 0 && len > 0 {
-        buf.reserve_exact(2 * cap);
+        buf.reserve_exact(backing);
+    }
+}
+
+/// Drops the oldest retained value once `buf[start..]` holds more than
+/// `cap`, compacting the retained values to the front after `slack`
+/// evictions, so `buf` never holds more than `cap + slack` values.
+#[inline]
+fn evict_one<T: Copy>(buf: &mut Vec<T>, start: &mut usize, cap: usize, slack: usize) {
+    if buf.len() - *start > cap {
+        *start += 1;
+        if *start >= slack {
+            buf.copy_within(*start.., 0);
+            buf.truncate(buf.len() - *start);
+            *start = 0;
+        }
     }
 }
 
@@ -350,17 +358,20 @@ mod tests {
     #[test]
     fn allocation_is_lazy_and_exact() {
         // A never-pushed ring holds no heap memory; the first push reserves
-        // exactly 2·cap and steady state stays there (both modes).
+        // exactly cap + slack and steady state stays there (both modes).
         for f32_mode in [false, true] {
-            let mut r = HistoryRing::new_mode(64, f32_mode);
-            assert_eq!(r.heap_bytes(), 0, "no allocation before first push");
-            r.push(1.0);
-            let elem = if f32_mode { 4 } else { 8 };
-            assert_eq!(r.heap_bytes(), 2 * 64 * elem);
-            for i in 0..1000 {
-                r.push(i as f64);
+            for (cap, slack) in [(1, 1), (3, 1), (40, 10), (64, 16)] {
+                let mut r = HistoryRing::new_mode(cap, f32_mode);
+                assert_eq!(r.slack(), slack);
+                assert_eq!(r.heap_bytes(), 0, "no allocation before first push");
+                r.push(1.0);
+                let elem = if f32_mode { 4 } else { 8 };
+                assert_eq!(r.heap_bytes(), (cap + slack) * elem);
+                for i in 0..1000 {
+                    r.push(i as f64);
+                }
+                assert_eq!(r.heap_bytes(), (cap + slack) * elem, "steady state never grows");
             }
-            assert_eq!(r.heap_bytes(), 2 * 64 * elem, "steady state never grows");
         }
     }
 

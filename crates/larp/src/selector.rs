@@ -154,8 +154,8 @@ impl Selector for WindowedCumMse<'_> {
 ///
 /// Unlike [`NwsCumMse`]/[`WindowedCumMse`] this holds no pool reference — the
 /// pool is passed to each call — so it can live inside [`crate::OnlineLarp`]
-/// across retrains (each retrain replaces the pool but the error bookkeeping
-/// survives as a fresh tracker). The online layer only pays the full-pool cost
+/// across retrains (each retrain replaces the pool and resets the tracker in
+/// place). The online layer only pays the full-pool cost
 /// of [`PoolErrorTracker::observe`] while at least one predictor is
 /// quarantined; on a healthy stream it is never consulted.
 #[derive(Debug)]
@@ -171,10 +171,13 @@ impl PoolErrorTracker {
     ///
     /// Returns [`crate::LarpError::InvalidConfig`] if `window == 0`.
     pub fn new(pool_len: usize, window: usize) -> Result<Self> {
-        let accumulators = (0..pool_len)
-            .map(|_| WindowedMse::new(window))
-            .collect::<timeseries::Result<Vec<_>>>()
-            .map_err(|e| crate::LarpError::InvalidConfig(e.to_string()))?;
+        let mut accumulators = Vec::with_capacity(pool_len);
+        for _ in 0..pool_len {
+            accumulators.push(
+                WindowedMse::new(window)
+                    .map_err(|e| crate::LarpError::InvalidConfig(e.to_string()))?,
+            );
+        }
         Ok(Self { accumulators })
     }
 
@@ -183,13 +186,21 @@ impl PoolErrorTracker {
     /// large finite penalty so a NaN-emitting model ranks last instead of
     /// poisoning its accumulator.
     pub fn observe(&mut self, pool: &PredictorPool, history: &[f64], actual: f64) {
-        for (forecast, acc) in pool.predict_all(history).into_iter().zip(&mut self.accumulators) {
+        // One member at a time, so a quarantined step allocates nothing.
+        for (id, acc) in pool.ids().zip(&mut self.accumulators) {
+            let forecast = pool.predict_one(id, history);
             if forecast.is_finite() && actual.is_finite() {
                 acc.record(forecast, actual);
             } else {
                 acc.record(1e6, 0.0);
             }
         }
+    }
+
+    /// Forgets every member's errors, keeping the windows' allocations: the
+    /// tracker reads as freshly created.
+    pub fn reset(&mut self) {
+        self.accumulators.iter_mut().for_each(WindowedMse::reset);
     }
 
     /// The lowest-error pool member among those for which `allowed` is true.

@@ -36,13 +36,17 @@ pub enum KnnBackend {
     KdTree,
 }
 
+/// The largest class id a classifier stores: labels are kept as bytes.
+pub const MAX_LABEL: usize = u8::MAX as usize;
+
 /// A fitted k-NN classifier over a flat struct-of-arrays point store.
 pub struct KnnClassifier {
     k: usize,
     /// Row-major `len × dim` training points, shared with the k-d tree.
     points: Arc<[f64]>,
     dim: usize,
-    labels: Vec<usize>,
+    /// One class per point; a class fits a byte (at most 256 classes).
+    labels: Box<[u8]>,
     n_classes: usize,
     backend: KnnBackend,
     tree: Option<KdTree>,
@@ -53,7 +57,8 @@ impl KnnClassifier {
     ///
     /// # Errors
     ///
-    /// * [`LearnError::InvalidParameter`] if `k == 0`;
+    /// * [`LearnError::InvalidParameter`] if `k == 0` or a label exceeds
+    ///   [`MAX_LABEL`];
     /// * [`LearnError::InsufficientData`] if `points` is empty;
     /// * [`LearnError::ShapeMismatch`] if `points`/`labels` lengths differ or
     ///   point dimensions are inconsistent.
@@ -77,7 +82,7 @@ impl KnnClassifier {
         for p in &points {
             flat.extend_from_slice(p);
         }
-        Self::fit_flat(&flat, dim, labels, k, backend)
+        Self::fit_flat(&flat, dim, &labels, k, backend)
     }
 
     /// [`KnnClassifier::fit`] over an already-flat row-major point buffer
@@ -93,7 +98,7 @@ impl KnnClassifier {
     pub fn fit_flat(
         points: &[f64],
         dim: usize,
-        labels: Vec<usize>,
+        labels: &[usize],
         k: usize,
         backend: KnnBackend,
     ) -> Result<Self> {
@@ -119,7 +124,14 @@ impl KnnClassifier {
                 labels.len()
             )));
         }
-        let n_classes = labels.iter().copied().max().unwrap_or(0) + 1;
+        let max_label = labels.iter().copied().max().unwrap_or(0);
+        if max_label > MAX_LABEL {
+            return Err(LearnError::InvalidParameter(format!(
+                "label {max_label} exceeds the largest class id {MAX_LABEL}"
+            )));
+        }
+        let labels: Box<[u8]> = labels.iter().map(|&l| l as u8).collect();
+        let n_classes = max_label + 1;
         let points: Arc<[f64]> = points.into();
         let tree = match backend {
             // The tree shares the flat buffer — no second copy of the points.
@@ -134,7 +146,7 @@ impl KnnClassifier {
     /// nodes. Used for per-stream memory accounting.
     pub fn heap_bytes(&self) -> usize {
         self.points.len() * std::mem::size_of::<f64>()
-            + self.labels.capacity() * std::mem::size_of::<usize>()
+            + self.labels.len()
             + self.tree.as_ref().map_or(0, KdTree::heap_bytes)
     }
 
@@ -181,7 +193,7 @@ impl KnnClassifier {
     }
 
     /// The training labels, parallel to [`points_flat`](Self::points_flat).
-    pub fn labels(&self) -> &[usize] {
+    pub fn labels(&self) -> &[u8] {
         &self.labels
     }
 
@@ -246,7 +258,7 @@ impl KnnClassifier {
             }
         }
         for entry in out.iter_mut() {
-            entry.0 = self.labels[entry.0];
+            entry.0 = usize::from(self.labels[entry.0]);
         }
         Ok(())
     }
@@ -443,7 +455,7 @@ mod tests {
         let (pts, labels) = blobs(11, 60);
         let flat: Vec<f64> = pts.iter().flatten().copied().collect();
         let nested = KnnClassifier::fit(pts, labels.clone(), 3, KnnBackend::KdTree).unwrap();
-        let from_flat = KnnClassifier::fit_flat(&flat, 2, labels, 3, KnnBackend::KdTree).unwrap();
+        let from_flat = KnnClassifier::fit_flat(&flat, 2, &labels, 3, KnnBackend::KdTree).unwrap();
         assert_eq!(nested.points_flat(), from_flat.points_flat());
         assert_eq!(nested.dim(), from_flat.dim());
         for i in 0..nested.len() {
@@ -487,12 +499,17 @@ mod tests {
         )
         .is_err());
         // Flat-specific shapes.
-        assert!(KnnClassifier::fit_flat(&[1.0, 2.0, 3.0], 2, vec![0], 1, KnnBackend::BruteForce)
-            .is_err());
         assert!(
-            KnnClassifier::fit_flat(&[1.0, 2.0], 0, vec![0], 1, KnnBackend::BruteForce).is_err()
+            KnnClassifier::fit_flat(&[1.0, 2.0, 3.0], 2, &[0], 1, KnnBackend::BruteForce).is_err()
         );
-        assert!(KnnClassifier::fit_flat(&[], 2, vec![], 1, KnnBackend::BruteForce).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0], 0, &[0], 1, KnnBackend::BruteForce).is_err());
+        assert!(KnnClassifier::fit_flat(&[], 2, &[], 1, KnnBackend::BruteForce).is_err());
+        // Labels are stored as bytes: class 255 is the largest.
+        let two = vec![vec![1.0], vec![2.0]];
+        assert!(
+            KnnClassifier::fit(two.clone(), vec![0, MAX_LABEL], 1, KnnBackend::BruteForce).is_ok()
+        );
+        assert!(KnnClassifier::fit(two, vec![0, MAX_LABEL + 1], 1, KnnBackend::BruteForce).is_err());
     }
 
     #[test]

@@ -16,14 +16,12 @@
 #![warn(missing_docs)]
 
 pub mod eval;
-pub mod intern;
 pub mod kdtree;
 pub mod knn;
 pub mod pca;
 pub mod split;
 pub mod vote;
 
-pub use intern::PcaInterner;
 pub use kdtree::KdTree;
 pub use knn::{KnnBackend, KnnClassifier};
 pub use pca::Pca;

@@ -242,9 +242,11 @@ impl Predictor for Ari {
 
     fn predict(&self, history: &[f64]) -> f64 {
         // Difference the history d times, forecast the next difference at each
-        // level from innermost out, then integrate back up.
+        // level from innermost out, then integrate back up. The forecast reads
+        // only the last p + d values, so only those are differenced.
+        let tail = &history[history.len().saturating_sub(self.min_history())..];
         let mut levels: Vec<Vec<f64>> = Vec::with_capacity(self.diff_order + 1);
-        levels.push(history.to_vec());
+        levels.push(tail.to_vec());
         for _ in 0..self.diff_order {
             let prev = levels.last().expect("non-empty by construction");
             let next = timeseries::diff::difference(prev).expect("min_history guarantees length");

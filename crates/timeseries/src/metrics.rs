@@ -158,16 +158,33 @@ impl WindowedMse {
     pub fn record(&mut self, predicted: f64, observed: f64) {
         let d = predicted - observed;
         let sq = d * d;
+        // Evict before pushing so the window never holds more than `window`
+        // slots; the running sum still adds the new error before it
+        // subtracts the evicted one.
+        let evicted = if self.errors.len() >= self.window {
+            self.errors.pop_front()
+        } else {
+            self.errors.reserve_exact(self.window - self.errors.len());
+            None
+        };
         self.errors.push_back(sq);
         self.sum_sq += sq;
-        if self.errors.len() > self.window {
-            self.sum_sq -= self.errors.pop_front().expect("non-empty after push");
+        if let Some(evicted) = evicted {
+            self.sum_sq -= evicted;
             self.since_resum += 1;
             if self.since_resum >= Self::RESUM_PERIOD {
                 self.sum_sq = self.errors.iter().sum();
                 self.since_resum = 0;
             }
         }
+    }
+
+    /// Forgets every recorded error, keeping the window's allocation: the
+    /// accumulator reads as freshly created.
+    pub fn reset(&mut self) {
+        self.errors.clear();
+        self.sum_sq = 0.0;
+        self.since_resum = 0;
     }
 
     /// Current windowed MSE; `None` before any observation.
