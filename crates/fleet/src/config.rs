@@ -80,7 +80,8 @@ pub struct FleetConfig {
     /// Number of shards = number of worker threads. Stream→shard assignment
     /// is a pure hash, so results are deterministic given seed + shard count.
     pub shards: usize,
-    /// Bounded capacity of each shard's ingest queue, in samples.
+    /// Bounded capacity of each shard's ingest queue, in samples. Each
+    /// shard reserves it when the engine starts.
     pub queue_capacity: usize,
     /// Policy when a shard queue is full; [`BackpressurePolicy::Block`] is
     /// its only value.

@@ -432,15 +432,18 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
+    /// The queue is reserved at its bound up front, so `enqueue` never
+    /// grows it while it holds the queue lock.
     pub(crate) fn new(
         index: usize,
+        queue_capacity: usize,
         registry: &Registry,
         drains_inline: Counter,
         drains_worker: Counter,
     ) -> Self {
         Self {
             queue: Mutex::new(QueueInner {
-                items: VecDeque::new(),
+                items: VecDeque::with_capacity(queue_capacity),
                 shutdown: false,
                 busy: false,
                 space_waiters: 0,
