@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use larp::{
     GuardedLarp, HealthState, IngestConfig, LarpConfig, OnlineLarp, QualityAssuror,
@@ -147,22 +148,24 @@ fn quarantined_step_does_not_allocate() {
 /// Heap allocations of one warm refit: the pool (model list, spec list, the
 /// boxed SW_AVG and AR members, the AR coefficients, and the AR fit's three
 /// temporaries — autocovariances, previous-order coefficients, reflection
-/// coefficients), the k-NN labels and point store, the PCA mean, components
-/// and eigenvalues, and the config's pool list. The fit's other temporaries
-/// — normalised tail, window labels, window matrix, projected features,
-/// covariance, eigen workspace — live in reused per-thread buffers or on the
-/// stack. A lower count is progress: lower the pin with it.
-const REFIT_ALLOCATIONS: u64 = 14;
+/// coefficients), the k-NN labels and point store, and the PCA mean,
+/// components and eigenvalues. The model shares the stream's config instead
+/// of copying it. The fit's other temporaries — normalised tail, window
+/// labels, window matrix, projected features, covariance, eigen workspace —
+/// live in reused per-thread buffers or on the stack. A lower count is
+/// progress: lower the pin with it.
+const REFIT_ALLOCATIONS: u64 = 13;
 
 #[test]
 fn warm_refit_stays_within_its_allocation_budget() {
     let tail: Vec<f64> = (0..40u64).map(signal).collect();
-    let config = LarpConfig::default();
+    // A stream's refit shares its config: no copy per fit.
+    let config = Arc::new(LarpConfig::default());
     // The first fit on this thread sizes the reused fit buffers.
-    let warm = TrainedLarp::train(&tail, &config).expect("trainable tail");
+    let warm = TrainedLarp::train_shared(&tail, &config).expect("trainable tail");
 
     let before = THREAD_ALLOC_CALLS.with(Cell::get);
-    let model = TrainedLarp::train(&tail, &config).expect("trainable tail");
+    let model = TrainedLarp::train_shared(&tail, &config).expect("trainable tail");
     let allocations = THREAD_ALLOC_CALLS.with(Cell::get) - before;
 
     assert!(model.pca().is_some() && model.knn().len() == 35, "a full PCA + k-NN fit");

@@ -875,8 +875,9 @@ impl FleetEngine {
             for g in grouped.iter_mut() {
                 g.clear();
             }
-            for &(id, value) in batch {
-                let seq = self.shared.push_seq.fetch_add(1, Ordering::Relaxed) + 1;
+            // One claim per batch: its samples take consecutive numbers.
+            let first = self.shared.push_seq.fetch_add(batch.len() as u64, Ordering::Relaxed) + 1;
+            for (seq, &(id, value)) in (first..).zip(batch) {
                 grouped[self.shard_for(id)].push(Job { stream: id, minute: None, value, seq });
             }
             let mut report = PushReport::default();

@@ -315,8 +315,8 @@ impl Sanitizer {
         // `robust_scratch` is a sorted mirror of the window, so the median is
         // a direct read; a median is invariant to input order, so the mirror
         // gives bit-identical answers to re-sorting the window each time. The
-        // MAD walks the same sorted mirror outward from the median (see
-        // `mad_sorted`), with no deviation buffer.
+        // MAD scans the same sorted mirror (see `mad_sorted`), with no
+        // deviation buffer.
         debug_assert_eq!(self.robust_scratch.len(), self.recent.len());
         let Ok(med) = stats::quantile_sorted(&self.robust_scratch, 0.5) else {
             return value;
@@ -378,37 +378,28 @@ impl Sanitizer {
 /// around its median `med`, bit-identical to
 /// `stats::quantile_select(&mut |x − med| for x in sorted, 0.5)`.
 ///
-/// `x − med` rounds monotonically in `x`, so the deviations of the values
-/// below `med` fall as the values rise toward it and those at or above it
-/// rise with them: two sorted runs that meet at the median. Merging them
-/// outward reaches the two middle order statistics of the deviations after
-/// half the window, and the interpolation between them is the one
-/// `quantile_select` performs. `abs` never yields −0.0, so equal
-/// deviations are equal bits and the merge order of ties cannot matter.
+/// `x − med` rounds monotonically in `x`, so the deviations `|s[j] − med|`
+/// fall and then rise along the sorted window. In such a valley the `r + 1`
+/// smallest deviations form a contiguous run, and every run of `r + 1`
+/// values has its largest deviation at one of its ends. So the `r`-th
+/// smallest deviation (from 0) is the least, over the runs `s[j..=j + r]`,
+/// of the larger end deviation: two `min`/`max` scans with no
+/// data-dependent branch find both middle order statistics. `min` and `max`
+/// only pick existing deviations (`abs` never yields −0.0), and the
+/// interpolation between them is the one `quantile_select` performs.
 fn mad_sorted(sorted: &[f64], med: f64) -> f64 {
     let n = sorted.len();
     let pos = 0.5 * (n - 1) as f64;
     let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
     let frac = pos - lo as f64;
-    // Left run: sorted[..left] read right to left; right run: sorted[right..].
-    let mut right = sorted.partition_point(|&x| x < med);
-    let mut left = right;
-    let (mut lo_v, mut hi_v) = (0.0, 0.0);
-    for rank in 0..=hi {
-        let take_left = left > 0
-            && (right == n || (sorted[left - 1] - med).abs() <= (sorted[right] - med).abs());
-        let dev = if take_left {
-            left -= 1;
-            (sorted[left] - med).abs()
-        } else {
-            right += 1;
-            (sorted[right - 1] - med).abs()
-        };
-        if rank == lo {
-            lo_v = dev;
-        }
-        hi_v = dev;
-    }
+    let nth_deviation = |r: usize| {
+        sorted
+            .iter()
+            .zip(&sorted[r..])
+            .fold(f64::INFINITY, |least, (&a, &b)| least.min((a - med).abs().max((b - med).abs())))
+    };
+    let lo_v = nth_deviation(lo);
+    let hi_v = if hi == lo { lo_v } else { nth_deviation(hi) };
     lo_v * (1.0 - frac) + hi_v * frac
 }
 
@@ -669,26 +660,43 @@ mod tests {
     }
 
     #[test]
-    fn mad_walk_matches_selection_bit_for_bit() {
+    fn mad_min_over_runs_matches_selection_bit_for_bit() {
         use simrng::{Rng64, Xoshiro256pp};
         let mut rng = Xoshiro256pp::seed_from_u64(0x004D_4144);
         let mut windows: Vec<Vec<f64>> = Vec::new();
-        for n in 4..=64usize {
-            for case in 0..12 {
+        for n in 1..=64usize {
+            for case in 0..14 {
+                // Where a two-level window steps up, and where a spike sits
+                // (either end included).
+                let split = (rng.next_u64() % (n as u64 + 1)) as usize;
+                let spike = (rng.next_u64() % n as u64) as usize;
                 let w: Vec<f64> = (0..n)
                     .map(|i| match case {
                         // Constant windows, of either sign or zero.
                         0 => 3.25,
                         1 => -0.0,
+                        2 => -7.5,
                         // Few distinct values: ties and duplicates everywhere.
-                        2 => [1.0, 2.0, 2.0, 5.0][(rng.next_u64() % 4) as usize],
-                        3 => [-1.0, 0.0, 1.0][(rng.next_u64() % 3) as usize],
+                        3 => [1.0, 2.0, 2.0, 5.0][(rng.next_u64() % 4) as usize],
+                        4 => [-1.0, 0.0, 1.0][(rng.next_u64() % 3) as usize],
+                        // Two levels, shuffled and as one step.
+                        5 => [10.0, 20.0][(rng.next_u64() % 2) as usize],
+                        6 => {
+                            if i < split {
+                                -4.0
+                            } else {
+                                7.5
+                            }
+                        }
                         // Mixed signs across magnitudes.
-                        4 => rng.uniform(-1.0, 1.0) * 10f64.powi((rng.next_u64() % 9) as i32 - 4),
+                        7 => rng.uniform(-1.0, 1.0) * 10f64.powi((rng.next_u64() % 9) as i32 - 4),
+                        8 => rng.uniform(-3.0, 3.0),
                         // Symmetric pairs around the median: equal deviations.
-                        5 => (i / 2) as f64 * if i % 2 == 0 { 1.0 } else { -1.0 },
-                        // A level with one far outlier.
-                        6 if i == n / 2 => 1e12,
+                        9 => (i / 2) as f64 * if i % 2 == 0 { 1.0 } else { -1.0 },
+                        // A level with one far spike, up or down.
+                        10 if i == spike => 1e12,
+                        11 if i == spike => -1e9,
+                        10 | 11 => 2.0 + rng.uniform(-0.1, 0.1),
                         _ => 50.0 + rng.uniform(-5.0, 5.0),
                     })
                     .collect();

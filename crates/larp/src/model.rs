@@ -1,5 +1,7 @@
 //! The trained LARPredictor: normaliser + pool + PCA + k-NN, bundled.
 
+use std::sync::Arc;
+
 use learn::{KnnClassifier, Pca};
 use predictors::{PredictorId, PredictorPool};
 use timeseries::ZScore;
@@ -105,7 +107,9 @@ fn with_fit_buffers<R>(f: impl FnOnce(&mut FitBuffers) -> R) -> R {
 /// coefficients, the fitted predictor pool, the PCA projection (if enabled)
 /// and the labelled k-NN index. Create with [`TrainedLarp::train`].
 pub struct TrainedLarp {
-    pub(crate) config: LarpConfig,
+    /// Shared with the [`crate::OnlineLarp`] that refits this model, so a
+    /// refit copies no configuration.
+    pub(crate) config: Arc<LarpConfig>,
     pub(crate) zscore: ZScore,
     pub(crate) pool: PredictorPool,
     pub(crate) pca: Option<Pca>,
@@ -138,6 +142,25 @@ impl TrainedLarp {
     ///
     /// Same conditions as [`TrainedLarp::train`].
     pub fn train_with_threads(train: &[f64], config: &LarpConfig, threads: usize) -> Result<Self> {
+        Self::train_shared_with_threads(train, &Arc::new(config.clone()), threads)
+    }
+
+    /// [`TrainedLarp::train`] under a shared configuration: the model holds
+    /// another reference to `config` instead of a copy. This is the refit
+    /// path of [`crate::OnlineLarp`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TrainedLarp::train`].
+    pub fn train_shared(train: &[f64], config: &Arc<LarpConfig>) -> Result<Self> {
+        Self::train_shared_with_threads(train, config, default_threads())
+    }
+
+    fn train_shared_with_threads(
+        train: &[f64],
+        config: &Arc<LarpConfig>,
+        threads: usize,
+    ) -> Result<Self> {
         config.validate()?;
         let m = config.window;
         // Need enough windows for PCA (>= 2) and for k neighbours.
@@ -158,7 +181,7 @@ impl TrainedLarp {
     /// allocations left are the model's own storage.
     fn fit_buffered(
         train: &[f64],
-        config: &LarpConfig,
+        config: &Arc<LarpConfig>,
         threads: usize,
         zscore: ZScore,
         bufs: &mut FitBuffers,
@@ -196,7 +219,7 @@ impl TrainedLarp {
         };
         let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;
 
-        Ok(Self { config: config.clone(), zscore, pool, pca, knn, train_len: train.len() })
+        Ok(Self { config: Arc::clone(config), zscore, pool, pca, knn, train_len: train.len() })
     }
 
     /// The configuration the model was trained with.

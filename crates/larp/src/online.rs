@@ -26,6 +26,7 @@
 //!   the loop keeps [`OnlineCounters`] for observability.
 
 use std::cell::RefCell;
+use std::sync::Arc;
 use std::time::Instant;
 
 use predictors::{ModelSpec, PredictorId};
@@ -98,7 +99,8 @@ pub(crate) struct PredictorHealth {
 /// Fields are `pub(crate)` so `crate::snapshot` can serialize and rebuild the
 /// exact serving state without retraining.
 pub struct OnlineLarp {
-    pub(crate) config: LarpConfig,
+    /// Shared with the installed model: a refit references it, not a copy.
+    pub(crate) config: Arc<LarpConfig>,
     pub(crate) resilience: ResilienceConfig,
     pub(crate) qa: QualityAssuror,
     /// Most recent observations (raw scale), bounded by
@@ -256,7 +258,7 @@ impl OnlineLarp {
         }
         let cap = history_cap(&config, train_size);
         Ok(Self {
-            config,
+            config: Arc::new(config),
             qa,
             history: HistoryRing::new_mode(cap, resilience.f32_history),
             norm: HistoryRing::new_mode(cap, resilience.f32_history),
@@ -456,7 +458,7 @@ impl OnlineLarp {
             // Zero-copy for `f64` rings; `f32` rings widen into the scratch.
             let full = self.history.materialized(&mut scratch.hist64);
             let tail = &full[full.len().saturating_sub(self.train_size)..];
-            TrainedLarp::train(tail, &self.config)
+            TrainedLarp::train_shared(tail, &self.config)
                 .ok()
                 .filter(|model| matches!(model.predict_next_raw(tail), Ok((_, f)) if f.is_finite()))
         };

@@ -36,6 +36,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use learn::{KnnBackend, KnnClassifier, Pca};
 use linalg::Matrix;
@@ -186,6 +187,11 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(r)
+    }
+
+    /// The bytes read since offset `start`, an earlier value of `pos`.
+    fn since(&self, start: usize) -> &'a [u8] {
+        &self.buf[start..self.pos]
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
@@ -511,8 +517,13 @@ fn put_trained(w: &mut Writer, m: &TrainedLarp) {
     w.usize(m.train_len);
 }
 
-fn get_trained(r: &mut Reader) -> Result<TrainedLarp> {
-    let config = get_larp_config(r)?;
+/// Reads a trained model. `online` is the enclosing stream's decoded config
+/// and its encoded bytes: a model whose encoded config is the same bytes
+/// shares that `Arc`, as a live stream's model does.
+fn get_trained(r: &mut Reader, online: (&Arc<LarpConfig>, &[u8])) -> Result<TrainedLarp> {
+    let start = r.pos;
+    let decoded = get_larp_config(r)?;
+    let config = if r.since(start) == online.1 { Arc::clone(online.0) } else { Arc::new(decoded) };
     let zscore = ZScore::from_coefficients(r.f64()?, r.f64()?)?;
     let n_specs = r.checked_len(1)?;
     let specs = (0..n_specs).map(|_| get_model_spec(r)).collect::<Result<Vec<_>>>()?;
@@ -619,7 +630,9 @@ fn put_online(w: &mut Writer, o: &OnlineLarp) {
 }
 
 fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
-    let config = get_larp_config(r)?;
+    let start = r.pos;
+    let config = Arc::new(get_larp_config(r)?);
+    let config_bytes = r.since(start);
     let (resilience, stored_cap) = get_resilience(r)?;
     let qa = get_qa(r)?;
     let history = r.f64_seq()?;
@@ -627,7 +640,7 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     let train_size = r.usize()?;
     let model = match r.u8()? {
         0 => None,
-        1 => Some(get_trained(r)?),
+        1 => Some(get_trained(r, (&config, config_bytes))?),
         t => return Err(err(format!("unknown model tag {t}"))),
     };
     let pending = match r.u8()? {
@@ -850,6 +863,32 @@ mod tests {
         // training must not have been redone at restore time.
         assert!(restored.retrain_count() >= retrains_before);
         assert_eq!(restored.retrain_count(), live.retrain_count());
+    }
+
+    #[test]
+    fn a_stream_and_its_model_share_one_config() {
+        let mut live = OnlineLarp::new(LarpConfig::default(), 40, qa()).unwrap();
+        for t in 0..90 {
+            live.push(signal(t));
+        }
+        let shares = |o: &OnlineLarp| Arc::ptr_eq(&o.config, &o.model.as_ref().unwrap().config);
+        assert!(shares(&live), "a refit references the stream's config");
+        let bytes = live.to_snapshot_bytes();
+        let restored = OnlineLarp::from_snapshot_bytes(&bytes).unwrap();
+        assert!(shares(&restored), "equal encoded configs decode to one Arc");
+        assert_eq!(restored.to_snapshot_bytes(), bytes);
+
+        // A model whose encoded config differs keeps its own, byte for byte.
+        let own = LarpConfig {
+            reduction: FeatureReduction::PcaFraction { min_fraction: 0.9 },
+            ..LarpConfig::default()
+        };
+        live.model.as_mut().unwrap().config = Arc::new(own.clone());
+        let bytes = live.to_snapshot_bytes();
+        let restored = OnlineLarp::from_snapshot_bytes(&bytes).unwrap();
+        assert!(!shares(&restored));
+        assert_eq!(*restored.model.as_ref().unwrap().config, own);
+        assert_eq!(restored.to_snapshot_bytes(), bytes);
     }
 
     #[test]

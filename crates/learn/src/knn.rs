@@ -12,13 +12,15 @@
 //! Training points live in one flat row-major `Arc<[f64]>` (stride =
 //! [`dim`](KnnClassifier::dim)) shared with the k-d tree backend, so the
 //! index never stores a second copy and queries walk contiguous memory
-//! instead of chasing per-point heap pointers. The brute-force search keeps a
-//! bounded top-`k` buffer (sorted insertion, as the k-d tree does) rather
-//! than sorting all `N` candidates, and the `_into` query variants write into
-//! caller-owned scratch so the steady-state serving path performs no heap
-//! allocation.
+//! instead of chasing per-point heap pointers. The brute-force search is one
+//! fused pass that computes each point's distance and keeps the `k` best in
+//! the output buffer (see `keep_nearest`) rather than sorting all `N`
+//! candidates, and the `_into` query variants write into caller-owned
+//! scratch so the steady-state serving path performs no heap allocation.
 
 use std::sync::Arc;
+
+use linalg::vecops::squared_distance;
 
 use crate::kdtree::KdTree;
 use crate::vote::majority_vote;
@@ -231,29 +233,19 @@ impl KnnClassifier {
         match (&self.tree, self.backend) {
             (Some(tree), KnnBackend::KdTree) => tree.nearest_into(query, self.k, out)?,
             _ => {
-                // Bounded top-k selection: same sorted-insertion buffer the
-                // k-d tree uses, identical (index, distance) output to the
-                // old sort-all-N-then-truncate (both realise the k smallest
-                // under the total order (distance, index)).
-                //
-                // Distances are computed a block at a time through the
-                // dispatched scan kernel (SIMD under AVX2, 4 points per
-                // iteration in the 2-d post-PCA space) into a stack buffer,
-                // then offered sequentially — the scan is bit-identical to
-                // per-point `squared_distance`, so the selected set and its
-                // order match the unblocked loop exactly.
-                const BLOCK: usize = 64;
-                let mut dists = [0.0f64; BLOCK];
-                let n = self.labels.len();
-                let mut base = 0;
-                while base < n {
-                    let m = BLOCK.min(n - base);
-                    let rows = &self.points[base * self.dim..(base + m) * self.dim];
-                    linalg::kernels::sqdist_scan(query, rows, &mut dists[..m]);
-                    for (j, &d) in dists[..m].iter().enumerate() {
-                        KdTree::offer(out, self.k, (base + j, d));
+                // One fused pass: each point's squared distance (the 2-d
+                // post-PCA space spelled out, any other dim through the
+                // shared kernel) goes straight into the bounded top-k.
+                if self.dim == 2 {
+                    let (qx, qy) = (query[0], query[1]);
+                    for (i, p) in self.points.chunks_exact(2).enumerate() {
+                        let (dx, dy) = (qx - p[0], qy - p[1]);
+                        keep_nearest(out, self.k, i, dx * dx + dy * dy);
                     }
-                    base += m;
+                } else {
+                    for (i, p) in self.points.chunks_exact(self.dim).enumerate() {
+                        keep_nearest(out, self.k, i, squared_distance(query, p));
+                    }
                 }
             }
         }
@@ -325,6 +317,30 @@ impl KnnClassifier {
     }
 }
 
+/// Offers point `i` at squared distance `d` to `best`, the `k` nearest so far
+/// in ascending `(distance, index)` order (`total_cmp`, so a NaN distance
+/// ranks after every number). Points arrive in ascending index order, so a
+/// candidate loses every distance tie: it is rejected unless it beats the
+/// current `k`-th, and it is inserted from the back past strictly greater
+/// distances only. The result is the first `k` of all points sorted by
+/// `(distance, index)`. `best` never grows past `k`.
+#[inline(always)]
+fn keep_nearest(best: &mut Vec<(usize, f64)>, k: usize, i: usize, d: f64) {
+    if best.len() == k {
+        if best[k - 1].1.total_cmp(&d).is_le() {
+            return;
+        }
+        best.pop();
+    }
+    best.push((i, d));
+    let mut pos = best.len() - 1;
+    while pos > 0 && best[pos - 1].1.total_cmp(&d).is_gt() {
+        best[pos] = best[pos - 1];
+        pos -= 1;
+    }
+    best[pos] = (i, d);
+}
+
 impl std::fmt::Debug for KnnClassifier {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KnnClassifier")
@@ -339,7 +355,6 @@ impl std::fmt::Debug for KnnClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linalg::vecops::squared_distance;
     use simrng::{Rng64, Xoshiro256pp};
 
     /// Two well-separated Gaussian-ish blobs.

@@ -4,6 +4,7 @@
 //! suite runs without external crates; every case is deterministic per seed.
 
 use learn::{eval, split, KdTree, KnnBackend, KnnClassifier, Pca};
+use linalg::vecops::squared_distance;
 use linalg::Matrix;
 use simrng::{Rng64, Xoshiro256pp};
 
@@ -33,6 +34,55 @@ fn kdtree_equals_brute_force() {
         all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         all.truncate(k);
         assert_eq!(got, all);
+    }
+}
+
+/// The fused brute-force scan returns the first `k` of all points sorted by
+/// `(distance, index)`: the same indices and the same distance bits, for
+/// `k` past the point count too. Grid coordinates and copied points make
+/// equal distances common, and some cases carry one NaN coordinate, which
+/// must rank last.
+#[test]
+fn brute_force_scan_equals_sort_all_reference() {
+    let mut rng = Xoshiro256pp::seed_from_u64(207);
+    for dim in [1usize, 2, 3, 5, 16] {
+        for case in 0..24 {
+            let n = 1 + rng.next_below(48) as usize;
+            let coord = |rng: &mut Xoshiro256pp| {
+                if case % 2 == 0 {
+                    rng.next_below(5) as f64 - 2.0
+                } else {
+                    rng.uniform(-3.0, 3.0)
+                }
+            };
+            let mut pts: Vec<Vec<f64>> =
+                (0..n).map(|_| (0..dim).map(|_| coord(&mut rng)).collect()).collect();
+            for _ in 0..rng.next_below(4) {
+                let copy = pts[rng.next_below(pts.len() as u64) as usize].clone();
+                pts.push(copy);
+            }
+            if case % 3 == 0 {
+                let i = rng.next_below(pts.len() as u64) as usize;
+                pts[i][rng.next_below(dim as u64) as usize] = f64::NAN;
+            }
+            let q: Vec<f64> = (0..dim).map(|_| coord(&mut rng)).collect();
+            let n = pts.len();
+            // Labels are the point indices, so `neighbors` reports indices.
+            let labels: Vec<usize> = (0..n).collect();
+            let mut all: Vec<(usize, f64)> =
+                pts.iter().enumerate().map(|(i, p)| (i, squared_distance(&q, p))).collect();
+            all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+            for k in (1..=7).chain([n + 2]) {
+                let knn =
+                    KnnClassifier::fit(pts.clone(), labels.clone(), k, KnnBackend::BruteForce)
+                        .unwrap();
+                let got: Vec<(usize, u64)> =
+                    knn.neighbors(&q).unwrap().iter().map(|&(i, d)| (i, d.to_bits())).collect();
+                let want: Vec<(usize, u64)> =
+                    all.iter().take(k).map(|&(i, d)| (i, d.to_bits())).collect();
+                assert_eq!(got, want, "dim {dim}, case {case}, k {k}");
+            }
+        }
     }
 }
 

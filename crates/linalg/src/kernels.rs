@@ -231,56 +231,6 @@ pub fn znorm_apply_into(xs: &[f64], mean: f64, divisor: f64, out: &mut Vec<f64>)
     znorm_apply(xs, mean, divisor, out);
 }
 
-/// Batched squared distances from `query` to `points` (row-major, stride
-/// `query.len()`): `out[p] = ‖query − points[p]‖²`. The AVX2 path carries a
-/// four-points-at-a-time specialisation for the 2-dimensional post-PCA
-/// feature space; results are bit-identical to per-point
-/// [`squared_distance`].
-///
-/// # Panics
-///
-/// Panics unless `points.len() == out.len() * query.len()`.
-#[inline]
-pub fn sqdist_scan(query: &[f64], points: &[f64], out: &mut [f64]) {
-    assert_eq!(
-        points.len(),
-        out.len() * query.len(),
-        "sqdist_scan: {} point values vs {} outputs of dim {}",
-        points.len(),
-        out.len(),
-        query.len()
-    );
-    dispatch!(avx2::sqdist_scan(query, points, out), scalar::sqdist_scan(query, points, out))
-}
-
-/// Fused project-then-distance: projects raw observation `x` (centered by
-/// `means`) onto each row of `components` (row-major, `point.len()` rows of
-/// `x.len()`) and accumulates the squared distance to `point` in the
-/// projected space, without materialising the projection. Bit-identical to
-/// [`project_dot`] per component followed by a sequential
-/// `(proj − point)²` accumulation.
-///
-/// # Panics
-///
-/// Panics on any length mismatch.
-pub fn project_sqdist(x: &[f64], means: &[f64], components: &[f64], point: &[f64]) -> f64 {
-    let d = x.len();
-    assert_eq!(means.len(), d, "project_sqdist: means length mismatch");
-    assert_eq!(
-        components.len(),
-        point.len() * d,
-        "project_sqdist: {} component values vs {} rows of dim {d}",
-        components.len(),
-        point.len()
-    );
-    let mut acc = 0.0;
-    for (row, &pc) in components.chunks_exact(d.max(1)).zip(point) {
-        let diff = project_dot(row, x, means) - pc;
-        acc += diff * diff;
-    }
-    acc
-}
-
 /// Widens `f32` values to `f64` into a caller slice (exact conversion, so
 /// trivially bit-identical across dispatches).
 ///
@@ -478,13 +428,6 @@ mod scalar {
     pub(super) fn znorm_apply(xs: &[f64], mean: f64, divisor: f64, out: &mut [f64]) {
         for (o, &x) in out.iter_mut().zip(xs) {
             *o = (x - mean) / divisor;
-        }
-    }
-
-    pub(super) fn sqdist_scan(query: &[f64], points: &[f64], out: &mut [f64]) {
-        let dim = query.len();
-        for (o, p) in out.iter_mut().zip(points.chunks_exact(dim.max(1))) {
-            *o = squared_distance(query, p);
         }
     }
 
@@ -746,50 +689,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn sqdist_scan(query: &[f64], points: &[f64], out: &mut [f64]) {
-        let dim = query.len();
-        if dim == 2 {
-            return sqdist_scan_dim2(query, points, out);
-        }
-        for (o, p) in out.iter_mut().zip(points.chunks_exact(dim.max(1))) {
-            *o = squared_distance(query, p);
-        }
-    }
-
-    /// Four 2-d points per iteration. Each distance is `dx² + dy²` — the
-    /// same two product roundings and one add as the scalar dim-2 path.
-    #[target_feature(enable = "avx2")]
-    fn sqdist_scan_dim2(query: &[f64], points: &[f64], out: &mut [f64]) {
-        let n = out.len();
-        let quads = n & !3;
-        let qx = _mm256_set1_pd(query[0]);
-        let qy = _mm256_set1_pd(query[1]);
-        let mut p = 0;
-        while p < quads {
-            let v01 = load(points, 2 * p); // [p0x p0y p1x p1y]
-            let v23 = load(points, 2 * p + 4); // [p2x p2y p3x p3y]
-            let xs = _mm256_unpacklo_pd(v01, v23); // [p0x p2x p1x p3x]
-            let ys = _mm256_unpackhi_pd(v01, v23); // [p0y p2y p1y p3y]
-            let dx = _mm256_sub_pd(xs, qx);
-            let dy = _mm256_sub_pd(ys, qy);
-            let r = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-            let mut tmp = [0.0f64; 4]; // [r0 r2 r1 r3]
-            store(&mut tmp, 0, r);
-            out[p] = tmp[0];
-            out[p + 1] = tmp[2];
-            out[p + 2] = tmp[1];
-            out[p + 3] = tmp[3];
-            p += 4;
-        }
-        while p < n {
-            let dx = query[0] - points[2 * p];
-            let dy = query[1] - points[2 * p + 1];
-            out[p] = dx * dx + dy * dy;
-            p += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) fn widen(src: &[f32], out: &mut [f64]) {
         let n = src.len();
         let lanes = n & !3;
@@ -972,37 +871,6 @@ mod tests {
     }
 
     #[test]
-    fn sqdist_scan_matches_per_point_distance_for_all_dims() {
-        let mut g = Gen(0x5eed_9abc_0000_0003);
-        for dim in 1..=8usize {
-            for npoints in [0usize, 1, 2, 3, 4, 5, 7, 8, 33] {
-                let query = g.vec(dim);
-                let points = g.vec(dim * npoints);
-                let mut out_s = vec![0.0; npoints];
-                scalar::sqdist_scan(&query, &points, &mut out_s);
-                for (i, chunk) in points.chunks_exact(dim).enumerate() {
-                    assert_bits_eq(
-                        out_s[i],
-                        scalar::squared_distance(&query, chunk),
-                        "scalar scan vs per-point",
-                    );
-                }
-                #[cfg(target_arch = "x86_64")]
-                if have_avx2() {
-                    // SAFETY: guarded by have_avx2().
-                    unsafe {
-                        let mut out_v = vec![0.0; npoints];
-                        avx2::sqdist_scan(&query, &points, &mut out_v);
-                        for i in 0..npoints {
-                            assert_bits_eq(out_s[i], out_v[i], "sqdist_scan dim2/generic");
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn widen_is_exact_in_both_paths() {
         let mut g = Gen(0x5eed_def0_0000_0004);
         for len in [0usize, 1, 3, 4, 5, 17, 100] {
@@ -1093,24 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn project_sqdist_matches_unfused_composition() {
-        let mut g = Gen(0x5eed_2222_0000_0006);
-        for (d, ncomp) in [(8usize, 2usize), (5, 1), (12, 3), (2, 2)] {
-            let x = g.vec(d);
-            let means = g.vec(d);
-            let comps = g.vec(d * ncomp);
-            let point = g.vec(ncomp);
-            let fused = project_sqdist(&x, &means, &comps, &point);
-            let mut acc = 0.0;
-            for (row, &pc) in comps.chunks_exact(d).zip(&point) {
-                let diff = project_dot(row, &x, &means) - pc;
-                acc += diff * diff;
-            }
-            assert_bits_eq(fused, acc, "project_sqdist");
-        }
-    }
-
-    #[test]
     fn vec_wrappers_resize_and_fill() {
         let mut out = Vec::new();
         znorm_apply_into(&[1.0, 2.0, 3.0], 2.0, 2.0, &mut out);
@@ -1124,12 +974,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn dot_length_mismatch_panics() {
         let _ = dot(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sqdist_scan")]
-    fn sqdist_scan_shape_checked() {
-        let mut out = [0.0; 2];
-        sqdist_scan(&[0.0, 0.0], &[1.0, 2.0, 3.0], &mut out);
     }
 }

@@ -13,9 +13,9 @@
 //! Everything is built on a single row-major [`Matrix`] type plus free functions
 //! over `&[f64]` slices ([`vecops`]). The slice primitives on the serving and
 //! training hot paths (dot, squared distance, sums/moments, z-normalisation,
-//! PCA projection, batched distance scans) live in [`kernels`], which selects
-//! between a portable scalar implementation and a runtime-detected x86_64
-//! AVX2 one — bit-identical by construction, see the module docs. The matrix
+//! PCA projection) live in [`kernels`], which selects between a portable
+//! scalar implementation and a runtime-detected x86_64 AVX2 one —
+//! bit-identical by construction, see the module docs. The matrix
 //! factorisations stay scalar: they operate on tiny `m × m` systems
 //! (`m ≤ 16`). The ones an online refit runs — column means, covariance and
 //! the Jacobi eigensolver — live in [`fixed`], monomorphised over the
