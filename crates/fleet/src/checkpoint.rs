@@ -21,6 +21,8 @@
 //! two fleets serving the same streams checkpoint identically even when run
 //! with different shard counts.
 
+use std::io::Write;
+
 use larp::GuardedLarp;
 use store::codec::{self, Reader};
 
@@ -40,21 +42,38 @@ fn err(msg: impl Into<String>) -> FleetError {
     FleetError::Checkpoint(msg.into())
 }
 
-/// Encodes streams (already sorted by id) into checkpoint bytes.
-pub(crate) fn encode(streams: &[(StreamId, u64, Vec<u8>)]) -> Vec<u8> {
+/// Streams the checkpoint of `streams` (sorted by id) into `out`: the
+/// header, then one entry per stream. `snapshot(id, item, buf)` replaces
+/// `buf`'s contents with that stream's guarded snapshot and returns its
+/// `next_minute`. One buffer serves every stream, so the encoder holds one
+/// snapshot at a time, never the image: the sink decides whether the image
+/// is kept (a `Vec`) or streamed to disk.
+///
+/// # Errors
+///
+/// Whatever `snapshot` returns, and [`FleetError::Durability`] if `out`
+/// fails.
+pub(crate) fn write<W: Write + ?Sized, T>(
+    out: &mut W,
+    streams: &[(StreamId, T)],
+    mut snapshot: impl FnMut(StreamId, &T, &mut Vec<u8>) -> Result<u64>,
+) -> Result<()> {
     debug_assert!(streams.windows(2).all(|w| w[0].0 < w[1].0), "streams must be sorted by id");
-    let body: usize = streams.iter().map(|(_, _, b)| 24 + b.len()).sum();
-    let mut out = Vec::with_capacity(20 + body);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(streams.len() as u64).to_le_bytes());
-    for (id, next_minute, bytes) in streams {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&next_minute.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(bytes);
+    let mut head = [0u8; 24];
+    head[..8].copy_from_slice(&MAGIC);
+    head[8..12].copy_from_slice(&VERSION.to_le_bytes());
+    head[12..20].copy_from_slice(&(streams.len() as u64).to_le_bytes());
+    out.write_all(&head[..20])?;
+    let mut buf = Vec::new();
+    for (id, item) in streams {
+        let next_minute = snapshot(*id, item, &mut buf)?;
+        head[..8].copy_from_slice(&id.to_le_bytes());
+        head[8..16].copy_from_slice(&next_minute.to_le_bytes());
+        head[16..].copy_from_slice(&(buf.len() as u64).to_le_bytes());
+        out.write_all(&head)?;
+        out.write_all(&buf)?;
     }
-    out
+    Ok(())
 }
 
 /// Decodes checkpoint bytes back into per-stream state.
@@ -101,6 +120,20 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<Vec<StreamCheckpoint>> {
 mod tests {
     use super::*;
     use crate::StreamConfig;
+
+    /// The image of `(id, next_minute, snapshot)` entries, through [`write`].
+    fn encode(streams: &[(StreamId, u64, Vec<u8>)]) -> Vec<u8> {
+        let items: Vec<(StreamId, (u64, &[u8]))> =
+            streams.iter().map(|(id, m, b)| (*id, (*m, b.as_slice()))).collect();
+        let mut out = Vec::new();
+        write(&mut out, &items, |_, (next_minute, bytes), buf| {
+            buf.clear();
+            buf.extend_from_slice(bytes);
+            Ok(*next_minute)
+        })
+        .unwrap();
+        out
+    }
 
     fn guarded_bytes() -> Vec<u8> {
         let mut g = StreamConfig::default().build().unwrap();

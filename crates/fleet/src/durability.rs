@@ -17,22 +17,28 @@
 //! crc     u32 CRC-32/IEEE over everything above
 //! ```
 //!
-//! Writes are atomic ([`store::codec::write_atomic`]). A corrupt checkpoint
+//! Writes are atomic ([`store::codec::write_atomic_with`]) and streamed:
+//! the payload goes to disk through one bounded buffer as it is encoded,
+//! with the length back-patched and the CRC combined at the end, so a
+//! checkpoint never holds its image in memory. A corrupt checkpoint
 //! degrades to WAL-only recovery — counted, never a panic. Any other file in
-//! the directory (such as an `ARCHIVE` sidecar left by older releases) is
-//! ignored.
+//! the directory (such as an `ARCHIVE` sidecar left by older releases, or a
+//! `CHECKPOINT.tmp` a crash or failed write left behind) is ignored.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, RwLock};
 
-use store::codec::{self, Reader};
+use store::codec::{self, Crc32, Reader};
 use store::{
     AppendInfo, RecoveryReport, RegisterTuning, Sample, Wal, WalOptions, WalRecord, WalStats,
 };
 
 use crate::config::DurabilityConfig;
+use crate::Result;
 
 pub(crate) const CHECKPOINT_FILE: &str = "CHECKPOINT";
 const CKPT_MAGIC: &[u8; 8] = b"STORCKP1";
@@ -104,6 +110,10 @@ pub(crate) struct DurabilityState {
     /// underlying store errored. Set via
     /// `FleetEngine::debug_fail_next_wal_append`; consumed on first use.
     pub(crate) fail_next_append: AtomicBool,
+    /// Test hook: fail the next checkpoint write once it has put this many
+    /// payload bytes into `CHECKPOINT.tmp` (`u64::MAX` = off). Set via
+    /// `FleetEngine::debug_fail_next_checkpoint_after`; consumed on use.
+    pub(crate) fail_checkpoint_after: AtomicU64,
 }
 
 impl DurabilityState {
@@ -133,7 +143,20 @@ impl DurabilityState {
             ckpt_path,
             records_since_ckpt: AtomicU64::new(0),
             fail_next_append: AtomicBool::new(false),
+            fail_checkpoint_after: AtomicU64::new(u64::MAX),
         }
+    }
+
+    /// Writes the checkpoint file covering WAL records `1..=seq`
+    /// ([`write_checkpoint_file`]), honoring the injected-failure hook.
+    /// Returns what `payload` returned and the payload length.
+    pub(crate) fn write_checkpoint<T>(
+        &self,
+        seq: u64,
+        payload: impl FnOnce(&mut dyn Write) -> Result<T>,
+    ) -> Result<(T, u64)> {
+        let limit = self.fail_checkpoint_after.swap(u64::MAX, Ordering::Relaxed);
+        write_checkpoint_file(&self.ckpt_path, seq, limit, payload)
     }
 
     /// The log, locked. The append methods below take it for one record
@@ -192,15 +215,78 @@ pub(crate) enum CheckpointFile {
     Loaded { seq: u64, payload: Vec<u8> },
 }
 
-/// Atomically writes the `STORCKP1`-wrapped checkpoint.
-pub(crate) fn write_checkpoint_file(path: &Path, seq: u64, payload: &[u8]) -> std::io::Result<()> {
-    let mut buf = Vec::with_capacity(24 + payload.len() + codec::CRC_LEN);
-    buf.extend_from_slice(CKPT_MAGIC);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    codec::seal(&mut buf);
-    codec::write_atomic(path, &buf)
+/// Bytes before the payload: magic, covered sequence, payload length.
+const HEADER_LEN: usize = 24;
+/// The one write buffer a checkpoint streams through.
+const WRITE_BUF: usize = 64 << 10;
+
+fn header(seq: u64, len: u64) -> [u8; HEADER_LEN] {
+    let mut head = [0u8; HEADER_LEN];
+    head[..8].copy_from_slice(CKPT_MAGIC);
+    head[8..16].copy_from_slice(&seq.to_le_bytes());
+    head[16..].copy_from_slice(&len.to_le_bytes());
+    head
+}
+
+/// The file under a checkpoint's write buffer: counts and checksums the
+/// payload bytes on their way to disk. Past `limit` bytes it writes up to
+/// the limit and then fails (the test hook; `u64::MAX` in service).
+struct PayloadSink<'a> {
+    file: &'a File,
+    crc: Crc32,
+    len: u64,
+    limit: u64,
+}
+
+impl Write for PayloadSink<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let room = self.limit - self.len;
+        if room == 0 && !buf.is_empty() {
+            return Err(io::Error::other("injected checkpoint write failure"));
+        }
+        let take = buf.len().min(usize::try_from(room).unwrap_or(usize::MAX));
+        let n = self.file.write(&buf[..take])?;
+        self.crc.update(&buf[..n]);
+        self.len += n as u64;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Writes the `STORCKP1`-wrapped checkpoint atomically
+/// ([`codec::write_atomic_with`]) without holding it: `payload` streams the
+/// `FLEETCKP` bytes through one [`WRITE_BUF`] buffer straight into the
+/// sibling `.tmp` file. The payload length, which the header carries before
+/// the payload, is known only at the end, so the header goes down with a
+/// placeholder length and is back-patched; the trailer is the CRC of the
+/// final header combined with the CRC the payload accumulated as it
+/// streamed. The bytes equal `seal(magic | seq | len | payload)`.
+/// Returns what `payload` returned and the payload length.
+///
+/// `limit` fails the write once that many payload bytes are down (a test
+/// hook; `u64::MAX` never fails).
+pub(crate) fn write_checkpoint_file<T>(
+    path: &Path,
+    seq: u64,
+    limit: u64,
+    payload: impl FnOnce(&mut dyn Write) -> Result<T>,
+) -> Result<(T, u64)> {
+    codec::write_atomic_with(path, |file: &mut File| -> Result<(T, u64)> {
+        file.write_all(&header(seq, 0))?;
+        let sink = PayloadSink { file, crc: Crc32::new(), len: 0, limit };
+        let mut out = BufWriter::with_capacity(WRITE_BUF, sink);
+        let value = payload(&mut out)?;
+        let PayloadSink { crc, len, .. } =
+            out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        let head = header(seq, len);
+        file.write_all_at(&head, 0)?;
+        let crc = codec::crc32_combine(codec::crc32(&head), crc.finish(), len);
+        file.write_all(&crc.to_le_bytes())?;
+        Ok((value, len))
+    })
 }
 
 /// Reads and validates the checkpoint file. Corruption is a recoverable
@@ -211,18 +297,24 @@ pub(crate) fn read_checkpoint_file(path: &Path) -> std::io::Result<CheckpointFil
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CheckpointFile::Missing),
         Err(e) => return Err(e),
     };
-    Ok(decode_checkpoint_file(&buf).unwrap_or(CheckpointFile::Corrupt))
+    Ok(decode_checkpoint_file(buf).unwrap_or(CheckpointFile::Corrupt))
 }
 
-fn decode_checkpoint_file(buf: &[u8]) -> Option<CheckpointFile> {
-    let mut r = Reader::new(codec::unseal(buf)?);
+/// Validates the file's bytes and strips the header and trailer in place,
+/// so recovery holds one copy of the image, not the file and a payload.
+fn decode_checkpoint_file(mut buf: Vec<u8>) -> Option<CheckpointFile> {
+    let mut r = Reader::new(codec::unseal(&buf)?);
     if r.bytes(CKPT_MAGIC.len()).ok()? != CKPT_MAGIC {
         return None;
     }
     let seq = r.u64().ok()?;
     let len = r.u64().ok()?;
-    let payload = r.rest();
-    (payload.len() as u64 == len).then(|| CheckpointFile::Loaded { seq, payload: payload.to_vec() })
+    if r.remaining() as u64 != len {
+        return None;
+    }
+    buf.truncate(buf.len() - codec::CRC_LEN);
+    buf.drain(..HEADER_LEN);
+    Some(CheckpointFile::Loaded { seq, payload: buf })
 }
 
 #[cfg(test)]
@@ -231,6 +323,58 @@ mod tests {
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fleet-ckpt-{tag}-{}", std::process::id()))
+    }
+
+    /// Streams `payload` in uneven pieces, as the fleet encoder does.
+    fn write_checkpoint_file(path: &Path, seq: u64, payload: &[u8]) -> Result<u64> {
+        let ((), len) = super::write_checkpoint_file(path, seq, u64::MAX, |out| {
+            for piece in payload.chunks(1_000 + (seq as usize % 7)) {
+                out.write_all(piece)?;
+            }
+            Ok(())
+        })?;
+        Ok(len)
+    }
+
+    /// What the streamed file must equal: the whole image, sealed.
+    fn sealed(seq: u64, payload: &[u8]) -> Vec<u8> {
+        let mut buf = header(seq, payload.len() as u64).to_vec();
+        buf.extend_from_slice(payload);
+        codec::seal(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn streamed_file_equals_the_sealed_image() {
+        let path = temp_path("sealed");
+        for len in [0, 1, 999, WRITE_BUF - 1, WRITE_BUF, 3 * WRITE_BUF + 17] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let seq = len as u64 + 3;
+            assert_eq!(write_checkpoint_file(&path, seq, &payload).unwrap(), len as u64);
+            assert!(fs::read(&path).unwrap() == sealed(seq, &payload), "payload of {len} B");
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_previous_file_and_a_tmp() {
+        let path = temp_path("failed");
+        write_checkpoint_file(&path, 9, b"previous checkpoint").unwrap();
+        let before = fs::read(&path).unwrap();
+        let payload = vec![7u8; 2 * WRITE_BUF];
+        let err = super::write_checkpoint_file(&path, 10, 70_000, |out| {
+            out.write_all(&payload)?;
+            Ok(())
+        });
+        assert!(err.is_err());
+        assert_eq!(fs::read(&path).unwrap(), before, "the old checkpoint is untouched");
+        let tmp = path.with_extension("tmp");
+        assert_eq!(fs::metadata(&tmp).unwrap().len(), (HEADER_LEN + 70_000) as u64);
+        // The next write truncates the leftover and replaces the file.
+        write_checkpoint_file(&path, 11, b"next").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), sealed(11, b"next"));
+        assert!(!tmp.exists());
+        let _ = fs::remove_file(&path);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! caller drains, flush/checkpoint/restore, and the health rollup.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -59,44 +60,66 @@ impl EngineShared {
         }
     }
 
-    /// Serializes every stream's serving state (sorted by id). Callers
-    /// flush/quiesce first; returns the bytes and the stream count.
+    /// Streams every stream's serving state, sorted by id, into `out` as
+    /// the `FLEETCKP` image ([`checkpoint::write`]). Callers flush/quiesce
+    /// first; returns the stream count.
     ///
-    /// Hibernated streams are inlined by reading their spill blobs — a blob
-    /// *is* a guarded snapshot, so no wake is needed — which makes the bytes
-    /// independent of which streams happen to be hibernated.
+    /// Every shard's stream table is held for the whole write, so the image
+    /// is one consistent cut; the ids are sorted up front and each stream is
+    /// encoded into one reused buffer in turn, so the encoder never holds
+    /// more than one snapshot. Hibernated streams are inlined by reading
+    /// their spill blobs — a blob *is* a guarded snapshot, so no wake is
+    /// needed — which makes the bytes independent of which streams happen
+    /// to be hibernated.
     ///
     /// # Errors
     ///
     /// Returns [`FleetError::Checkpoint`] if a hibernated stream's blob is
-    /// missing or unreadable (the checkpoint would silently drop it).
-    fn checkpoint_payload(&self) -> Result<(Vec<u8>, u64)> {
-        let mut streams: Vec<(StreamId, u64, Vec<u8>)> = Vec::new();
-        for s in &self.shards {
-            let table = s.streams.lock().expect("shard stream table poisoned");
-            for (id, slot) in table.iter_live() {
-                streams.push((id, slot.next_minute, slot.guarded.to_snapshot_bytes()));
-            }
-            for (id, tomb) in table.iter_tombs() {
-                let spill = self.spill.as_ref().expect("hibernated stream implies a spill store");
-                match spill.lock().expect("spill store poisoned").get(id) {
-                    Ok(Some(bytes)) => streams.push((id, tomb.next_minute, bytes)),
-                    Ok(None) => {
-                        return Err(FleetError::Checkpoint(format!(
-                            "hibernated stream {id} has no spill blob"
-                        )))
-                    }
-                    Err(e) => {
-                        return Err(FleetError::Checkpoint(format!(
-                            "hibernated stream {id}: spill read failed: {e}"
-                        )))
-                    }
-                }
-            }
+    /// missing or unreadable (the checkpoint would silently drop it), and
+    /// [`FleetError::Durability`] if `out` fails.
+    fn write_checkpoint(&self, out: &mut (impl Write + ?Sized)) -> Result<u64> {
+        let tables: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.streams.lock().expect("shard stream table poisoned"))
+            .collect();
+        let mut order: Vec<(StreamId, usize)> =
+            Vec::with_capacity(tables.iter().map(|t| t.len()).sum());
+        for (shard, table) in tables.iter().enumerate() {
+            order.extend(table.ids().map(|id| (id, shard)));
         }
-        streams.sort_unstable_by_key(|(id, _, _)| *id);
-        let count = streams.len() as u64;
-        Ok((checkpoint::encode(&streams), count))
+        order.sort_unstable_by_key(|&(id, _)| id);
+        checkpoint::write(out, &order, |id, &shard, buf| {
+            let table = &tables[shard];
+            if let Some(slot) = table.get_live(id) {
+                slot.guarded.write_snapshot(buf);
+                return Ok(slot.next_minute);
+            }
+            let tomb = table.tombstone(id).expect("a listed stream is live or hibernated");
+            self.spill_blob_into(id, buf)?;
+            Ok(tomb.next_minute)
+        })?;
+        Ok(order.len() as u64)
+    }
+
+    /// Reads hibernated stream `id`'s spill blob (its guarded snapshot) into
+    /// `out`, replacing its contents.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::Checkpoint`] if the blob is missing or
+    /// unreadable.
+    fn spill_blob_into(&self, id: StreamId, out: &mut Vec<u8>) -> Result<()> {
+        let spill = self.spill.as_ref().expect("hibernated stream implies a spill store");
+        match spill.lock().expect("spill store poisoned").get_into(id, out) {
+            Ok(true) => Ok(()),
+            Ok(false) => {
+                Err(FleetError::Checkpoint(format!("hibernated stream {id} has no spill blob")))
+            }
+            Err(e) => Err(FleetError::Checkpoint(format!(
+                "hibernated stream {id}: spill read failed: {e}"
+            ))),
+        }
     }
 }
 
@@ -242,15 +265,13 @@ fn checkpoint_durable_inner(shared: &EngineShared) -> Result<u64> {
         .ok_or_else(|| FleetError::InvalidConfig("durability is not configured".into()))?;
     let _gate = d.gate.write().expect("durability gate poisoned");
     shared.flush_shards();
-    let (payload, streams) = shared.checkpoint_payload()?;
     // The write gate holds every appender out, so this is exact.
     let seq = d.last_seq();
-    durability::write_checkpoint_file(&d.ckpt_path, seq, &payload)
-        .map_err(|e| FleetError::Durability(format!("checkpoint write: {e}")))?;
+    let (streams, bytes) = d.write_checkpoint(seq, |out| shared.write_checkpoint(out))?;
     d.wal().truncate_upto(seq)?;
     d.records_since_ckpt.store(0, Ordering::Relaxed);
     shared.obs.checkpoints.inc();
-    let kind = EventKind::CheckpointSave { streams, bytes: payload.len() as u64 };
+    let kind = EventKind::CheckpointSave { streams, bytes };
     shared.obs.events.push(None, kind);
     Ok(seq)
 }
@@ -267,6 +288,7 @@ fn hibernate_idle_inner(shared: &EngineShared, max_idle: u64) -> Result<Vec<Stre
     shared.flush_shards();
     let now = shared.push_seq.load(Ordering::Relaxed);
     let mut hibernated = Vec::new();
+    let mut bytes = Vec::new();
     for s in &shared.shards {
         let mut streams = s.streams.lock().expect("shard stream table poisoned");
         let idle: Vec<StreamId> = streams
@@ -276,7 +298,7 @@ fn hibernate_idle_inner(shared: &EngineShared, max_idle: u64) -> Result<Vec<Stre
             .collect();
         for id in idle {
             let slot = streams.hibernate(id).expect("listed as live");
-            let bytes = slot.guarded.to_snapshot_bytes();
+            slot.guarded.write_snapshot(&mut bytes);
             let put = spill.lock().expect("spill store poisoned").put(id, &bytes);
             if let Err(e) = put {
                 streams.wake(id, slot.guarded);
@@ -1085,28 +1107,14 @@ impl FleetEngine {
     pub fn export_stream(&self, id: StreamId) -> Result<(u64, Vec<u8>)> {
         self.flush();
         let shard = &self.shared.shards[self.shard_for(id)];
-        let mut table = shard.streams.lock().expect("shard stream table poisoned");
-        let (next_minute, bytes) = if let Some(slot) = table.get_live_mut(id) {
+        let table = shard.streams.lock().expect("shard stream table poisoned");
+        let (next_minute, bytes) = if let Some(slot) = table.get_live(id) {
             (slot.next_minute, slot.guarded.to_snapshot_bytes())
         } else {
             let tomb = table.tombstone(id).ok_or(FleetError::UnknownStream(id))?;
-            let next_minute = tomb.next_minute;
-            let spill =
-                self.shared.spill.as_ref().expect("hibernated stream implies a spill store");
-            let bytes = match spill.lock().expect("spill store poisoned").get(id) {
-                Ok(Some(b)) => b,
-                Ok(None) => {
-                    return Err(FleetError::Checkpoint(format!(
-                        "hibernated stream {id} has no spill blob"
-                    )))
-                }
-                Err(e) => {
-                    return Err(FleetError::Checkpoint(format!(
-                        "hibernated stream {id}: spill read failed: {e}"
-                    )))
-                }
-            };
-            (next_minute, bytes)
+            let mut bytes = Vec::new();
+            self.shared.spill_blob_into(id, &mut bytes)?;
+            (tomb.next_minute, bytes)
         };
         drop(table);
         self.shared.obs.stream_exports.inc();
@@ -1207,21 +1215,9 @@ impl FleetEngine {
                 if seen.get(&id) == Some(&tomb.next_minute) {
                     continue;
                 }
-                let spill =
-                    self.shared.spill.as_ref().expect("hibernated stream implies a spill store");
-                match spill.lock().expect("spill store poisoned").get(id) {
-                    Ok(Some(bytes)) => deltas.push((id, tomb.next_minute, bytes)),
-                    Ok(None) => {
-                        return Err(FleetError::Checkpoint(format!(
-                            "hibernated stream {id} has no spill blob"
-                        )))
-                    }
-                    Err(e) => {
-                        return Err(FleetError::Checkpoint(format!(
-                            "hibernated stream {id}: spill read failed: {e}"
-                        )))
-                    }
-                }
+                let mut bytes = Vec::new();
+                self.shared.spill_blob_into(id, &mut bytes)?;
+                deltas.push((id, tomb.next_minute, bytes));
             }
         }
         deltas.sort_unstable_by_key(|(id, _, _)| *id);
@@ -1381,6 +1377,20 @@ impl FleetEngine {
         }
     }
 
+    /// Test hook: make the next durable checkpoint fail once it has written
+    /// `payload_bytes` of its image into `CHECKPOINT.tmp`, as a full disk
+    /// would. Returns `false` (and arms nothing) without durability.
+    #[doc(hidden)]
+    pub fn debug_fail_next_checkpoint_after(&self, payload_bytes: u64) -> bool {
+        match self.shared.durability.as_ref() {
+            Some(d) => {
+                d.fail_checkpoint_after.store(payload_bytes, Ordering::Relaxed);
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Flushes, then serializes every stream's full serving state —
     /// hibernated streams included (their spill blobs are inlined, so the
     /// bytes are independent of which streams happen to be cold).
@@ -1395,7 +1405,8 @@ impl FleetEngine {
     /// blob is missing or unreadable.
     pub fn checkpoint(&self) -> Result<Vec<u8>> {
         self.flush();
-        let (bytes, streams) = self.shared.checkpoint_payload()?;
+        let mut bytes = Vec::new();
+        let streams = self.shared.write_checkpoint(&mut bytes)?;
         self.shared.obs.checkpoints.inc();
         let kind = EventKind::CheckpointSave { streams, bytes: bytes.len() as u64 };
         self.shared.obs.events.push(None, kind);
@@ -1805,6 +1816,82 @@ mod tests {
             FleetEngine::recover(durable_config(&dir, 1), StreamConfig::default()).unwrap();
         assert!(summary.checkpoint_seq > 0, "recovery starts from the auto checkpoint");
         assert!(summary.clean());
+        drop(back);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every WAL segment in `dir` with its bytes, by name.
+    fn wal_segments(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut segs: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
+            .map(|p| (p.file_name().unwrap().to_owned(), std::fs::read(&p).unwrap()))
+            .collect();
+        segs.sort();
+        segs
+    }
+
+    #[test]
+    fn failed_checkpoint_write_changes_nothing_durable() {
+        let dir = temp_store_dir("ckpt-fail");
+        let ckpt = dir.join(durability::CHECKPOINT_FILE);
+        let tmp = ckpt.with_extension("tmp");
+        let engine = FleetEngine::new(durable_config(&dir, 3)).unwrap();
+        let reference =
+            FleetEngine::new(FleetConfig { shards: 2, ..FleetConfig::default() }).unwrap();
+        for id in 0..6u64 {
+            engine.register(id).unwrap();
+            reference.register(id).unwrap();
+        }
+        drive(&engine, 6, 90);
+        drive(&reference, 6, 90);
+        let first_seq = engine.checkpoint_durable().unwrap();
+        let first = std::fs::read(&ckpt).unwrap();
+        drive(&engine, 6, 25);
+        drive(&reference, 6, 25);
+        let d = engine.shared.durability.as_ref().unwrap();
+        let pending = d.records_since_ckpt.load(Ordering::Relaxed);
+        assert_eq!(pending, 25);
+        let segments = wal_segments(&dir);
+        assert!(!segments.is_empty());
+
+        // The write fails mid-image: a few KiB of it are in CHECKPOINT.tmp.
+        assert!(engine.debug_fail_next_checkpoint_after(5_000));
+        assert!(engine.checkpoint_durable().is_err());
+        assert!(std::fs::read(&ckpt).unwrap() == first, "the previous checkpoint is intact");
+        assert_eq!(wal_segments(&dir), segments, "no WAL segment was truncated");
+        assert_eq!(d.records_since_ckpt.load(Ordering::Relaxed), pending, "trigger not reset");
+        assert_eq!(engine.shared.obs.checkpoints.get(), 1, "only the first one counts");
+        let partial = std::fs::metadata(&tmp).unwrap().len();
+        assert!(partial > 5_000 && partial < first.len() as u64, "{partial} B left in the tmp");
+
+        // The crash that follows: recovery ignores the partial tmp, starts
+        // from the previous checkpoint and replays the whole tail.
+        drop(engine);
+        let (back, summary) =
+            FleetEngine::recover(durable_config(&dir, 3), StreamConfig::default()).unwrap();
+        assert!(summary.clean(), "{summary:?}");
+        assert_eq!(summary.checkpoint_seq, first_seq);
+        assert_eq!(summary.replayed_records, 25);
+        assert!(back.checkpoint().unwrap() == reference.checkpoint().unwrap(), "bit-identical");
+
+        // The next checkpoint overwrites the leftover and lands.
+        let seq = back.checkpoint_durable().unwrap();
+        assert_eq!(seq, first_seq + 25);
+        assert!(!tmp.exists());
+        // A tmp path that cannot even be created fails the write the same way.
+        std::fs::create_dir(&tmp).unwrap();
+        let kept = std::fs::read(&ckpt).unwrap();
+        assert!(back.checkpoint_durable().is_err());
+        assert!(std::fs::read(&ckpt).unwrap() == kept);
+        std::fs::remove_dir(&tmp).unwrap();
+        drop(back);
+        let (back, summary) =
+            FleetEngine::recover(durable_config(&dir, 3), StreamConfig::default()).unwrap();
+        assert_eq!(summary.checkpoint_seq, seq);
+        assert_eq!(summary.replayed_records, 0);
+        assert!(back.checkpoint().unwrap() == reference.checkpoint().unwrap());
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -98,6 +98,12 @@ impl std::fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
+impl From<std::io::Error> for FleetError {
+    fn from(e: std::io::Error) -> Self {
+        FleetError::Durability(e.to_string())
+    }
+}
+
 impl From<store::StoreError> for FleetError {
     fn from(e: store::StoreError) -> Self {
         FleetError::Durability(e.to_string())

@@ -302,6 +302,13 @@ impl StreamTable {
         true
     }
 
+    pub(crate) fn get_live(&self, id: StreamId) -> Option<&StreamSlot> {
+        match self.index.get(&id)? {
+            SlotRef::Live(i) => self.live[*i as usize].as_ref(),
+            SlotRef::Hibernated(_) => None,
+        }
+    }
+
     pub(crate) fn get_live_mut(&mut self, id: StreamId) -> Option<&mut StreamSlot> {
         match self.index.get(&id)? {
             SlotRef::Live(i) => self.live[*i as usize].as_mut(),
@@ -380,6 +387,11 @@ impl StreamTable {
         };
         self.index.insert(id, SlotRef::Live(at));
         self.live[at as usize].as_mut()
+    }
+
+    /// Iterates registered ids, live and hibernated (arbitrary order).
+    pub(crate) fn ids(&self) -> impl Iterator<Item = StreamId> + '_ {
+        self.index.keys().copied()
     }
 
     /// Iterates live streams (arbitrary order).

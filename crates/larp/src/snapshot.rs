@@ -86,7 +86,13 @@ pub(crate) struct Writer {
 
 impl Writer {
     pub(crate) fn new(kind: u8) -> Self {
-        let mut w = Self { buf: Vec::with_capacity(256) };
+        Self::over(Vec::with_capacity(256), kind)
+    }
+
+    /// A writer over `buf`'s allocation; its old contents are dropped.
+    pub(crate) fn over(mut buf: Vec<u8>, kind: u8) -> Self {
+        buf.clear();
+        let mut w = Self { buf };
         w.buf.extend_from_slice(&MAGIC);
         w.u32(VERSION);
         w.u8(kind);
@@ -800,10 +806,20 @@ impl OnlineLarp {
 impl GuardedLarp {
     /// Serializes sanitizer plus online predictor state as one byte vector.
     pub fn to_snapshot_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new(KIND_GUARDED);
+        let mut out = Vec::with_capacity(256);
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// [`GuardedLarp::to_snapshot_bytes`] into a caller's buffer: replaces
+    /// `out`'s contents with the snapshot, reusing its allocation, so a
+    /// writer serializing many streams in turn needs one buffer, not one
+    /// per stream.
+    pub fn write_snapshot(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::over(std::mem::take(out), KIND_GUARDED);
         put_sanitizer(&mut w, &self.sanitizer);
         put_online(&mut w, &self.online);
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
     /// Restores a [`GuardedLarp`] from [`GuardedLarp::to_snapshot_bytes`]
@@ -975,6 +991,12 @@ mod tests {
             live.ingest(t, v);
         }
         let bytes = live.to_snapshot_bytes();
+        // A reused buffer holds exactly the snapshot, whatever it held before.
+        for leftover in [Vec::new(), vec![0xAB; 3], vec![0xCD; bytes.len() * 2]] {
+            let mut buf = leftover;
+            live.write_snapshot(&mut buf);
+            assert_eq!(buf, bytes);
+        }
         let mut restored = GuardedLarp::from_snapshot_bytes(&bytes).unwrap();
         assert_eq!(restored.sanitizer().stats(), live.sanitizer().stats());
         assert_eq!(restored.online().retrain_count(), live.online().retrain_count());

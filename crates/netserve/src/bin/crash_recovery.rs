@@ -19,8 +19,13 @@
 //!      the deterministic trace reproduces every stream's forecast bits,
 //!    * the `fleet_wal_recoveries_total` / `fleet_wal_gap_records_total`
 //!      metrics are scrape-visible,
+//!    * a partial `CHECKPOINT.tmp` the kill left mid-checkpoint (reported
+//!      as `checkpoint_tmp_left`) changed none of the above: the checkpoint
+//!      still loads (`checkpoint_corrupt: false`) and the forecasts stay
+//!      bit-identical,
 //! 4. restarts serving on the recovered engine and pushes more traffic
-//!    through a fresh server to prove the process is fully live again.
+//!    through a fresh server to prove the process is fully live again, then
+//!    checkpoints it durably, which must replace any leftover tmp file.
 //!
 //! Prints a one-object JSON report (recovery latency, replayed records,
 //! acked/recovered batch counts) and writes it to `--out`
@@ -238,6 +243,11 @@ fn main() {
     if let Some(d) = config.durability.as_mut() {
         d.auto_checkpoint_records = 0; // quiet while we compare state
     }
+    // The auto-checkpointer streams each checkpoint into CHECKPOINT.tmp
+    // before renaming it, so the kill can leave a partial one behind.
+    // Recovery must read only CHECKPOINT and ignore it.
+    let ckpt_tmp = store_dir.join("CHECKPOINT.tmp");
+    let checkpoint_tmp_left = ckpt_tmp.exists();
     let t = Instant::now();
     let (engine, summary) =
         FleetEngine::recover(config, StreamConfig::default()).expect("recovery succeeds");
@@ -317,6 +327,9 @@ fn main() {
     for id in 0..recover_args.streams {
         client.predict(id).expect("post-recovery predict");
     }
+    // A checkpoint on the recovered engine replaces any leftover tmp file.
+    engine.checkpoint_durable().expect("post-recovery checkpoint");
+    assert!(!ckpt_tmp.exists(), "the post-recovery checkpoint leaves no CHECKPOINT.tmp");
     client.shutdown_server().expect("wire shutdown");
     server.shutdown();
 
@@ -332,6 +345,8 @@ fn main() {
     out.push_str(&format!("  \"replayed_records\": {},\n", summary.replayed_records));
     out.push_str(&format!("  \"replayed_samples\": {},\n", summary.replayed_samples));
     out.push_str(&format!("  \"torn_tail\": {},\n", summary.torn_tail));
+    out.push_str(&format!("  \"checkpoint_tmp_left\": {checkpoint_tmp_left},\n"));
+    out.push_str(&format!("  \"checkpoint_corrupt\": {},\n", summary.checkpoint_corrupt));
     out.push_str(&format!("  \"gap_records\": {},\n", summary.gap_records));
     out.push_str(&format!("  \"recovery_ms\": {recovery_ms:.2},\n"));
     out.push_str("  \"acked_sample_loss\": 0,\n");

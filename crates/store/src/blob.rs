@@ -93,13 +93,22 @@ impl BlobStore {
     /// (torn write, bit flip) is an error — the caller must treat the spilled
     /// state as lost, not silently restore garbage.
     pub fn get(&self, id: u64) -> Result<Option<Vec<u8>>> {
-        let Some(entry) = self.index.get(&id) else { return Ok(None) };
-        let mut buf = vec![0u8; entry.len as usize];
-        self.file.read_exact_at(&mut buf, entry.offset)?;
-        if crc32(&buf) != entry.crc {
+        let mut buf = Vec::new();
+        Ok(self.get_into(id, &mut buf)?.then_some(buf))
+    }
+
+    /// [`BlobStore::get`] into a caller's buffer: replaces `out`'s contents
+    /// with the blob, reusing its allocation, and returns `false` (leaving
+    /// `out` alone) if `id` has none.
+    pub fn get_into(&self, id: u64, out: &mut Vec<u8>) -> Result<bool> {
+        let Some(entry) = self.index.get(&id) else { return Ok(false) };
+        out.clear();
+        out.resize(entry.len as usize, 0);
+        self.file.read_exact_at(out, entry.offset)?;
+        if crc32(out) != entry.crc {
             return Err(StoreError::Corrupt(format!("blob crc mismatch for stream {id}")));
         }
-        Ok(Some(buf))
+        Ok(true)
     }
 
     /// Drops the blob for `id` (on wake or evict). The bytes become dead
@@ -228,6 +237,13 @@ mod tests {
         assert!(!store.delete(7));
         assert_eq!(store.get(7).unwrap(), None);
         assert_eq!(store.len(), 1);
+
+        // get_into replaces the buffer's bytes and leaves it alone on a miss.
+        let mut buf = b"a longer leftover".to_vec();
+        assert!(store.get_into(9, &mut buf).unwrap());
+        assert_eq!(buf, b"world!");
+        assert!(!store.get_into(7, &mut buf).unwrap());
+        assert_eq!(buf, b"world!");
     }
 
     #[test]

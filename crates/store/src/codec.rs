@@ -2,7 +2,9 @@
 //! protocol, WAL records, `STORMAN1`, `STORCKP1`, `LARPFEED` and
 //! `LARPRING` (table in DESIGN.md §8).
 //!
-//! * [`crc32`] — CRC-32/IEEE, the one checksum all of them carry.
+//! * [`crc32`] — CRC-32/IEEE, the one checksum all of them carry;
+//!   [`Crc32`] computes it incrementally and [`crc32_combine`] joins the
+//!   CRCs of two adjacent pieces.
 //! * [`seal`] / [`unseal`] — append / verify a CRC trailer over a whole
 //!   buffer.
 //! * [`Reader`] — a checked little-endian cursor. Every read is bounds
@@ -10,8 +12,8 @@
 //!   allocated for it, and [`Reader::finish`] rejects trailing bytes. Its
 //!   [`Error`] is a small `Copy` value, so a decoder pays for field context
 //!   (a formatted message) only on the failure branch.
-//! * [`write_atomic`] — replace a file so a crash leaves the old bytes or
-//!   the new ones, never a mix.
+//! * [`write_atomic`] / [`write_atomic_with`] — replace a file so a crash
+//!   leaves the old bytes or the new ones, never a mix.
 //!
 //! All integers are little-endian; `f64`s travel as their IEEE-754 bits.
 
@@ -23,28 +25,124 @@ use std::path::Path;
 pub const CRC_LEN: usize = 4;
 
 /// CRC-32/IEEE (reflected, polynomial 0xEDB88320), the Ethernet/zip CRC.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// Incremental [`crc32`]: feeding a byte stream in pieces of any size gives
+/// the CRC of their concatenation, so a writer can checksum what it streams
+/// without holding it.
 ///
 /// Slicing-by-8: eight bytes per step through eight lookup tables, then the
 /// tail a byte at a time. Same values as the bytewise loop.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][c[4] as usize]
-            ^ t[2][c[5] as usize]
-            ^ t[1][c[6] as usize]
-            ^ t[0][c[7] as usize];
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    /// The running register, pre- and post-inverted as the standard asks.
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Self::new()
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+}
+
+impl Crc32 {
+    /// The CRC of no bytes.
+    pub const fn new() -> Self {
+        Self { state: !0 }
     }
-    !crc
+
+    /// Extends the checksum over `bytes`.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][c[4] as usize]
+                ^ t[2][c[5] as usize]
+                ^ t[1][c[6] as usize]
+                ^ t[0][c[7] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub fn finish(&self) -> u32 {
+        !self.state
+    }
+}
+
+/// The CRC-32 of `a ‖ b` from `crc1 = crc32(a)`, `crc2 = crc32(b)` and
+/// `len2 = b.len()`, without the bytes (zlib's `crc32_combine`). A writer
+/// that learns a header field only after streaming the body checksums the
+/// body as it goes and combines it with the final header's CRC.
+///
+/// Appending `len2` zero bytes to `a` is a linear map on the CRC register;
+/// it is applied as repeated squarings of the one-zero-bit operator, so the
+/// cost is O(log len2) 32×32 GF(2) matrix products.
+pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+    /// `mat × vec` over GF(2); column `i` of `mat` is `mat[i]`.
+    fn times(mat: &[u32; 32], mut vec: u32) -> u32 {
+        let mut sum = 0;
+        let mut i = 0;
+        while vec != 0 {
+            if vec & 1 != 0 {
+                sum ^= mat[i];
+            }
+            vec >>= 1;
+            i += 1;
+        }
+        sum
+    }
+    fn square(mat: &[u32; 32]) -> [u32; 32] {
+        std::array::from_fn(|i| times(mat, mat[i]))
+    }
+
+    if len2 == 0 {
+        return crc1;
+    }
+    // The operator for one zero bit: shift right, folding the polynomial in.
+    let mut odd = [0u32; 32];
+    odd[0] = 0xEDB8_8320;
+    for (i, col) in odd.iter_mut().enumerate().skip(1) {
+        *col = 1 << (i - 1);
+    }
+    let mut even = square(&odd); // two zero bits
+    odd = square(&even); // four zero bits
+    let mut crc = crc1;
+    let mut len = len2;
+    // The first squaring in the loop yields the one-zero-byte operator;
+    // each later one doubles the span, consuming one bit of `len`.
+    loop {
+        even = square(&odd);
+        if len & 1 != 0 {
+            crc = times(&even, crc);
+        }
+        len >>= 1;
+        if len == 0 {
+            break;
+        }
+        odd = square(&even);
+        if len & 1 != 0 {
+            crc = times(&odd, crc);
+        }
+        len >>= 1;
+        if len == 0 {
+            break;
+        }
+    }
+    crc ^ crc2
 }
 
 /// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` advances the
@@ -104,14 +202,25 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Replaces `path` with `bytes` atomically and durably: write a sibling
-/// `.tmp` file, `sync_data` it, rename it over `path`, then fsync the
-/// parent directory so the rename itself is on disk. A crash at any point
-/// leaves either the old file or the new one.
+/// Replaces `path` with `bytes` atomically and durably
+/// ([`write_atomic_with`]).
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    write_atomic_with(path, |f: &mut File| f.write_all(bytes))
+}
+
+/// Replaces `path` atomically and durably with what `fill` writes: create
+/// a sibling `.tmp` file, let `fill` write it, `sync_data` it, rename it
+/// over `path`, then fsync the parent directory so the rename itself is on
+/// disk. A crash at any point leaves either the old file or the new one; a
+/// `fill` error leaves `path` untouched (and a partial `.tmp` the next
+/// write truncates). Returns what `fill` returned.
+pub fn write_atomic_with<T, E: From<std::io::Error>>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> Result<T, E>,
+) -> Result<T, E> {
     let tmp = path.with_extension("tmp");
     let mut f = File::create(&tmp)?;
-    f.write_all(bytes)?;
+    let filled = fill(&mut f)?;
     f.sync_data()?;
     fs::rename(&tmp, path)?;
     if let Some(dir) = path.parent() {
@@ -120,7 +229,7 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
             let _ = d.sync_all();
         }
     }
-    Ok(())
+    Ok(filled)
 }
 
 /// Why a [`Reader`] refused its input.

@@ -208,11 +208,13 @@ if [[ "$QUICK" -eq 0 ]]; then
   # client is pushing, recovers the WAL + checkpoint, and asserts zero acked
   # batches lost and bit-identical post-recovery forecasts against an
   # uninterrupted reference engine. The binary exits non-zero on any loss.
+  # Its auto-checkpoints stream into CHECKPOINT.tmp, so a kill can land mid
+  # write: whatever tmp file it leaves must not mark the checkpoint corrupt.
   CRASH_JSON="$(cargo run --release -q -p netserve --bin crash_recovery -- \
       --out target/BENCH_recovery_ci.json)"
   echo "$CRASH_JSON"
   for field in '"acked_batches"' '"recovered_batches"' '"bit_identical": true' \
-               '"gap_records": 0'; do
+               '"gap_records": 0' '"checkpoint_corrupt": false'; do
     grep -qF "$field" <<<"$CRASH_JSON" || { echo "crash_recovery report missing $field"; exit 1; }
   done
 
