@@ -454,14 +454,7 @@ fn feeder_loop(state: &Arc<NodeState>, interval: Duration) {
             last_successor = Some(succ_name);
         }
 
-        let cursor_backup = seen.clone();
-        let (covered, deltas) = match state.engine.export_dirty(&mut seen) {
-            Ok(cut) => cut,
-            Err(_) => {
-                seen = cursor_backup;
-                continue;
-            }
-        };
+        let (covered, deltas) = state.engine.export_dirty(&mut seen);
         let mut records: Vec<(u64, WalRecord)> = Vec::new();
         if let Some(dir) = state.engine.wal_dir() {
             let _ = store::read_tail(&dir, last_sent, |seq, record| {
@@ -473,7 +466,8 @@ fn feeder_loop(state: &Arc<NodeState>, interval: Duration) {
             continue;
         }
 
-        let fed_streams = deltas.len() as u64;
+        let fed_ids: Vec<u64> = deltas.iter().map(|d| d.0).collect();
+        let fed_streams = fed_ids.len() as u64;
         let fed_records = records.len() as u64;
         let chunks = build_chunks(&state.name, covered, deltas, records);
         let mut sent_bytes = 0u64;
@@ -487,9 +481,11 @@ fn feeder_loop(state: &Arc<NodeState>, interval: Duration) {
                 .events()
                 .push(None, EventKind::StandbyFeed { streams: fed_streams, records: fed_records });
         } else {
-            // Nothing delivered counts as nothing exported: rewind so the
-            // next cycle resends the same deltas and tail.
-            seen = cursor_backup;
+            // Nothing delivered counts as nothing exported: forget the fed
+            // streams so the next cycle resends them, and the same tail.
+            for id in &fed_ids {
+                seen.remove(id);
+            }
             conn = None;
         }
     }

@@ -79,7 +79,7 @@ fn main() {
     }
     engine.flush();
     // Exercise the checkpoint path so its event shows up in the trace.
-    let _ = engine.checkpoint();
+    engine.checkpoint();
 
     match args.format.as_str() {
         "prometheus" => print!("{}", engine.prometheus()),

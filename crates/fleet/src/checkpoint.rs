@@ -51,12 +51,11 @@ fn err(msg: impl Into<String>) -> FleetError {
 ///
 /// # Errors
 ///
-/// Whatever `snapshot` returns, and [`FleetError::Durability`] if `out`
-/// fails.
+/// Returns [`FleetError::Durability`] if `out` fails.
 pub(crate) fn write<W: Write + ?Sized, T>(
     out: &mut W,
     streams: &[(StreamId, T)],
-    mut snapshot: impl FnMut(StreamId, &T, &mut Vec<u8>) -> Result<u64>,
+    mut snapshot: impl FnMut(StreamId, &T, &mut Vec<u8>) -> u64,
 ) -> Result<()> {
     debug_assert!(streams.windows(2).all(|w| w[0].0 < w[1].0), "streams must be sorted by id");
     let mut head = [0u8; 24];
@@ -66,7 +65,7 @@ pub(crate) fn write<W: Write + ?Sized, T>(
     out.write_all(&head[..20])?;
     let mut buf = Vec::new();
     for (id, item) in streams {
-        let next_minute = snapshot(*id, item, &mut buf)?;
+        let next_minute = snapshot(*id, item, &mut buf);
         head[..8].copy_from_slice(&id.to_le_bytes());
         head[8..16].copy_from_slice(&next_minute.to_le_bytes());
         head[16..].copy_from_slice(&(buf.len() as u64).to_le_bytes());
@@ -129,7 +128,7 @@ mod tests {
         write(&mut out, &items, |_, (next_minute, bytes), buf| {
             buf.clear();
             buf.extend_from_slice(bytes);
-            Ok(*next_minute)
+            *next_minute
         })
         .unwrap();
         out

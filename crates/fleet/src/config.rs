@@ -92,19 +92,6 @@ pub struct FleetConfig {
     /// Durable ingestion (WAL-before-ack + checkpoint/recovery). `None`
     /// keeps the engine purely in-memory, the previous behavior.
     pub durability: Option<DurabilityConfig>,
-    /// Directory for the cold-stream hibernation spill file (DESIGN.md §11).
-    /// When set, [`crate::FleetEngine::hibernate_idle`] can move idle
-    /// streams' serving state out of memory; the next sample restores it
-    /// bit-identically. The spill file is a cache: it never participates in
-    /// recovery and is truncated on every engine start. `None` disables
-    /// hibernation.
-    pub spill_dir: Option<PathBuf>,
-    /// Automatic hibernation policy: streams idle (no accepted push) for at
-    /// least this long are hibernated by the engine's background maintenance
-    /// thread, without any [`crate::FleetEngine::hibernate_idle`] calls from
-    /// the application. Requires `spill_dir`. `None` (the default) keeps
-    /// hibernation manual.
-    pub auto_hibernate_idle: Option<std::time::Duration>,
 }
 
 impl Default for FleetConfig {
@@ -115,8 +102,6 @@ impl Default for FleetConfig {
             backpressure: BackpressurePolicy::Block,
             fleet_seed: 2007,
             durability: None,
-            spill_dir: None,
-            auto_hibernate_idle: None,
         }
     }
 }
@@ -137,16 +122,6 @@ impl FleetConfig {
         }
         if let Some(d) = &self.durability {
             d.validate()?;
-        }
-        if let Some(idle) = self.auto_hibernate_idle {
-            if self.spill_dir.is_none() {
-                return Err(FleetError::InvalidConfig(
-                    "auto_hibernate_idle requires spill_dir".into(),
-                ));
-            }
-            if idle.is_zero() {
-                return Err(FleetError::InvalidConfig("auto_hibernate_idle must be > 0".into()));
-            }
         }
         Ok(())
     }
@@ -227,25 +202,6 @@ mod tests {
         let bad = DurabilityConfig { segment_bytes: 0, ..DurabilityConfig::new("/tmp/ignored") };
         let cfg = FleetConfig { durability: Some(bad), ..FleetConfig::default() };
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn auto_hibernate_requires_spill_dir_and_nonzero_idle() {
-        let idle = Some(std::time::Duration::from_secs(60));
-        let bad = FleetConfig { auto_hibernate_idle: idle, ..FleetConfig::default() };
-        assert!(bad.validate().is_err());
-        let bad = FleetConfig {
-            auto_hibernate_idle: Some(std::time::Duration::ZERO),
-            spill_dir: Some("/tmp/ignored".into()),
-            ..FleetConfig::default()
-        };
-        assert!(bad.validate().is_err());
-        let good = FleetConfig {
-            auto_hibernate_idle: idle,
-            spill_dir: Some("/tmp/ignored".into()),
-            ..FleetConfig::default()
-        };
-        assert!(good.validate().is_ok());
     }
 
     #[test]

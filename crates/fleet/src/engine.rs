@@ -1,23 +1,23 @@
 //! The fleet engine: worker threads, stream lifecycle, batched ingestion,
 //! caller drains, flush/checkpoint/restore, and the health rollup.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use larp::{GuardedLarp, HealthState, OnlineStep, Scratch, StreamMemReport};
 use obs::{expo, EventKind, EventRing, Registry};
-use store::{BlobStore, RegisterTuning, WalRecord};
+use store::{RegisterTuning, WalRecord};
 
 use crate::checkpoint;
 use crate::config::{FleetConfig, StreamConfig};
 use crate::durability::{self, CheckpointFile, DurabilityState, RecoverySummary, StoreStats};
 use crate::health::{merge_counters, FleetHealth, PushReport, ShardHealth};
 use crate::observe::FleetObs;
-use crate::shard::{shard_of, Job, Removed, ShardState, StreamSlot, Tombstone, BATCH_DRAIN};
+use crate::shard::{shard_of, Job, ShardState, StreamSlot, BATCH_DRAIN};
 use crate::{FleetError, Result, StreamId};
 
 /// State shared between the engine handle and its worker threads.
@@ -26,36 +26,28 @@ struct EngineShared {
     shards: Vec<ShardState>,
     /// Monotonic count of push attempts, the idle-expiry clock.
     push_seq: AtomicU64,
-    /// Orders the background maintenance thread (auto-checkpoint +
-    /// auto-hibernate) to exit.
+    /// Orders the background auto-checkpoint thread to exit.
     maint_stop: AtomicBool,
     obs: FleetObs,
     /// Durable-ingestion state; `None` for a purely in-memory engine.
     durability: Option<DurabilityState>,
-    /// Spill store for hibernated streams; `None` without
-    /// [`FleetConfig::spill_dir`]. Lock order: a shard's stream table first,
-    /// then the spill store — every site follows it, so the pair cannot
-    /// deadlock.
-    spill: Option<Mutex<BlobStore>>,
 }
 
 impl EngineShared {
     /// Blocks until every admitted sample has been fully processed, draining
     /// on the calling thread wherever no other drainer holds a shard.
     fn flush_shards(&self) {
-        let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(self, id, tomb);
         for s in &self.shards {
-            s.flush(&wake);
+            s.flush();
         }
     }
 
     /// The caller's drain of a small push, on every shard whose bit
     /// (`shard % 64`) is set in `mask`.
     fn drain_shards(&self, mask: u64) {
-        let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(self, id, tomb);
         for (i, s) in self.shards.iter().enumerate() {
             if mask & shard_bit(i) != 0 {
-                s.drain_once(&wake);
+                s.drain_once();
             }
         }
     }
@@ -67,16 +59,11 @@ impl EngineShared {
     /// Every shard's stream table is held for the whole write, so the image
     /// is one consistent cut; the ids are sorted up front and each stream is
     /// encoded into one reused buffer in turn, so the encoder never holds
-    /// more than one snapshot. Hibernated streams are inlined by reading
-    /// their spill blobs — a blob *is* a guarded snapshot, so no wake is
-    /// needed — which makes the bytes independent of which streams happen
-    /// to be hibernated.
+    /// more than one snapshot.
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::Checkpoint`] if a hibernated stream's blob is
-    /// missing or unreadable (the checkpoint would silently drop it), and
-    /// [`FleetError::Durability`] if `out` fails.
+    /// Returns [`FleetError::Durability`] if `out` fails.
     fn write_checkpoint(&self, out: &mut (impl Write + ?Sized)) -> Result<u64> {
         let tables: Vec<_> = self
             .shards
@@ -90,36 +77,11 @@ impl EngineShared {
         }
         order.sort_unstable_by_key(|&(id, _)| id);
         checkpoint::write(out, &order, |id, &shard, buf| {
-            let table = &tables[shard];
-            if let Some(slot) = table.get_live(id) {
-                slot.guarded.write_snapshot(buf);
-                return Ok(slot.next_minute);
-            }
-            let tomb = table.tombstone(id).expect("a listed stream is live or hibernated");
-            self.spill_blob_into(id, buf)?;
-            Ok(tomb.next_minute)
+            let slot = tables[shard].get(id).expect("a listed stream is registered");
+            slot.guarded.write_snapshot(buf);
+            slot.next_minute
         })?;
         Ok(order.len() as u64)
-    }
-
-    /// Reads hibernated stream `id`'s spill blob (its guarded snapshot) into
-    /// `out`, replacing its contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Checkpoint`] if the blob is missing or
-    /// unreadable.
-    fn spill_blob_into(&self, id: StreamId, out: &mut Vec<u8>) -> Result<()> {
-        let spill = self.spill.as_ref().expect("hibernated stream implies a spill store");
-        match spill.lock().expect("spill store poisoned").get_into(id, out) {
-            Ok(true) => Ok(()),
-            Ok(false) => {
-                Err(FleetError::Checkpoint(format!("hibernated stream {id} has no spill blob")))
-            }
-            Err(e) => Err(FleetError::Checkpoint(format!(
-                "hibernated stream {id}: spill read failed: {e}"
-            ))),
-        }
     }
 }
 
@@ -172,40 +134,10 @@ impl Drop for DrainToken {
     }
 }
 
-/// Restores a hibernated stream's serving stack from the spill store, called
-/// by a drainer when a sample arrives for a tombstoned stream. `None`
-/// (counted in `fleet_wake_failures_total`) means the spilled state is gone
-/// or unreadable; the drainer drops the stream rather than serving from a
-/// half-reset stack.
-fn wake_guarded(shared: &EngineShared, id: StreamId, _tomb: &Tombstone) -> Option<GuardedLarp> {
-    let spill = shared.spill.as_ref()?;
-    let bytes = match spill.lock().expect("spill store poisoned").get(id) {
-        Ok(Some(b)) => b,
-        Ok(None) | Err(_) => {
-            shared.obs.wake_failures.inc();
-            return None;
-        }
-    };
-    match GuardedLarp::from_snapshot_bytes(&bytes) {
-        Ok(mut guarded) => {
-            guarded.attach_obs(shared.obs.larp.for_stream(id));
-            spill.lock().expect("spill store poisoned").delete(id);
-            shared.obs.wakes.inc();
-            let kind = EventKind::StreamWoken { bytes: bytes.len() as u64 };
-            shared.obs.events.push(Some(id), kind);
-            Some(guarded)
-        }
-        Err(_) => {
-            shared.obs.wake_failures.inc();
-            None
-        }
-    }
-}
-
 /// Resident set size of this process in bytes, read from
 /// `/proc/self/statm` (pages × 4096, the page size on every platform this
 /// repo targets). `None` off Linux or if the file is unreadable.
-pub fn process_resident_bytes() -> Option<u64> {
+fn process_resident_bytes() -> Option<u64> {
     let statm = std::fs::read_to_string("/proc/self/statm").ok()?;
     let pages: u64 = statm.split_whitespace().nth(1)?.parse().ok()?;
     Some(pages * 4096)
@@ -215,22 +147,16 @@ pub fn process_resident_bytes() -> Option<u64> {
 /// (DESIGN.md §11).
 #[derive(Debug, Clone, Default)]
 pub struct FleetMemReport {
-    /// Streams with their full serving stack resident.
-    pub live_streams: usize,
-    /// Streams spilled to the hibernation store (tombstone-only resident).
-    pub hibernated_streams: usize,
-    /// Component-wise heap sum over every *live* stream's serving stack.
+    /// Registered streams.
+    pub streams: usize,
+    /// Component-wise heap sum over every stream's serving stack.
     pub stream: StreamMemReport,
-    /// Inline bytes of one live stream's slot, serving stack included: the
-    /// part of a stream that no heap component counts. The live slab in
+    /// Inline bytes of one stream's slot, serving stack included: the part
+    /// of a stream that no heap component counts. The slab in
     /// [`FleetMemReport::table_bytes`] holds one per slot.
     pub slot_bytes: usize,
-    /// Stream-table overhead: index buckets + both slabs + free lists.
+    /// Stream-table overhead: index buckets + slab + free list.
     pub table_bytes: usize,
-    /// Live bytes in the hibernation spill file (on disk, not resident).
-    pub spill_live_bytes: u64,
-    /// Garbage bytes in the spill file awaiting compaction.
-    pub spill_dead_bytes: u64,
     /// Process RSS at report time, when the platform exposes it.
     pub resident_bytes: Option<u64>,
 }
@@ -243,13 +169,12 @@ impl FleetMemReport {
         self.stream.total() + self.table_bytes
     }
 
-    /// Accounted resident bytes per registered stream (live + hibernated).
+    /// Accounted resident bytes per registered stream.
     pub fn bytes_per_stream(&self) -> f64 {
-        let n = self.live_streams + self.hibernated_streams;
-        if n == 0 {
+        if self.streams == 0 {
             0.0
         } else {
-            self.heap_total() as f64 / n as f64
+            self.heap_total() as f64 / self.streams as f64
         }
     }
 }
@@ -276,44 +201,6 @@ fn checkpoint_durable_inner(shared: &EngineShared) -> Result<u64> {
     Ok(seq)
 }
 
-/// Spills streams idle for more than `max_idle` push attempts. Shared by
-/// [`FleetEngine::hibernate_idle`] and the background maintenance thread's
-/// automatic policy.
-fn hibernate_idle_inner(shared: &EngineShared, max_idle: u64) -> Result<Vec<StreamId>> {
-    let spill = shared.spill.as_ref().ok_or_else(|| {
-        FleetError::InvalidConfig("hibernation requires FleetConfig::spill_dir".into())
-    })?;
-    let _gate =
-        shared.durability.as_ref().map(|d| d.gate.read().expect("durability gate poisoned"));
-    shared.flush_shards();
-    let now = shared.push_seq.load(Ordering::Relaxed);
-    let mut hibernated = Vec::new();
-    let mut bytes = Vec::new();
-    for s in &shared.shards {
-        let mut streams = s.streams.lock().expect("shard stream table poisoned");
-        let idle: Vec<StreamId> = streams
-            .iter_live()
-            .filter(|(_, slot)| now.saturating_sub(slot.last_seq) > max_idle)
-            .map(|(id, _)| id)
-            .collect();
-        for id in idle {
-            let slot = streams.hibernate(id).expect("listed as live");
-            slot.guarded.write_snapshot(&mut bytes);
-            let put = spill.lock().expect("spill store poisoned").put(id, &bytes);
-            if let Err(e) = put {
-                streams.wake(id, slot.guarded);
-                return Err(FleetError::Durability(format!("spill write: {e}")));
-            }
-            shared.obs.hibernations.inc();
-            let kind = EventKind::StreamHibernated { bytes: bytes.len() as u64 };
-            shared.obs.events.push(Some(id), kind);
-            hibernated.push(id);
-        }
-    }
-    hibernated.sort_unstable();
-    Ok(hibernated)
-}
-
 /// Sharded multi-stream serving engine. See the crate docs for the design.
 ///
 /// All ingestion methods take `&self`; an engine can be shared across
@@ -323,8 +210,8 @@ pub struct FleetEngine {
     shared: Arc<EngineShared>,
     default_stream: StreamConfig,
     workers: Vec<JoinHandle<()>>,
-    /// Background maintenance thread (auto-checkpoint and/or
-    /// auto-hibernate), when either policy is configured.
+    /// Background auto-checkpoint thread, when
+    /// `DurabilityConfig::auto_checkpoint_records` is set.
     maintenance: Option<JoinHandle<()>>,
 }
 
@@ -389,20 +276,6 @@ impl FleetEngine {
         // Fail fast on a default stream config that can never build.
         default_stream.build()?;
         let obs = FleetObs::new();
-        // The spill file is a cache, never a durable artifact: open()
-        // truncates it, so hibernated state cannot leak across engine
-        // lifetimes or confuse recovery.
-        let spill = match &config.spill_dir {
-            Some(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| {
-                    FleetError::InvalidConfig(format!("spill_dir {}: {e}", dir.display()))
-                })?;
-                let blob = BlobStore::open(dir.join("HIBERNATE.blob"))
-                    .map_err(|e| FleetError::Durability(format!("spill store: {e}")))?;
-                Some(Mutex::new(blob))
-            }
-            None => None,
-        };
         let shared = Arc::new(EngineShared {
             shards: (0..config.shards)
                 .map(|i| {
@@ -415,17 +288,13 @@ impl FleetEngine {
             maint_stop: AtomicBool::new(false),
             obs,
             durability,
-            spill,
         });
         let workers = (0..shared.config.shards)
             .map(|i| {
                 let s = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fleet-shard-{i}"))
-                    .spawn(move || {
-                        let wake = |id: StreamId, tomb: &Tombstone| wake_guarded(&s, id, tomb);
-                        s.shards[i].worker_loop(&wake)
-                    })
+                    .spawn(move || s.shards[i].worker_loop())
                     .map_err(|e| FleetError::Serving(format!("cannot spawn shard worker: {e}")))
             })
             .collect::<Result<Vec<_>>>()?;
@@ -433,64 +302,24 @@ impl FleetEngine {
         Ok(Self { shared, default_stream, workers, maintenance })
     }
 
-    /// Starts the background maintenance thread, if any periodic policy is
-    /// configured: automatic durable checkpoints
-    /// ([`DurabilityConfig::auto_checkpoint_records`]) and/or automatic
-    /// hibernation ([`FleetConfig::auto_hibernate_idle`]).
+    /// Starts the background auto-checkpoint thread when
+    /// `DurabilityConfig::auto_checkpoint_records` is set.
     fn spawn_maintenance(shared: &Arc<EngineShared>) -> Option<JoinHandle<()>> {
         let every =
             shared.durability.as_ref().map(|d| d.config.auto_checkpoint_records).unwrap_or(0);
-        let auto_hibernate = shared.config.auto_hibernate_idle;
-        if every == 0 && auto_hibernate.is_none() {
+        if every == 0 {
             return None;
         }
         let s = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name("fleet-maintenance".into())
             .spawn(move || {
-                // The idle policy is wall-clock but the engine's idle marks
-                // are push sequence numbers; periodic (Instant, push_seq)
-                // snapshots translate between the two — a stream is idle for
-                // `auto_hibernate` if its last activity predates the newest
-                // snapshot that old.
-                let mut clock: VecDeque<(Instant, u64)> = VecDeque::new();
-                let mut last_sweep = Instant::now();
-                let sweep_every =
-                    auto_hibernate.map(|idle| (idle / 4).max(Duration::from_millis(50)));
+                let d = s.durability.as_ref().expect("auto-checkpoint needs durability");
                 while !s.maint_stop.load(Ordering::Relaxed) {
-                    if every > 0 {
-                        let d = s.durability.as_ref().expect("auto-checkpoint needs durability");
-                        if d.records_since_ckpt.load(Ordering::Relaxed) >= every {
-                            // A failed checkpoint leaves the trigger count
-                            // untouched, so the next tick retries.
-                            let _ = checkpoint_durable_inner(&s);
-                        }
-                    }
-                    if let (Some(idle), Some(period)) = (auto_hibernate, sweep_every) {
-                        let now = Instant::now();
-                        clock.push_back((now, s.push_seq.load(Ordering::Relaxed)));
-                        // Keep the front as the newest snapshot at least
-                        // `idle` old; everything older is redundant.
-                        while clock.len() > 1 && now.duration_since(clock[1].0) >= idle {
-                            clock.pop_front();
-                        }
-                        let aged = clock.front().filter(|(t, _)| now.duration_since(*t) >= idle);
-                        if now.duration_since(last_sweep) >= period {
-                            if let Some(&(_, seq_then)) = aged {
-                                last_sweep = now;
-                                let now_seq = s.push_seq.load(Ordering::Relaxed);
-                                let threshold = now_seq.saturating_sub(seq_then);
-                                s.obs.auto_hibernate_cycles.inc();
-                                if let Ok(ids) = hibernate_idle_inner(&s, threshold) {
-                                    if !ids.is_empty() {
-                                        let kind = EventKind::AutoHibernate {
-                                            hibernated: ids.len() as u64,
-                                        };
-                                        s.obs.events.push(None, kind);
-                                    }
-                                }
-                            }
-                        }
+                    if d.records_since_ckpt.load(Ordering::Relaxed) >= every {
+                        // A failed checkpoint leaves the trigger count
+                        // untouched, so the next tick retries.
+                        let _ = checkpoint_durable_inner(&s);
                     }
                     std::thread::park_timeout(Duration::from_millis(20));
                 }
@@ -607,7 +436,7 @@ impl FleetEngine {
                     summary.replayed_samples += 1;
                     let shard = &self.shared.shards[self.shard_for(s.stream)];
                     let mut table = shard.streams.lock().expect("shard stream table poisoned");
-                    match table.get_live_mut(s.stream) {
+                    match table.get_mut(s.stream) {
                         Some(slot) => {
                             let job =
                                 Job { stream: s.stream, minute: s.minute, value: s.value, seq: 0 };
@@ -739,12 +568,9 @@ impl FleetEngine {
         let shard = &self.shared.shards[self.shard_for(id)];
         let mut streams = shard.streams.lock().expect("shard stream table poisoned");
         let removed = streams.remove(id).ok_or(FleetError::UnknownStream(id))?;
+        // The serving stack drops outside the table lock.
         drop(streams);
-        if matches!(removed, Removed::Hibernated(_)) {
-            if let Some(spill) = self.shared.spill.as_ref() {
-                spill.lock().expect("spill store poisoned").delete(id);
-            }
-        }
+        drop(removed);
         self.shared.obs.evictions.inc();
         self.shared.obs.events.push(Some(id), EventKind::StreamEvicted { idle: false });
         if let Some(d) = self.shared.durability.as_ref() {
@@ -799,13 +625,13 @@ impl FleetEngine {
         }
     }
 
-    /// Whether `id` is currently registered (live or hibernated).
+    /// Whether `id` is currently registered.
     pub fn contains(&self, id: StreamId) -> bool {
         let shard = &self.shared.shards[self.shard_for(id)];
         shard.streams.lock().expect("shard stream table poisoned").contains(id)
     }
 
-    /// Number of registered streams (live + hibernated).
+    /// Number of registered streams.
     pub fn stream_count(&self) -> usize {
         self.shared
             .shards
@@ -814,15 +640,14 @@ impl FleetEngine {
             .sum()
     }
 
-    /// Every registered stream (live or hibernated) with its `next_minute`,
-    /// the minute its next auto-clocked sample gets. Does not flush, and
-    /// does not count as activity for [`sweep_idle`](Self::sweep_idle).
+    /// Every registered stream with its `next_minute`, the minute its next
+    /// auto-clocked sample gets. Does not flush, and does not count as
+    /// activity for [`sweep_idle`](Self::sweep_idle).
     pub fn stream_clocks(&self) -> Vec<(StreamId, u64)> {
         let mut out = Vec::new();
         for s in &self.shared.shards {
             let table = s.streams.lock().expect("shard stream table poisoned");
-            out.extend(table.iter_live().map(|(id, slot)| (id, slot.next_minute)));
-            out.extend(table.iter_tombs().map(|(id, tomb)| (id, tomb.next_minute)));
+            out.extend(table.iter().map(|(id, slot)| (id, slot.next_minute)));
         }
         out
     }
@@ -1019,8 +844,7 @@ impl FleetEngine {
 
     /// Evicts streams that have not received a sample (or an info probe —
     /// see [`stream_info`](Self::stream_info)) within the last `max_idle`
-    /// push attempts (engine-wide), returning the evicted ids. Hibernated
-    /// streams expire on the same clock; their spill blobs are dropped.
+    /// push attempts (engine-wide), returning the evicted ids.
     ///
     /// Flushes first so queued samples count as activity. Streams registered
     /// but never pushed have an activity mark of zero and expire like any
@@ -1038,18 +862,12 @@ impl FleetEngine {
         for s in &self.shared.shards {
             let mut streams = s.streams.lock().expect("shard stream table poisoned");
             let idle: Vec<StreamId> = streams
-                .iter_live()
-                .map(|(id, slot)| (id, slot.last_seq))
-                .chain(streams.iter_tombs().map(|(id, tomb)| (id, tomb.last_seq)))
-                .filter(|&(_, last)| now.saturating_sub(last) > max_idle)
+                .iter()
+                .filter(|(_, slot)| now.saturating_sub(slot.last_seq) > max_idle)
                 .map(|(id, _)| id)
                 .collect();
             for id in idle {
-                if let Some(Removed::Hibernated(_)) = streams.remove(id) {
-                    if let Some(spill) = self.shared.spill.as_ref() {
-                        spill.lock().expect("spill store poisoned").delete(id);
-                    }
-                }
+                streams.remove(id);
                 evicted.push(id);
             }
         }
@@ -1073,49 +891,23 @@ impl FleetEngine {
         evicted
     }
 
-    /// Spills streams idle for more than `max_idle` push attempts to the
-    /// hibernation store, leaving only a small resident tombstone. The next
-    /// sample for a hibernated stream restores its serving stack
-    /// bit-identically; [`stream_info`](Self::stream_info) answers from the
-    /// tombstone without waking it. Returns the newly hibernated ids.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::InvalidConfig`] without
-    /// [`FleetConfig::spill_dir`] and [`FleetError::Durability`] if a spill
-    /// write fails — the affected stream stays live (losing serving state to
-    /// save memory is never the right trade).
-    pub fn hibernate_idle(&self, max_idle: u64) -> Result<Vec<StreamId>> {
-        hibernate_idle_inner(&self.shared, max_idle)
-    }
-
     /// Flushes, then serializes one stream's complete serving state for
     /// migration to another engine: `(next_minute, snapshot_bytes)`. The
     /// bytes are the same LARPSNAP encoding checkpoints inline, so
     /// [`import_stream`](Self::import_stream) restores them bit-identically.
-    /// Hibernated streams export their spill blob directly (a blob *is* a
-    /// snapshot) without waking.
     ///
     /// The stream stays registered here — the caller owns eviction timing
     /// (a migration fence evicts only after the destination acknowledges).
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::UnknownStream`] if `id` is not registered and
-    /// [`FleetError::Checkpoint`] if a hibernated stream's spill blob is
-    /// missing or unreadable.
+    /// Returns [`FleetError::UnknownStream`] if `id` is not registered.
     pub fn export_stream(&self, id: StreamId) -> Result<(u64, Vec<u8>)> {
         self.flush();
         let shard = &self.shared.shards[self.shard_for(id)];
         let table = shard.streams.lock().expect("shard stream table poisoned");
-        let (next_minute, bytes) = if let Some(slot) = table.get_live(id) {
-            (slot.next_minute, slot.guarded.to_snapshot_bytes())
-        } else {
-            let tomb = table.tombstone(id).ok_or(FleetError::UnknownStream(id))?;
-            let mut bytes = Vec::new();
-            self.shared.spill_blob_into(id, &mut bytes)?;
-            (tomb.next_minute, bytes)
-        };
+        let slot = table.get(id).ok_or(FleetError::UnknownStream(id))?;
+        let (next_minute, bytes) = (slot.next_minute, slot.guarded.to_snapshot_bytes());
         drop(table);
         self.shared.obs.stream_exports.inc();
         let kind = EventKind::StreamExported { bytes: bytes.len() as u64 };
@@ -1182,16 +974,11 @@ impl FleetEngine {
     /// holding these snapshots needs only WAL records *after* it. Producers
     /// are quiesced for the cut (durability gate + queue drain), so every
     /// snapshot and `covered_seq` describe one consistent state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Checkpoint`] if a hibernated stream's spill
-    /// blob is missing or unreadable.
     #[allow(clippy::type_complexity)]
     pub fn export_dirty(
         &self,
         seen: &mut HashMap<StreamId, u64>,
-    ) -> Result<(u64, Vec<(StreamId, u64, Vec<u8>)>)> {
+    ) -> (u64, Vec<(StreamId, u64, Vec<u8>)>) {
         let _gate = self
             .shared
             .durability
@@ -1204,20 +991,11 @@ impl FleetEngine {
         let mut alive: HashSet<StreamId> = HashSet::new();
         for s in &self.shared.shards {
             let table = s.streams.lock().expect("shard stream table poisoned");
-            for (id, slot) in table.iter_live() {
+            for (id, slot) in table.iter() {
                 alive.insert(id);
                 if seen.get(&id) != Some(&slot.next_minute) {
                     deltas.push((id, slot.next_minute, slot.guarded.to_snapshot_bytes()));
                 }
-            }
-            for (id, tomb) in table.iter_tombs() {
-                alive.insert(id);
-                if seen.get(&id) == Some(&tomb.next_minute) {
-                    continue;
-                }
-                let mut bytes = Vec::new();
-                self.shared.spill_blob_into(id, &mut bytes)?;
-                deltas.push((id, tomb.next_minute, bytes));
             }
         }
         deltas.sort_unstable_by_key(|(id, _, _)| *id);
@@ -1225,7 +1003,7 @@ impl FleetEngine {
         for (id, next_minute, _) in &deltas {
             seen.insert(*id, *next_minute);
         }
-        Ok((covered_seq, deltas))
+        (covered_seq, deltas)
     }
 
     /// The directory holding this engine's WAL segments, when durability is
@@ -1240,8 +1018,7 @@ impl FleetEngine {
         self.shared.durability.as_ref().map(DurabilityState::last_seq).unwrap_or(0)
     }
 
-    /// A point-in-time view of one stream. Hibernated streams answer from
-    /// their resident tombstone — an info probe never forces a wake.
+    /// A point-in-time view of one stream.
     ///
     /// Reading counts as activity: the probe refreshes the stream's idle
     /// clock, so a predict-only consumer polling forecasts does not lose its
@@ -1257,30 +1034,17 @@ impl FleetEngine {
         let now = self.shared.push_seq.load(Ordering::Relaxed);
         let mut streams =
             self.shared.shards[shard].streams.lock().expect("shard stream table poisoned");
-        if let Some(slot) = streams.get_live_mut(id) {
-            slot.last_seq = slot.last_seq.max(now);
-            return Ok(StreamInfo {
-                id,
-                shard,
-                steps: slot.steps,
-                forecasts: slot.forecasts,
-                next_minute: slot.next_minute,
-                health: slot.last_health,
-                last_forecast: slot.last_forecast,
-                retrains: slot.guarded.online().retrain_count(),
-            });
-        }
-        let tomb = streams.tombstone_mut(id).ok_or(FleetError::UnknownStream(id))?;
-        tomb.last_seq = tomb.last_seq.max(now);
+        let slot = streams.get_mut(id).ok_or(FleetError::UnknownStream(id))?;
+        slot.last_seq = slot.last_seq.max(now);
         Ok(StreamInfo {
             id,
             shard,
-            steps: tomb.steps,
-            forecasts: tomb.forecasts,
-            next_minute: tomb.next_minute,
-            health: tomb.last_health,
-            last_forecast: tomb.last_forecast,
-            retrains: tomb.retrains,
+            steps: slot.steps,
+            forecasts: slot.forecasts,
+            next_minute: slot.next_minute,
+            health: slot.last_health,
+            last_forecast: slot.last_forecast,
+            retrains: slot.guarded.online().retrain_count(),
         })
     }
 
@@ -1301,11 +1065,10 @@ impl FleetEngine {
                 shard: i,
                 queue_depth,
                 streams: streams.len(),
-                hibernated: streams.hibernated_len(),
                 unknown_dropped: s.unknown_dropped.get(),
                 ..ShardHealth::default()
             };
-            for (_, slot) in streams.iter_live() {
+            for (_, slot) in streams.iter() {
                 if slot.last_health != HealthState::Healthy {
                     sh.degraded_streams += 1;
                 }
@@ -1319,19 +1082,7 @@ impl FleetEngine {
                 health.retrains += online.retrain_count() as u64;
                 merge_counters(&mut health.counters, online.counters());
             }
-            for (_, tomb) in streams.iter_tombs() {
-                if tomb.last_health != HealthState::Healthy {
-                    sh.degraded_streams += 1;
-                }
-                health.steps += tomb.steps;
-                health.forecasts += tomb.forecasts;
-                health.nonfinite_forecasts += tomb.nonfinite;
-                health.retrains += tomb.retrains as u64;
-                // Fault counters travel inside the spilled snapshot and
-                // rejoin the rollup when the stream wakes.
-            }
             health.streams += sh.streams;
-            health.hibernated += sh.hibernated;
             health.shards.push(sh);
         }
         health
@@ -1347,17 +1098,11 @@ impl FleetEngine {
         };
         for s in &self.shared.shards {
             let table = s.streams.lock().expect("shard stream table poisoned");
-            report.live_streams += table.live_len();
-            report.hibernated_streams += table.hibernated_len();
+            report.streams += table.len();
             report.table_bytes += table.heap_bytes();
-            for (_, slot) in table.iter_live() {
+            for (_, slot) in table.iter() {
                 report.stream.accumulate(&slot.guarded.mem_report());
             }
-        }
-        if let Some(spill) = self.shared.spill.as_ref() {
-            let blob = spill.lock().expect("spill store poisoned");
-            report.spill_live_bytes = blob.live_bytes();
-            report.spill_dead_bytes = blob.dead_bytes();
         }
         report.resident_bytes = process_resident_bytes();
         report
@@ -1391,26 +1136,20 @@ impl FleetEngine {
         }
     }
 
-    /// Flushes, then serializes every stream's full serving state —
-    /// hibernated streams included (their spill blobs are inlined, so the
-    /// bytes are independent of which streams happen to be cold).
+    /// Flushes, then serializes every stream's full serving state.
     ///
     /// The bytes depend only on the fleet's logical state (streams are sorted
     /// by id), not on the shard count, so a checkpoint taken on 8 shards
     /// restores cleanly onto 2 — see [`restore`](Self::restore).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FleetError::Checkpoint`] if a hibernated stream's spill
-    /// blob is missing or unreadable.
-    pub fn checkpoint(&self) -> Result<Vec<u8>> {
+    pub fn checkpoint(&self) -> Vec<u8> {
         self.flush();
         let mut bytes = Vec::new();
-        let streams = self.shared.write_checkpoint(&mut bytes)?;
+        let streams =
+            self.shared.write_checkpoint(&mut bytes).expect("writing to a Vec cannot fail");
         self.shared.obs.checkpoints.inc();
         let kind = EventKind::CheckpointSave { streams, bytes: bytes.len() as u64 };
         self.shared.obs.events.push(None, kind);
-        Ok(bytes)
+        bytes
     }
 
     /// Warm-starts a fleet from checkpoint bytes: every stream resumes with
@@ -1466,8 +1205,8 @@ impl FleetEngine {
 
 impl Drop for FleetEngine {
     fn drop(&mut self) {
-        // Stop the background maintenance thread first so no checkpoint or
-        // hibernation sweep races the worker shutdown.
+        // Stop the background maintenance thread first so no checkpoint
+        // races the worker shutdown.
         if let Some(handle) = self.maintenance.take() {
             self.shared.maint_stop.store(true, Ordering::Relaxed);
             handle.thread().unpark();
@@ -1874,7 +1613,7 @@ mod tests {
         assert!(summary.clean(), "{summary:?}");
         assert_eq!(summary.checkpoint_seq, first_seq);
         assert_eq!(summary.replayed_records, 25);
-        assert!(back.checkpoint().unwrap() == reference.checkpoint().unwrap(), "bit-identical");
+        assert!(back.checkpoint() == reference.checkpoint(), "bit-identical");
 
         // The next checkpoint overwrites the leftover and lands.
         let seq = back.checkpoint_durable().unwrap();
@@ -1891,7 +1630,7 @@ mod tests {
             FleetEngine::recover(durable_config(&dir, 3), StreamConfig::default()).unwrap();
         assert_eq!(summary.checkpoint_seq, seq);
         assert_eq!(summary.replayed_records, 0);
-        assert!(back.checkpoint().unwrap() == reference.checkpoint().unwrap());
+        assert!(back.checkpoint() == reference.checkpoint());
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -32,11 +32,8 @@ pub struct ShardHealth {
     pub shard: usize,
     /// Samples currently waiting in the shard's queue.
     pub queue_depth: usize,
-    /// Streams assigned to this shard (live + hibernated).
+    /// Streams assigned to this shard.
     pub streams: usize,
-    /// Streams of this shard currently hibernated (serving state spilled;
-    /// only a tombstone resident).
-    pub hibernated: usize,
     /// Streams whose most recent step was served degraded (a fallback pool
     /// member) or by last-value persistence.
     pub degraded_streams: usize,
@@ -51,13 +48,8 @@ pub struct ShardHealth {
 pub struct FleetHealth {
     /// Per-shard breakdown, indexed by shard.
     pub shards: Vec<ShardHealth>,
-    /// Registered streams across all shards (live + hibernated).
+    /// Registered streams across all shards.
     pub streams: usize,
-    /// Hibernated streams across all shards. Their step/forecast tallies are
-    /// included in the rollup below; their fault counters rejoin
-    /// [`FleetHealth::counters`] when they wake (the live values travel
-    /// inside the spilled snapshot).
-    pub hibernated: usize,
     /// Cumulative push outcomes since engine start.
     pub pushes: PushReport,
     /// Clean samples that reached a predictor.
@@ -126,7 +118,6 @@ mod tests {
                     degraded_streams: 1,
                     quarantined_streams: 0,
                     unknown_dropped: 4,
-                    ..ShardHealth::default()
                 },
                 ShardHealth {
                     shard: 1,
@@ -135,7 +126,6 @@ mod tests {
                     degraded_streams: 1,
                     quarantined_streams: 2,
                     unknown_dropped: 0,
-                    ..ShardHealth::default()
                 },
             ],
             ..FleetHealth::default()

@@ -57,7 +57,7 @@ pub mod shard;
 
 pub use config::{BackpressurePolicy, DurabilityConfig, FleetConfig, StreamConfig};
 pub use durability::{RecoverySummary, StoreStats};
-pub use engine::{process_resident_bytes, DrainToken, FleetEngine, FleetMemReport, StreamInfo};
+pub use engine::{DrainToken, FleetEngine, FleetMemReport, StreamInfo};
 pub use health::{FleetHealth, PushReport, ShardHealth};
 pub use shard::shard_of;
 pub use store::FsyncPolicy;

@@ -32,19 +32,10 @@
 //! | `fleet_wal_gap_records_total` | counter | records lost to WAL gaps at recovery |
 //! | `fleet_wal_append_us` | histogram | WAL append wall-clock per push call |
 //!
-//! Hibernation (DESIGN.md §11):
-//!
-//! | name | kind | meaning |
-//! |---|---|---|
-//! | `fleet_hibernations_total` | counter | streams spilled to the blob store |
-//! | `fleet_wakes_total` | counter | hibernated streams restored on demand |
-//! | `fleet_wake_failures_total` | counter | spilled state unreadable; stream dropped |
-//!
 //! Cluster support (DESIGN.md §12):
 //!
 //! | name | kind | meaning |
 //! |---|---|---|
-//! | `fleet_auto_hibernate_cycles_total` | counter | automatic hibernation sweeps run |
 //! | `fleet_stream_exports_total` | counter | single streams exported (migration / standby) |
 //! | `fleet_stream_imports_total` | counter | single streams imported bit-identically |
 //!
@@ -82,10 +73,6 @@ pub(crate) struct FleetObs {
     pub(crate) wal_recoveries: Counter,
     pub(crate) wal_gap_records: Counter,
     pub(crate) wal_append_us: Histogram,
-    pub(crate) hibernations: Counter,
-    pub(crate) wakes: Counter,
-    pub(crate) wake_failures: Counter,
-    pub(crate) auto_hibernate_cycles: Counter,
     pub(crate) stream_exports: Counter,
     pub(crate) stream_imports: Counter,
 }
@@ -111,10 +98,6 @@ impl FleetObs {
             wal_recoveries: registry.counter("fleet_wal_recoveries_total"),
             wal_gap_records: registry.counter("fleet_wal_gap_records_total"),
             wal_append_us: registry.histogram("fleet_wal_append_us"),
-            hibernations: registry.counter("fleet_hibernations_total"),
-            wakes: registry.counter("fleet_wakes_total"),
-            wake_failures: registry.counter("fleet_wake_failures_total"),
-            auto_hibernate_cycles: registry.counter("fleet_auto_hibernate_cycles_total"),
             stream_exports: registry.counter("fleet_stream_exports_total"),
             stream_imports: registry.counter("fleet_stream_imports_total"),
             registry,

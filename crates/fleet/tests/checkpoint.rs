@@ -54,7 +54,7 @@ fn restore_resumes_identically_without_retraining() {
         (0..STREAMS).map(|id| original.stream_info(id).unwrap().retrains).collect();
     assert!(retrains_before.iter().all(|&r| r >= 1), "warmup must train every stream");
 
-    let bytes = original.checkpoint().expect("checkpoint");
+    let bytes = original.checkpoint();
 
     // The original fleet keeps serving: the reference future.
     let expected = serve_tail(&original, &traces);
@@ -88,11 +88,7 @@ fn restore_resumes_identically_without_retraining() {
 fn checkpoint_bytes_are_shard_count_independent() {
     let (a, _) = build_warm_fleet(4);
     let (b, _) = build_warm_fleet(2);
-    assert_eq!(
-        a.checkpoint().expect("checkpoint"),
-        b.checkpoint().expect("checkpoint"),
-        "checkpoint must not leak shard layout"
-    );
+    assert_eq!(a.checkpoint(), b.checkpoint(), "checkpoint must not leak shard layout");
 }
 
 #[test]
@@ -100,7 +96,7 @@ fn restore_rejects_garbage() {
     let cfg = config(4);
     assert!(FleetEngine::restore(cfg.clone(), b"not a checkpoint").is_err());
     let (engine, _) = build_warm_fleet(2);
-    let mut bytes = engine.checkpoint().expect("checkpoint");
+    let mut bytes = engine.checkpoint();
     bytes.truncate(bytes.len() / 2);
     assert!(FleetEngine::restore(cfg, &bytes).is_err());
 }

@@ -79,7 +79,7 @@ fn checkpointed_engine() -> (FleetEngine, Vec<u8>) {
         engine.register(id).unwrap();
     }
     push_rounds(&engine, 0, SNAP_ROUNDS);
-    let bytes = engine.checkpoint().expect("checkpoint");
+    let bytes = engine.checkpoint();
     (engine, bytes)
 }
 
@@ -98,33 +98,20 @@ fn pre_change_fleet_checkpoint_restores_bit_identically() {
     assert!(got == expected, "restored fleet diverged from the pre-change recording");
 }
 
-/// A pre-change checkpoint must also survive the hibernation machinery that
-/// did not exist when it was written: restore, spill every stream cold, and
-/// the lazily woken fleet still replays the recorded continuation bit-exactly.
+/// Re-encoding a pre-change checkpoint loses nothing: restore it, take a
+/// checkpoint on the current engine, restore that, and the recorded
+/// continuation still replays bit-exactly.
 #[test]
-fn pre_change_checkpoint_survives_a_hibernation_cycle() {
+fn pre_change_checkpoint_reencodes_bit_identically() {
     let bytes = fs::read(fixture_path("pr5_fleet.ckp"))
         .expect("committed fixture pr5_fleet.ckp (regenerate test rebuilds it)");
     let expected = fs::read(fixture_path("pr5_fleet_expected.bin"))
         .expect("committed fixture pr5_fleet_expected.bin");
-    let spill = std::env::temp_dir().join(format!("fleet-compat-hib-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&spill);
-    let engine = FleetEngine::restore(
-        FleetConfig { shards: 2, spill_dir: Some(spill.clone()), ..config() },
-        &bytes,
-    )
-    .unwrap();
-    // A sentinel stream advances the engine's push clock so the restored
-    // streams (idle since restore) fall behind it and hibernate.
-    engine.register(999).unwrap();
-    engine.push(999, 50.0);
-    engine.flush();
-    let hibernated = engine.hibernate_idle(0).expect("spill configured");
-    assert_eq!(hibernated.len(), STREAMS as usize, "every restored stream spills");
-    let got = continuation(&engine);
-    assert!(got == expected, "hibernate/wake changed a pre-change stream's forecasts");
-    drop(engine);
-    let _ = fs::remove_dir_all(&spill);
+    let reencoded =
+        FleetEngine::restore(FleetConfig { shards: 2, ..config() }, &bytes).unwrap().checkpoint();
+    let engine = FleetEngine::restore(config(), &reencoded).unwrap();
+    assert_eq!(engine.stream_count(), STREAMS as usize);
+    assert!(continuation(&engine) == expected, "the re-encoded image diverged");
 }
 
 /// Fixture-independent sanity check on the current implementation.

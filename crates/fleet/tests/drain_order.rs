@@ -105,7 +105,7 @@ fn concurrent_drainers_preserve_per_stream_order() {
             reference.push_batch(&push);
         }
     }
-    let want = reference.checkpoint().unwrap();
+    let want = reference.checkpoint();
 
     let (got, report, drains) = within_watchdog(|| {
         let engine =
@@ -117,7 +117,7 @@ fn concurrent_drainers_preserve_per_stream_order() {
             std::thread::spawn(move || {
                 while !done.load(Ordering::Relaxed) {
                     engine.flush();
-                    engine.checkpoint().unwrap();
+                    engine.checkpoint();
                 }
             })
         };
@@ -142,7 +142,7 @@ fn concurrent_drainers_preserve_per_stream_order() {
         let registry = engine.registry();
         let drains = ["fleet_drains_inline_total", "fleet_drains_worker_total"]
             .map(|name| registry.counter(name).get());
-        (engine.checkpoint().unwrap(), report, drains)
+        (engine.checkpoint(), report, drains)
     });
     assert!(drains.iter().all(|&n| n > 0), "callers and workers both drained: {drains:?}");
     assert_eq!(report.accepted, PRODUCERS * SAMPLES_PER_PRODUCER as u64);

@@ -99,41 +99,19 @@ fn export_import_round_trip_is_bit_identical() {
     assert!(imported.iter().any(|e| matches!(e.kind, obs::EventKind::StreamImported { .. })));
 }
 
+/// Typed errors: unknown export, duplicate import, garbage bytes.
 #[test]
-fn export_covers_hibernated_streams_and_errors_are_typed() {
-    let dir = temp_dir("cold");
-    let source =
-        FleetEngine::new(FleetConfig { spill_dir: Some(dir.clone()), ..config() }).expect("source");
-    let control = FleetEngine::new(config()).expect("control");
+fn export_import_errors_are_typed() {
+    let source = FleetEngine::new(config()).expect("source");
     register_all(&source);
-    register_all(&control);
     drive(&source, 0..60);
-    drive(&control, 0..60);
-    let hibernated = source.hibernate_idle(0).expect("hibernate");
-    assert!(!hibernated.is_empty());
-
-    // A cold stream exports its spill blob without waking.
     let dest = FleetEngine::new(config()).expect("dest");
-    for id in 0..STREAMS {
-        let (next_minute, bytes) = source.export_stream(id).expect("export cold or warm");
-        dest.import_stream(id, next_minute, &bytes).expect("import");
-    }
-    assert_eq!(source.health().hibernated, hibernated.len(), "export never wakes");
-    drive(&dest, 60..100);
-    drive(&control, 60..100);
-    for id in 0..STREAMS {
-        let migrated = dest.stream_info(id).expect("migrated");
-        let reference = control.stream_info(id).expect("control");
-        assert_eq!(fingerprint(&migrated), fingerprint(&reference), "stream {id} diverged");
-    }
-
-    // Typed errors: unknown export, duplicate import, garbage bytes.
     assert_eq!(source.export_stream(99).unwrap_err(), FleetError::UnknownStream(99));
     let (nm, bytes) = source.export_stream(0).expect("export");
+    dest.import_stream(0, nm, &bytes).expect("import");
     assert_eq!(dest.import_stream(0, nm, &bytes).unwrap_err(), FleetError::DuplicateStream(0));
     assert!(matches!(dest.import_stream(77, 0, b"not a snapshot"), Err(FleetError::Checkpoint(_))));
     assert!(!dest.contains(77), "failed import leaves nothing behind");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `export_dirty` is the warm-standby feed: the first cut covers every
@@ -151,7 +129,7 @@ fn export_dirty_sends_deltas_with_a_consistent_wal_cut() {
     drive(&engine, 0..30);
 
     let mut seen: HashMap<u64, u64> = HashMap::new();
-    let (covered, deltas) = engine.export_dirty(&mut seen).expect("first cut");
+    let (covered, deltas) = engine.export_dirty(&mut seen);
     assert_eq!(deltas.len(), STREAMS as usize, "first cut covers everything");
     assert_eq!(covered, engine.wal_last_seq());
     assert!(covered > 0, "registrations and pushes are in the log");
@@ -160,7 +138,7 @@ fn export_dirty_sends_deltas_with_a_consistent_wal_cut() {
     assert_eq!(seen.len(), STREAMS as usize);
 
     // Nothing moved: nothing to send.
-    let (_, idle) = engine.export_dirty(&mut seen).expect("idle cut");
+    let (_, idle) = engine.export_dirty(&mut seen);
     assert!(idle.is_empty(), "clean cursor sends nothing, got {} streams", idle.len());
 
     // Only streams 0 and 3 advance; only they ship.
@@ -169,14 +147,14 @@ fn export_dirty_sends_deltas_with_a_consistent_wal_cut() {
     }
     engine.flush();
     let before = covered;
-    let (covered, deltas) = engine.export_dirty(&mut seen).expect("delta cut");
+    let (covered, deltas) = engine.export_dirty(&mut seen);
     let ids: Vec<u64> = deltas.iter().map(|d| d.0).collect();
     assert_eq!(ids, vec![0, 3]);
     assert!(covered >= before + 5, "the cut advances with the log");
 
     // An evicted stream falls out of the cursor.
     engine.evict(5).expect("evict");
-    let (_, after_evict) = engine.export_dirty(&mut seen).expect("cut after evict");
+    let (_, after_evict) = engine.export_dirty(&mut seen);
     assert!(after_evict.is_empty());
     assert!(!seen.contains_key(&5), "cursor pruned");
     drop(engine);

@@ -31,6 +31,21 @@ fn faulted_fleet() -> FleetEngine {
     engine
 }
 
+/// `mem_report` accounts every stream's serving stack and the table around
+/// them.
+#[test]
+fn mem_report_accounts_every_stream() {
+    let engine = faulted_fleet();
+    let report = engine.mem_report();
+    assert_eq!(report.streams, STREAMS as usize);
+    assert!(report.stream.history_bytes > 0);
+    assert!(report.stream.model_bytes > 0, "trained streams hold model state");
+    assert!(report.table_bytes > 0);
+    assert!(report.heap_total() > 0);
+    assert!(report.bytes_per_stream() > 0.0);
+    assert!(report.resident_bytes.is_some(), "statm is readable on Linux");
+}
+
 #[test]
 fn registry_metrics_agree_with_the_health_rollup() {
     let engine = faulted_fleet();
@@ -97,7 +112,7 @@ fn prometheus_exposition_is_wellformed_and_complete() {
 #[test]
 fn json_exposition_validates_and_carries_events() {
     let engine = faulted_fleet();
-    let bytes = engine.checkpoint().expect("checkpoint");
+    let bytes = engine.checkpoint();
     assert!(!bytes.is_empty());
     let dump = engine.obs_json();
     validate_json(&dump).expect("JSON exposition must parse");
@@ -121,7 +136,7 @@ fn json_exposition_validates_and_carries_events() {
 #[test]
 fn restored_fleet_keeps_recording_into_its_own_registry() {
     let engine = faulted_fleet();
-    let bytes = engine.checkpoint().expect("checkpoint");
+    let bytes = engine.checkpoint();
     let before = engine.registry().snapshot().len();
     drop(engine);
 

@@ -49,7 +49,7 @@ fn checkpoint_cut_at_the_regime_change_continues_identically() {
         source.register(id).unwrap();
     }
     feed(&source, 0..90);
-    let cut = source.checkpoint().unwrap();
+    let cut = source.checkpoint();
     let restored = FleetEngine::restore(config(), &cut).unwrap();
     feed(&source, 90..160);
     feed(&restored, 90..160);
@@ -62,8 +62,8 @@ fn checkpoint_cut_at_the_regime_change_continues_identically() {
     // the serving state itself must match bit-for-bit, so compare the
     // checkpoint payloads (serving snapshots) plus the serving-visible info.
     assert_eq!(
-        source.checkpoint().unwrap(),
-        restored.checkpoint().unwrap(),
+        source.checkpoint(),
+        restored.checkpoint(),
         "restored engine's serving state diverged after the cut"
     );
     for (a, b) in infos(&source).into_iter().zip(infos(&restored)) {

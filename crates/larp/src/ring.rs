@@ -392,7 +392,7 @@ mod tests {
             r.push(pushed);
             assert_eq!(r.last().unwrap().to_bits(), stored.to_bits(), "{pushed}");
             // Re-quantizing the read-back value is a fixed point: pushing what
-            // we read stores the identical value (hibernate/restore cycles
+            // we read stores the identical value (snapshot/restore cycles
             // cannot drift).
             r.push(r.last().unwrap());
             assert_eq!(r.last().unwrap().to_bits(), stored.to_bits(), "{pushed} again");

@@ -195,18 +195,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     dispatch!(avx2::axpy(alpha, x, y), scalar::axpy(alpha, x, y))
 }
 
-/// Centered axpy `yᵢ += alpha · (xᵢ−mᵢ)` — the covariance accumulation row.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline]
-pub fn axpy_centered(alpha: f64, x: &[f64], means: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy_centered: length mismatch");
-    assert_eq!(x.len(), means.len(), "axpy_centered: means length mismatch");
-    dispatch!(avx2::axpy_centered(alpha, x, means, y), scalar::axpy_centered(alpha, x, means, y))
-}
-
 /// Z-normalisation `outᵢ = (xᵢ−mean) / divisor` into a caller slice.
 ///
 /// Division is kept as division (not reciprocal multiplication) so the
@@ -416,12 +404,6 @@ mod scalar {
     pub(super) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
         for (yi, &xi) in y.iter_mut().zip(x) {
             *yi += alpha * xi;
-        }
-    }
-
-    pub(super) fn axpy_centered(alpha: f64, x: &[f64], means: &[f64], y: &mut [f64]) {
-        for ((yi, &xi), &mi) in y.iter_mut().zip(x).zip(means) {
-            *yi += alpha * (xi - mi);
         }
     }
 
@@ -653,24 +635,6 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) fn axpy_centered(alpha: f64, x: &[f64], means: &[f64], y: &mut [f64]) {
-        let n = x.len();
-        let lanes = n & !3;
-        let va = _mm256_set1_pd(alpha);
-        let mut i = 0;
-        while i < lanes {
-            let c = _mm256_sub_pd(load(x, i), load(means, i));
-            let cur = load(y, i);
-            store(y, i, _mm256_add_pd(cur, _mm256_mul_pd(va, c)));
-            i += 4;
-        }
-        while i < n {
-            y[i] += alpha * (x[i] - means[i]);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
     pub(super) fn znorm_apply(xs: &[f64], mean: f64, divisor: f64, out: &mut [f64]) {
         let n = xs.len();
         let lanes = n & !3;
@@ -840,13 +804,10 @@ mod tests {
             let alpha = g.finite();
             let mean = g.finite();
             let divisor = g.finite().abs() + 0.5;
-            let means = g.vec(len);
             let y0 = g.vec(len);
 
             let mut ys = y0.clone();
             scalar::axpy(alpha, &x, &mut ys);
-            let mut ycs = y0.clone();
-            scalar::axpy_centered(alpha, &x, &means, &mut ycs);
             let mut zs = vec![0.0; len];
             scalar::znorm_apply(&x, mean, divisor, &mut zs);
 
@@ -856,13 +817,10 @@ mod tests {
                 unsafe {
                     let mut yv = y0.clone();
                     avx2::axpy(alpha, &x, &mut yv);
-                    let mut ycv = y0.clone();
-                    avx2::axpy_centered(alpha, &x, &means, &mut ycv);
                     let mut zv = vec![0.0; len];
                     avx2::znorm_apply(&x, mean, divisor, &mut zv);
                     for i in 0..len {
                         assert_bits_eq(ys[i], yv[i], "axpy");
-                        assert_bits_eq(ycs[i], ycv[i], "axpy_centered");
                         assert_bits_eq(zs[i], zv[i], "znorm_apply");
                     }
                 }

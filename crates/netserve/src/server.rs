@@ -773,10 +773,7 @@ fn dispatch(
                 unknown_dropped: h.unknown_dropped(),
             })
         }
-        Request::Checkpoint => match engine.checkpoint() {
-            Ok(bytes) => Response::Checkpoint(bytes),
-            Err(e) => fleet_err(e),
-        },
+        Request::Checkpoint => Response::Checkpoint(engine.checkpoint()),
         // Evict is exempt from fence/ring checks: it is the migration
         // coordinator's cleanup on the losing node.
         Request::Evict { id } => match engine.evict(id) {

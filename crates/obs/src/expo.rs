@@ -147,13 +147,9 @@ fn event_json(e: &Event) -> String {
         }
         EventKind::WalRotation { segment } => format!("\"segment\": {segment}"),
         EventKind::WalAppendFailed { kind } => format!("\"kind\": {kind}"),
-        EventKind::StreamHibernated { bytes }
-        | EventKind::StreamWoken { bytes }
-        | EventKind::StreamExported { bytes }
-        | EventKind::StreamImported { bytes } => {
+        EventKind::StreamExported { bytes } | EventKind::StreamImported { bytes } => {
             format!("\"bytes\": {bytes}")
         }
-        EventKind::AutoHibernate { hibernated } => format!("\"hibernated\": {hibernated}"),
         EventKind::StandbyFeed { streams, records } => {
             format!("\"streams\": {streams}, \"records\": {records}")
         }

@@ -139,24 +139,6 @@ pub enum EventKind {
         /// Record kind that failed: 0 = samples, 1 = register, 2 = evict.
         kind: u64,
     },
-    /// A stream's serving state was spilled to the hibernation store; only
-    /// a tombstone stays resident.
-    StreamHibernated {
-        /// Size of the spilled snapshot in bytes.
-        bytes: u64,
-    },
-    /// A hibernated stream's serving state was restored from the spill
-    /// store.
-    StreamWoken {
-        /// Size of the restored snapshot in bytes.
-        bytes: u64,
-    },
-    /// The background maintenance thread ran an automatic hibernation cycle
-    /// that spilled at least one idle stream.
-    AutoHibernate {
-        /// Streams hibernated in this cycle.
-        hibernated: u64,
-    },
     /// A stream's serving state was exported for migration to another node.
     StreamExported {
         /// Size of the exported snapshot in bytes.
@@ -208,9 +190,6 @@ impl EventKind {
             EventKind::WalRecovery { .. } => "wal_recovery",
             EventKind::WalRotation { .. } => "wal_rotation",
             EventKind::WalAppendFailed { .. } => "wal_append_failed",
-            EventKind::StreamHibernated { .. } => "stream_hibernated",
-            EventKind::StreamWoken { .. } => "stream_woken",
-            EventKind::AutoHibernate { .. } => "auto_hibernate",
             EventKind::StreamExported { .. } => "stream_exported",
             EventKind::StreamImported { .. } => "stream_imported",
             EventKind::StandbyFeed { .. } => "standby_feed",

@@ -11,7 +11,6 @@
 //!   and degrades gracefully: torn writes, truncated tails, bit flips and
 //!   missing segments stop replay at the last valid record with a counted
 //!   gap — never a panic.
-//! * **Blob store** ([`BlobStore`]) — the fleet's hibernation spill file.
 //!
 //! Every CRC-framed format in the workspace — these files, the netserve
 //! wire, the cluster's feed chunks and rings — frames its bytes through
@@ -24,12 +23,10 @@
 //! this crate owns making it durable.
 #![warn(missing_docs)]
 
-pub mod blob;
 pub mod codec;
 pub mod record;
 pub mod wal;
 
-pub use blob::BlobStore;
 pub use record::{RegisterTuning, Sample, WalRecord, MAX_RECORD_PAYLOAD};
 pub use wal::{read_tail, AppendInfo, FsyncPolicy, RecoveryReport, Wal, WalOptions, WalStats};
 

@@ -58,7 +58,7 @@ fn main() {
 
     // Kill/restore: checkpoint captures every stream's trained model,
     // sanitizer memory and quarantine clocks.
-    let checkpoint = engine.checkpoint().expect("checkpoint");
+    let checkpoint = engine.checkpoint();
     println!("\ncheckpoint: {} bytes for {} streams", checkpoint.len(), health.streams);
 
     let reference = engine.stream_info(0).expect("stream 0 exists");
