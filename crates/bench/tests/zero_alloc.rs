@@ -10,8 +10,8 @@
 //! for a step served while a pool member is quarantined.
 //!
 //! The same allocator also pins the allocation budget of one warm refit
-//! (`TrainedLarp::train` on a 40-sample tail), the fit the quality assuror
-//! triggers every few steps on busy streams.
+//! (`TrainedLarp::train_reusing` on a 40-sample tail, into a spent model),
+//! the fit the quality assuror triggers every few steps on busy streams.
 //!
 //! Each test counts only its own thread's allocations: the serving step runs
 //! on the caller's thread, and the harness threads reporting other tests
@@ -145,34 +145,36 @@ fn quarantined_step_does_not_allocate() {
     assert_eq!(allocations, 0, "quarantined online step allocated {allocations} times");
 }
 
-/// Heap allocations of one warm refit: the pool (model list, spec list, the
-/// boxed SW_AVG and AR members, the AR coefficients, and the AR fit's three
-/// temporaries — autocovariances, previous-order coefficients, reflection
-/// coefficients), the k-NN labels and point store, and the PCA mean,
-/// components and eigenvalues. The model shares the stream's config instead
-/// of copying it. The fit's other temporaries — normalised tail, window
-/// labels, window matrix, projected features, covariance, eigen workspace —
-/// live in reused per-thread buffers or on the stack. A lower count is
-/// progress: lower the pin with it.
-const REFIT_ALLOCATIONS: u64 = 13;
+/// Heap allocations of one warm refit: none. The fit writes the model into
+/// a spent model's storage — the pool members with the AR coefficients, the
+/// k-NN labels and point store, the PCA mean, components and eigenvalues —
+/// and shares the stream's config instead of copying it. Its temporaries —
+/// normalised tail, window labels, window matrix, projected features, the
+/// AR fit's autocovariances and Levinson workspace, covariance, eigen
+/// workspace — live in reused per-thread buffers or on the stack.
+const REFIT_ALLOCATIONS: u64 = 0;
 
 #[test]
 fn warm_refit_stays_within_its_allocation_budget() {
     let tail: Vec<f64> = (0..40u64).map(signal).collect();
+    let older: Vec<f64> = (100..140u64).map(signal).collect();
     // A stream's refit shares its config: no copy per fit.
     let config = Arc::new(LarpConfig::default());
-    // The first fit on this thread sizes the reused fit buffers.
-    let warm = TrainedLarp::train_shared(&tail, &config).expect("trainable tail");
+    let fresh = TrainedLarp::train_shared(&tail, &config).expect("trainable tail");
+    // A model that no longer serves; one refit into it sizes this thread's
+    // reused fit buffers.
+    let spent = TrainedLarp::train_shared(&older, &config).expect("trainable tail");
+    let spent = TrainedLarp::train_reusing(&older, &config, spent).expect("trainable tail");
 
     let before = THREAD_ALLOC_CALLS.with(Cell::get);
-    let model = TrainedLarp::train_shared(&tail, &config).expect("trainable tail");
+    let model = TrainedLarp::train_reusing(&tail, &config, spent).expect("trainable tail");
     let allocations = THREAD_ALLOC_CALLS.with(Cell::get) - before;
 
     assert!(model.pca().is_some() && model.knn().len() == 35, "a full PCA + k-NN fit");
     assert_eq!(
         model.predict_next_raw(&tail).unwrap(),
-        warm.predict_next_raw(&tail).unwrap(),
-        "reused buffers must not change the fit"
+        fresh.predict_next_raw(&tail).unwrap(),
+        "a refit into spent storage must equal a fresh fit"
     );
     assert_eq!(
         allocations, REFIT_ALLOCATIONS,

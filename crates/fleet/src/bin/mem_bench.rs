@@ -6,10 +6,11 @@
 //! to a trained steady state. The printed JSON report carries the headline
 //! `bytes_per_stream` (accounted heap over all registered streams, every one
 //! live) plus the component-wise breakdown of one stream's stack (the slot's
-//! inline bytes, history ring and normalised mirror, model, PCA basis, QA
-//! window, tracker, sanitizer window and mirror) and the slab/table
-//! overhead, with the process RSS from `/proc/self/statm` as the honesty
-//! cross-check (DESIGN.md §11). `results/BENCH_mem.json` commits this
+//! inline bytes, history ring, model, PCA basis, QA window, tracker,
+//! sanitizer window and mirror), the table overhead (index, occupied slab
+//! slots, free list) and, apart, the slab reserved but unused, with the
+//! process RSS from `/proc/self/statm` as the honesty cross-check
+//! (DESIGN.md §11). `results/BENCH_mem.json` commits this
 //! report; `scripts/ci.sh` regenerates it and fails if `bytes_per_stream`
 //! grows past 120% of the committed baseline.
 //!
@@ -96,9 +97,9 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
          \"elapsed_sec\": {:.3},\n  \"bytes_per_stream\": {:.0},\n  \
          \"heap_total_bytes\": {},\n  \"resident_bytes\": {},\n  \
          \"per_stream\": {{\n    \"slot\": {},\n    \"history\": {:.1},\n    \
-         \"norm\": {:.1},\n    \"model\": {:.1},\n    \"pca\": {:.1},\n    \
+         \"model\": {:.1},\n    \"pca\": {:.1},\n    \
          \"qa\": {:.1},\n    \"tracker\": {:.1},\n    \"sanitizer\": {:.1}\n  }},\n  \
-         \"table_bytes\": {}{}\n}}",
+         \"table_bytes\": {},\n  \"slab_reserved_bytes\": {}{}\n}}",
         report.streams,
         elapsed_sec,
         report.bytes_per_stream(),
@@ -106,13 +107,13 @@ fn report_json(report: &FleetMemReport, elapsed_sec: f64, extra: &str) -> String
         report.resident_bytes.map_or_else(|| "null".into(), |b| b.to_string()),
         report.slot_bytes,
         per(s.history_bytes),
-        per(s.norm_bytes),
         per(s.model_bytes),
         per(s.pca_bytes),
         per(s.qa_bytes),
         per(s.tracker_bytes),
         per(s.sanitizer_bytes),
         report.table_bytes,
+        report.slab_reserved_bytes,
         extra,
     )
 }

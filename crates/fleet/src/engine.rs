@@ -153,10 +153,15 @@ pub struct FleetMemReport {
     pub stream: StreamMemReport,
     /// Inline bytes of one stream's slot, serving stack included: the part
     /// of a stream that no heap component counts. The slab in
-    /// [`FleetMemReport::table_bytes`] holds one per slot.
+    /// [`FleetMemReport::table_bytes`] holds one per stream.
     pub slot_bytes: usize,
-    /// Stream-table overhead: index buckets + slab + free list.
+    /// Stream-table overhead: index buckets + occupied slab slots + free
+    /// list.
     pub table_bytes: usize,
+    /// Slab slots reserved but holding no stream (the slab grows by
+    /// doubling). Not in [`FleetMemReport::heap_total`], so the per-stream
+    /// figure moves with per-stream state, not with the slab's growth step.
+    pub slab_reserved_bytes: usize,
     /// Process RSS at report time, when the platform exposes it.
     pub resident_bytes: Option<u64>,
 }
@@ -1100,6 +1105,7 @@ impl FleetEngine {
             let table = s.streams.lock().expect("shard stream table poisoned");
             report.streams += table.len();
             report.table_bytes += table.heap_bytes();
+            report.slab_reserved_bytes += table.slab_reserved_bytes();
             for (_, slot) in table.iter() {
                 report.stream.accumulate(&slot.guarded.mem_report());
             }

@@ -237,14 +237,22 @@ impl StreamTable {
         self.index.iter().filter_map(|(id, &i)| Some((*id, self.slots[i as usize].as_ref()?)))
     }
 
-    /// Resident bytes of the table's own structures (index + slab storage,
-    /// excluding heap owned by the slots' serving stacks).
+    /// Resident bytes of the table's own structures: index buckets, the
+    /// occupied slab slots and the free list (excluding heap owned by the
+    /// slots' serving stacks). Grows with the streams held, not with the
+    /// slab's doubling; [`StreamTable::slab_reserved_bytes`] is the rest.
     pub(crate) fn heap_bytes(&self) -> usize {
         // SwissTable buckets: key + value + 1 control byte each.
         let bucket = std::mem::size_of::<(StreamId, u32)>() + 1;
         self.index.capacity() * bucket
-            + self.slots.capacity() * std::mem::size_of::<Option<StreamSlot>>()
+            + self.len() * std::mem::size_of::<Option<StreamSlot>>()
             + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// Slab bytes reserved but holding no stream: growth headroom and
+    /// vacated slots awaiting reuse.
+    pub(crate) fn slab_reserved_bytes(&self) -> usize {
+        (self.slots.capacity() - self.len()) * std::mem::size_of::<Option<StreamSlot>>()
     }
 }
 

@@ -144,9 +144,9 @@ pub struct ResilienceConfig {
     pub retrain_backoff_base: usize,
     /// Upper bound on the retrain retry delay, in steps.
     pub retrain_backoff_cap: usize,
-    /// Store the history and normalised-mirror rings as `f32` instead of
-    /// `f64`, halving the two rings' allocation (the million-stream memory
-    /// diet, DESIGN.md §11).
+    /// Store the history ring as `f32` instead of `f64`, halving its
+    /// allocation (the million-stream memory diet, DESIGN.md §11). The
+    /// normalised tail a step reads is quantized to `f32` the same way.
     ///
     /// Quantization happens exactly once, on push (the nearest `f32`, a
     /// finite value beyond ±`f32::MAX` saturating to ±`f32::MAX`); every

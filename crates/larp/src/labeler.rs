@@ -4,9 +4,9 @@
 //! smallest absolute one-step error becomes the window's class label (paper
 //! §6.1/§7.2.1). This is the only place the LARPredictor ever runs all
 //! predictors — and it is embarrassingly parallel across windows, so
-//! [`label_windows_parallel`] splits the window range over `std::thread`
-//! scoped threads. A sequential twin exists both as the small-input fast path
-//! and as the reference the tests and the PERF bench compare against.
+//! [`label_ids_into`] splits a long window range over `std::thread` scoped
+//! threads. [`label_windows`] is the window-copying reference the tests,
+//! the diagnostics and the PERF bench use.
 
 use predictors::{PredictorId, PredictorPool};
 use timeseries::Frames;
@@ -49,76 +49,20 @@ pub fn label_windows(
         .collect())
 }
 
-/// Labels every `(window, next-value)` pair of `train`, fanning the window
-/// range out over `threads` scoped worker threads. Produces exactly the same
-/// labels as [`label_windows`] in the same order.
+/// Labels every `(window, next-value)` pair of `train` with class indices
+/// only — no window copies, no per-window forecast vectors — into `labels`
+/// (cleared first), fanning a range of 256 windows or more out over
+/// `threads` scoped worker threads. Produces exactly
+/// `label_windows(..).iter().map(|lw| lw.label.0)` (a test pins this); the
+/// sequential path allocates nothing once `labels` is sized: each range runs
+/// [`PredictorPool::best_ids_into`], member by member over stack-held blocks
+/// of windows. This is the path the online retrain loop takes several
+/// thousand times per minute.
 ///
 /// # Errors
 ///
 /// * [`LarpError::InvalidConfig`] if `threads == 0`;
 /// * the same data conditions as [`label_windows`].
-pub fn label_windows_parallel(
-    pool: &PredictorPool,
-    train: &[f64],
-    window: usize,
-    threads: usize,
-) -> Result<Vec<LabeledWindow>> {
-    if threads == 0 {
-        return Err(LarpError::InvalidConfig("threads must be >= 1".into()));
-    }
-    let frames = prepare(pool, train, window)?;
-    let total = frames.count_with_targets();
-    // Spawning a thread costs far more than labelling a few dozen tiny
-    // windows: the online serving path retrains on ~40-sample tails, and
-    // fanning those out ate the entire retrain budget in thread setup. Only
-    // go wide when there is real work to split.
-    if threads == 1 || total < 256 {
-        return label_windows(pool, train, window);
-    }
-    let chunk = total.div_ceil(threads);
-    let ranges: Vec<(usize, usize)> = (0..threads)
-        .map(|t| (t * chunk, ((t + 1) * chunk).min(total)))
-        .filter(|(s, e)| s < e)
-        .collect();
-
-    let results = std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                let frames = &frames;
-                s.spawn(move || {
-                    (start..end)
-                        .map(|index| {
-                            let w = frames.get(index);
-                            let target = train[index + window];
-                            let (label, _) = pool.best_for(w, target);
-                            LabeledWindow { index, window: w.to_vec(), label, target }
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("labeler worker panicked"))
-            .collect::<Vec<Vec<_>>>()
-    });
-
-    Ok(results.into_iter().flatten().collect())
-}
-
-/// Labels every `(window, next-value)` pair of `train` with class indices
-/// only — no window copies, no per-window forecast vectors — into `labels`
-/// (cleared first). Produces exactly
-/// `label_windows_parallel(..).iter().map(|lw| lw.label.0)` (a test pins
-/// this); the sequential path allocates nothing once `labels` is sized: each
-/// range runs [`PredictorPool::best_ids_into`], member by member over
-/// stack-held blocks of windows. This is the path the online retrain loop
-/// takes several thousand times per minute.
-///
-/// # Errors
-///
-/// Same conditions as [`label_windows_parallel`].
 pub fn label_ids_into(
     pool: &PredictorPool,
     train: &[f64],
@@ -221,17 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_for_all_thread_counts() {
-        let t = series(300);
-        let p = pool(&t, 5);
-        let seq = label_windows(&p, &t, 5).unwrap();
-        for threads in [1, 2, 3, 4, 7] {
-            let par = label_windows_parallel(&p, &t, 5, threads).unwrap();
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn label_ids_matches_labeled_windows_in_both_regimes() {
         // Small series takes the sequential path; 300 windows with 4 threads
         // takes the parallel fan-out. Both must agree with the window-copying
@@ -268,6 +201,10 @@ mod tests {
         // Series exactly window-long: one frame, no target.
         let tiny = series(5);
         assert!(matches!(label_windows(&p, &tiny, 5), Err(LarpError::InsufficientData(_))));
-        assert!(matches!(label_windows_parallel(&p, &t, 5, 0), Err(LarpError::InvalidConfig(_))));
+        let mut labels = Vec::new();
+        assert!(matches!(
+            label_ids_into(&p, &t, 5, 0, &mut labels),
+            Err(LarpError::InvalidConfig(_))
+        ));
     }
 }

@@ -39,8 +39,10 @@ pub struct Scratch {
     /// [`crate::ResilienceConfig::f32_history`]); stays empty for `f64` rings,
     /// whose history is borrowed zero-copy.
     pub(crate) hist64: Vec<f64>,
-    /// Widened normalised mirror for `f32`-ring streams.
-    pub(crate) norm64: Vec<f64>,
+    /// The normalised tail one step reads: the current window and each pool
+    /// member's span (the fallback tracker's lookback while a member is
+    /// quarantined), in the serving model's training units.
+    pub(crate) norm: Vec<f64>,
 }
 
 impl Scratch {
@@ -58,15 +60,18 @@ impl Scratch {
 
 /// Temporaries of one training phase, reused by every fit on the same
 /// thread: the normalised series, its window labels and window matrix, the
-/// projected features and the probe's k-NN neighbours. An online refit (a
-/// 40-sample tail, several thousand times a minute per fleet) then
-/// allocates only what the fitted model keeps.
+/// projected features, the pool members' fit workspace (the AR
+/// autocovariances and Levinson recursion) and the probe's k-NN neighbours.
+/// An online refit (a 40-sample tail, several thousand times a minute per
+/// fleet) writes the model itself into a spent model's storage, so once
+/// warm it allocates nothing.
 #[derive(Default)]
 struct FitBuffers {
     normalized: Vec<f64>,
     labels: Vec<usize>,
     windows: Vec<f64>,
     features: Vec<f64>,
+    member_work: Vec<f64>,
     neighbors: Vec<(usize, f64)>,
 }
 
@@ -77,7 +82,9 @@ impl FitBuffers {
     const RETAIN_MAX: usize = 1 << 14;
 
     fn release_oversized(&mut self) {
-        for buf in [&mut self.normalized, &mut self.windows, &mut self.features] {
+        for buf in
+            [&mut self.normalized, &mut self.windows, &mut self.features, &mut self.member_work]
+        {
             if buf.capacity() > Self::RETAIN_MAX {
                 *buf = Vec::new();
             }
@@ -142,24 +149,40 @@ impl TrainedLarp {
     ///
     /// Same conditions as [`TrainedLarp::train`].
     pub fn train_with_threads(train: &[f64], config: &LarpConfig, threads: usize) -> Result<Self> {
-        Self::train_shared_with_threads(train, &Arc::new(config.clone()), threads)
+        Self::fit(train, &Arc::new(config.clone()), threads, None)
     }
 
     /// [`TrainedLarp::train`] under a shared configuration: the model holds
-    /// another reference to `config` instead of a copy. This is the refit
-    /// path of [`crate::OnlineLarp`].
+    /// another reference to `config` instead of a copy.
     ///
     /// # Errors
     ///
     /// Same conditions as [`TrainedLarp::train`].
     pub fn train_shared(train: &[f64], config: &Arc<LarpConfig>) -> Result<Self> {
-        Self::train_shared_with_threads(train, config, default_threads())
+        Self::fit(train, config, default_threads(), None)
     }
 
-    fn train_shared_with_threads(
+    /// [`TrainedLarp::train_shared`] into the storage of `spent`, a model
+    /// that no longer serves (trained under any configuration): its PCA
+    /// basis, k-NN store and pool members are refit in place, so a warm
+    /// refit to the same shape allocates nothing. The model comes out bit
+    /// for bit as a fresh fit would. This is the refit path of
+    /// [`crate::OnlineLarp`]; `spent` is consumed either way.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`TrainedLarp::train`].
+    pub fn train_reusing(train: &[f64], config: &Arc<LarpConfig>, spent: Self) -> Result<Self> {
+        Self::fit(train, config, default_threads(), Some(spent))
+    }
+
+    /// The training phase every entry point runs, writing the model into
+    /// `spent`'s storage when there is one.
+    fn fit(
         train: &[f64],
         config: &Arc<LarpConfig>,
         threads: usize,
+        spent: Option<Self>,
     ) -> Result<Self> {
         config.validate()?;
         let m = config.window;
@@ -173,24 +196,33 @@ impl TrainedLarp {
         }
 
         let zscore = ZScore::fit(train)?;
-        with_fit_buffers(|bufs| Self::fit_buffered(train, config, threads, zscore, bufs))
+        with_fit_buffers(|bufs| Self::fit_buffered(train, config, threads, zscore, spent, bufs))
     }
 
     /// The training phase after the z-score fit, on the thread's reused
     /// [`FitBuffers`]. Every temporary the fit needs lives in `bufs`; the
-    /// allocations left are the model's own storage.
+    /// model's own storage is `spent`'s, or new.
     fn fit_buffered(
         train: &[f64],
         config: &Arc<LarpConfig>,
         threads: usize,
         zscore: ZScore,
+        spent: Option<Self>,
         bufs: &mut FitBuffers,
     ) -> Result<Self> {
         let m = config.window;
-        let FitBuffers { normalized, labels, windows, features, .. } = bufs;
+        let FitBuffers { normalized, labels, windows, features, member_work, .. } = bufs;
         zscore.apply_slice_into(train, normalized);
+        let (pool, pca, knn) = match spent {
+            Some(model) => (Some(model.pool), model.pca, Some(model.knn)),
+            None => (None, None, None),
+        };
 
-        let pool = PredictorPool::from_specs(&config.pool, normalized)?;
+        let pool = reuse(
+            pool,
+            |pool| pool.refit(&config.pool, normalized, member_work),
+            || PredictorPool::from_specs(&config.pool, normalized),
+        )?;
         // Labels only — the windows are overlapping subslices of
         // `normalized`; the k-NN index keeps its own byte copy.
         label_ids_into(&pool, normalized, m, threads, labels)?;
@@ -206,10 +238,16 @@ impl TrainedLarp {
             FeatureReduction::None => (None, &windows[..], m),
             reduction => {
                 let p = match reduction {
-                    FeatureReduction::Pca { dims } => Pca::fit_rows(windows, m, *dims)?,
-                    FeatureReduction::PcaFraction { min_fraction } => {
-                        Pca::fit_fraction_rows(windows, m, *min_fraction)?
-                    }
+                    FeatureReduction::Pca { dims } => reuse(
+                        pca,
+                        |p| p.refit_rows(windows, m, *dims),
+                        || Pca::fit_rows(windows, m, *dims),
+                    )?,
+                    FeatureReduction::PcaFraction { min_fraction } => reuse(
+                        pca,
+                        |p| p.refit_fraction_rows(windows, m, *min_fraction),
+                        || Pca::fit_fraction_rows(windows, m, *min_fraction),
+                    )?,
                     FeatureReduction::None => unreachable!("handled above"),
                 };
                 p.transform_rows_into(windows, features)?;
@@ -217,7 +255,11 @@ impl TrainedLarp {
                 (Some(p), &features[..], dim)
             }
         };
-        let knn = KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend)?;
+        let knn = reuse(
+            knn,
+            |knn| knn.refit_flat(points, dim, labels, config.k, config.backend),
+            || KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend),
+        )?;
 
         Ok(Self { config: Arc::clone(config), zscore, pool, pca, knn, train_len: train.len() })
     }
@@ -319,31 +361,20 @@ impl TrainedLarp {
     }
 
     /// Ranked testing-phase selection: every pool member ordered from most to
-    /// least preferred for the next step.
+    /// least preferred for the next step, into caller-owned scratch; the
+    /// ranking lands in [`Scratch::ranked`].
     ///
     /// The head of the ranking is k-NN's majority vote (ties broken by nearest
     /// neighbour, then lowest id — the same rule as [`TrainedLarp::select`]);
     /// pool members that received no votes follow in id order. The online
-    /// serving layer walks this list to find the best *non-quarantined*
-    /// predictor when its first choice is unavailable.
+    /// serving layer ranks this way and serves the head unless it is
+    /// quarantined. Allocation-free once the scratch buffers have reached
+    /// their steady-state sizes (a pool-sized ranking sorts with insertion
+    /// sort, which needs no buffer).
     ///
     /// # Errors
     ///
     /// Returns [`LarpError::InsufficientData`] if `history` is shorter than `m`.
-    pub fn select_ranked(&self, history: &[f64]) -> Result<Vec<PredictorId>> {
-        let mut scratch = Scratch::new();
-        self.select_ranked_into(history, &mut scratch)?;
-        Ok(scratch.ranked)
-    }
-
-    /// [`TrainedLarp::select_ranked`] writing into caller-owned scratch; the
-    /// ranking lands in [`Scratch::ranked`]. Allocation-free once the scratch
-    /// buffers have reached their steady-state sizes (a pool-sized ranking
-    /// sorts with insertion sort, which needs no buffer).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainedLarp::select_ranked`].
     pub fn select_ranked_into(&self, history: &[f64], scratch: &mut Scratch) -> Result<()> {
         let Scratch { features, neighbors, votes, nearest, ranked, .. } = scratch;
         self.select_ranked_fields(history, features, neighbors, votes, nearest, ranked)
@@ -351,8 +382,8 @@ impl TrainedLarp {
 
     /// [`TrainedLarp::select_ranked_into`] over individually borrowed scratch
     /// fields, so a caller that sourced `history` from *another* scratch
-    /// buffer (the widened `f32`-ring mirror) can still rank without a
-    /// whole-struct borrow conflict.
+    /// buffer (the normalised tail) can still rank without a whole-struct
+    /// borrow conflict.
     pub(crate) fn select_ranked_fields(
         &self,
         history: &[f64],
@@ -593,6 +624,19 @@ impl std::fmt::Debug for TrainedLarp {
     }
 }
 
+/// A fitted part: `spent` refit in place when there is one, else a fresh
+/// `fit`.
+fn reuse<T, E>(
+    spent: Option<T>,
+    refit: impl FnOnce(&mut T) -> std::result::Result<(), E>,
+    fit: impl FnOnce() -> std::result::Result<T, E>,
+) -> std::result::Result<T, E> {
+    match spent {
+        Some(mut part) => refit(&mut part).map(|()| part),
+        None => fit(),
+    }
+}
+
 /// Labelling thread count: the available parallelism, capped at 8 (labelling
 /// is memory-bandwidth-bound beyond that for these tiny windows).
 pub(crate) fn default_threads() -> usize {
@@ -763,8 +807,10 @@ mod tests {
         let s = regime_series(400);
         let model = TrainedLarp::train(&s[..200], &LarpConfig::default()).unwrap();
         let norm = model.zscore().apply_slice(&s[200..]);
+        let mut scratch = Scratch::new();
         for t in 5..norm.len() {
-            let ranked = model.select_ranked(&norm[..t]).unwrap();
+            model.select_ranked_into(&norm[..t], &mut scratch).unwrap();
+            let ranked = scratch.ranked();
             assert_eq!(ranked.len(), model.pool().len());
             let mut ids: Vec<usize> = ranked.iter().map(|id| id.0).collect();
             ids.sort_unstable();
@@ -805,7 +851,7 @@ mod tests {
             assert_eq!(scratch.features, features);
 
             model.select_ranked_into(h, &mut scratch).unwrap();
-            assert_eq!(scratch.ranked(), model.select_ranked(h).unwrap());
+            assert_eq!(scratch.ranked()[0], model.select(h).unwrap());
 
             model.predict_horizon_into(h, 4, &mut scratch, &mut horizon).unwrap();
             assert_eq!(horizon, model.predict_horizon(h, 4).unwrap());
@@ -836,6 +882,59 @@ mod tests {
 
     fn wave(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 * 0.37).sin() * 3.0 + (i % 7) as f64 * 0.2).collect()
+    }
+
+    /// Every bit a fitted model holds.
+    fn model_bits(model: &TrainedLarp) -> Vec<u64> {
+        let z = model.zscore();
+        let mut bits: Vec<u64> = [z.mean(), z.std()].iter().map(|v| v.to_bits()).collect();
+        for state in model.pool().fitted_states() {
+            bits.extend(state.iter().map(|v| v.to_bits()));
+        }
+        if let Some(p) = model.pca() {
+            let pca = p.mean().iter().chain(p.components().as_slice()).chain(p.eigenvalues());
+            bits.extend(pca.chain([p.total_variance()].iter()).map(|v| v.to_bits()));
+        }
+        let knn = model.knn();
+        bits.extend(knn.points_flat().iter().map(|v| v.to_bits()));
+        bits.extend(knn.labels().iter().map(|&l| u64::from(l)));
+        bits.extend([knn.k(), knn.dim(), model.pool().len(), model.train_len()].map(|v| v as u64));
+        bits
+    }
+
+    #[test]
+    fn train_reusing_matches_a_fresh_fit() {
+        // One model's storage passed from fit to fit across windows, pools,
+        // reductions and backends: each fit equals a fresh one bit for bit.
+        let s = wave(400);
+        let configs = [
+            LarpConfig::default(),
+            LarpConfig::default(),
+            LarpConfig::paper(16),
+            LarpConfig { reduction: FeatureReduction::None, ..LarpConfig::default() },
+            LarpConfig {
+                reduction: FeatureReduction::PcaFraction { min_fraction: 0.9 },
+                ..LarpConfig::default()
+            },
+            LarpConfig::extended(5),
+            LarpConfig { backend: learn::KnnBackend::KdTree, ..LarpConfig::default() },
+            LarpConfig::default(),
+        ];
+        let mut spent = TrainedLarp::train(&s[..40], &LarpConfig::default()).unwrap();
+        for (i, config) in configs.into_iter().enumerate() {
+            let config = Arc::new(config);
+            let t = &s[i * 30..i * 30 + 40 + 10 * (i % 3)];
+            let fresh = TrainedLarp::train_shared(t, &config).unwrap();
+            let reused = TrainedLarp::train_reusing(t, &config, spent).unwrap();
+            assert_eq!(model_bits(&reused), model_bits(&fresh), "fit {i}");
+            assert_eq!(reused.heap_bytes_split(), fresh.heap_bytes_split(), "fit {i}");
+            assert_eq!(reused.predict_next_raw(t).unwrap(), fresh.predict_next_raw(t).unwrap());
+            spent = reused;
+        }
+        // A failed fit consumes the spent model and reports the error.
+        assert!(
+            TrainedLarp::train_reusing(&s[..8], &Arc::new(LarpConfig::default()), spent).is_err()
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! * **Health surface** — every [`OnlineStep`] reports a [`HealthState`] and
 //!   the loop keeps [`OnlineCounters`] for observability.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,15 +104,9 @@ pub struct OnlineLarp {
     pub(crate) resilience: ResilienceConfig,
     pub(crate) qa: QualityAssuror,
     /// Most recent observations (raw scale), bounded by
-    /// [`history_cap`].
+    /// [`history_cap`]. The only copy of the history: a step normalises
+    /// the tail it reads into the worker's [`Scratch`].
     pub(crate) history: HistoryRing,
-    /// The same observations normalised with the *current* model's train
-    /// coefficients, maintained incrementally (one `ZScore::apply` per push,
-    /// rebuilt wholesale on retrain/restore). Empty while no model is
-    /// trained. This is what lets the serving path skip the per-step
-    /// `apply_slice` pass over the whole history. Shares the raw ring's
-    /// capacity: the fallback tracker indexes it with history positions.
-    pub(crate) norm: HistoryRing,
     /// Total observations consumed (unlike `history.len()`, never truncated).
     pub(crate) seen: usize,
     /// How many most-recent points each (re)training uses.
@@ -145,6 +139,10 @@ thread_local! {
     /// The scratch behind the convenience [`OnlineLarp::push`] and
     /// [`crate::GuardedLarp::ingest`]: one per thread, not one per stream.
     static PUSH_SCRATCH: RefCell<Scratch> = RefCell::default();
+
+    /// The model the last install on this thread retired: the next refit
+    /// here writes into its storage instead of allocating a model.
+    static SPARE_MODEL: Cell<Option<TrainedLarp>> = const { Cell::new(None) };
 }
 
 /// Runs `f` on this thread's convenience scratch.
@@ -157,21 +155,26 @@ pub(crate) fn with_push_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// value, so a bound derived from the reads does not exist.
 const WHOLE_HISTORY_CAP: usize = 4096;
 
-/// The history a stream's raw ring and normalised mirror retain: exactly
-/// what serving reads. A refit reads the last `train_size` values,
-/// selection the last `m`, the fallback tracker `4·m` values before the
-/// newest one, and each pool member its
+/// The history a stream's ring retains: exactly what serving reads. A refit
+/// reads the last `train_size` values, selection the last `m`, the fallback
+/// tracker `4·m` values before the newest one, and each pool member its
 /// [`history_span`](ModelSpec::history_span). A pool with a whole-history
 /// member keeps [`WHOLE_HISTORY_CAP`]. Either way the ring holds at least
 /// one training window.
 pub(crate) fn history_cap(config: &LarpConfig, train_size: usize) -> usize {
-    let pool_span = config
+    train_size.max(4 * config.window + 1).max(serve_span(config).unwrap_or(WHOLE_HISTORY_CAP))
+}
+
+/// How many most-recent values a forecast reads: the current window `m`
+/// for selection and each pool member's
+/// [`history_span`](ModelSpec::history_span). `None` when a member reads
+/// the whole history.
+fn serve_span(config: &LarpConfig) -> Option<usize> {
+    config
         .pool
         .iter()
         .map(ModelSpec::history_span)
-        .try_fold(0, |widest, span| Some(widest.max(span?)))
-        .unwrap_or(WHOLE_HISTORY_CAP);
-    train_size.max(4 * config.window + 1).max(pool_span)
+        .try_fold(config.window, |widest, span| Some(widest.max(span?)))
 }
 
 /// Resident heap bytes of one stream's predictor state, by component — the
@@ -181,8 +184,6 @@ pub(crate) fn history_cap(config: &LarpConfig, train_size: usize) -> usize {
 pub struct StreamMemReport {
     /// Raw-history ring backing buffer.
     pub history_bytes: usize,
-    /// Normalised-mirror ring backing buffer.
-    pub norm_bytes: usize,
     /// Trained model minus the PCA basis: predictor pool state, k-NN point
     /// store + labels + tree nodes, spec lists.
     pub model_bytes: usize,
@@ -201,7 +202,6 @@ impl StreamMemReport {
     /// Sum of every component, PCA included.
     pub fn total(&self) -> usize {
         self.history_bytes
-            + self.norm_bytes
             + self.model_bytes
             + self.pca_bytes
             + self.qa_bytes
@@ -212,7 +212,6 @@ impl StreamMemReport {
     /// Component-wise accumulation, for fleet-level rollups.
     pub fn accumulate(&mut self, other: &StreamMemReport) {
         self.history_bytes += other.history_bytes;
-        self.norm_bytes += other.norm_bytes;
         self.model_bytes += other.model_bytes;
         self.pca_bytes += other.pca_bytes;
         self.qa_bytes += other.qa_bytes;
@@ -261,7 +260,6 @@ impl OnlineLarp {
             config: Arc::new(config),
             qa,
             history: HistoryRing::new_mode(cap, resilience.f32_history),
-            norm: HistoryRing::new_mode(cap, resilience.f32_history),
             resilience,
             seen: 0,
             train_size,
@@ -299,7 +297,6 @@ impl OnlineLarp {
             self.model.as_ref().map_or((0, 0), TrainedLarp::heap_bytes_split);
         StreamMemReport {
             history_bytes: self.history.heap_bytes(),
-            norm_bytes: self.norm.heap_bytes(),
             model_bytes,
             pca_bytes,
             qa_bytes: self.qa.heap_bytes(),
@@ -340,21 +337,15 @@ impl OnlineLarp {
 
         self.history.push(value);
         // In `f32` mode the ring quantized on push; every derived value must
-        // come from the *stored* reading, or an incremental update and a
-        // rebuild-from-history would disagree. In `f64` mode `stored == value`
-        // bit-for-bit.
+        // come from the *stored* reading, or a step and a restore would
+        // disagree. In `f64` mode `stored == value` bit-for-bit.
         let stored = self.history.last().expect("value was just pushed");
-        if let Some(model) = &self.model {
-            // Keep the normalised mirror in lockstep (same capacity, same
-            // eviction) so downstream never re-normalises the whole history.
-            self.norm.push(model.zscore().apply(stored));
-        }
         self.seen += 1;
 
         // Keep the fallback error accounting warm while anything is benched.
         if self.any_quarantined() {
             self.ensure_tracker();
-            self.observe_tracker(stored, &mut scratch.norm64);
+            self.observe_tracker(stored, &mut scratch.norm);
         }
 
         // 2. Training, gated by the retry backoff. The *initial* train (no
@@ -449,18 +440,31 @@ impl OnlineLarp {
     /// A fitted model installs only if it gives a finite forecast on its own
     /// training tail — a NaN-poisoned window would otherwise poison every
     /// forecast. Installing gives a fresh quarantine slate, a fresh fallback
-    /// tracker, a rebuilt normalised mirror and a QA reset. A failed fit
-    /// keeps the stale model serving and pushes the next attempt out by the
-    /// exponential backoff.
+    /// tracker and a QA reset. A failed fit keeps the stale model serving
+    /// and pushes the next attempt out by the exponential backoff.
+    ///
+    /// The fit writes into this thread's spare model, and the model it
+    /// replaces becomes the next spare: a warm refit allocates nothing.
     fn retrain(&mut self, scratch: &mut Scratch) -> bool {
         let started = Instant::now();
         let fitted = {
             // Zero-copy for `f64` rings; `f32` rings widen into the scratch.
             let full = self.history.materialized(&mut scratch.hist64);
             let tail = &full[full.len().saturating_sub(self.train_size)..];
-            TrainedLarp::train_shared(tail, &self.config)
-                .ok()
-                .filter(|model| matches!(model.predict_next_raw(tail), Ok((_, f)) if f.is_finite()))
+            let fit = match SPARE_MODEL.take() {
+                Some(spent) => TrainedLarp::train_reusing(tail, &self.config, spent),
+                None => TrainedLarp::train_shared(tail, &self.config),
+            };
+            match fit {
+                Ok(model) if matches!(model.predict_next_raw(tail), Ok((_, f)) if f.is_finite()) => {
+                    Some(model)
+                }
+                Ok(unservable) => {
+                    SPARE_MODEL.set(Some(unservable));
+                    None
+                }
+                Err(_) => None,
+            }
         };
         let fit_us = started.elapsed().as_micros() as u64;
         let Some(model) = fitted else {
@@ -485,8 +489,9 @@ impl OnlineLarp {
         if let Some(tracker) = &mut self.tracker {
             tracker.reset();
         }
-        self.model = Some(model);
-        self.rebuild_norm();
+        if let Some(retired) = self.model.replace(model) {
+            SPARE_MODEL.set(Some(retired));
+        }
         self.retrain_count += 1;
         self.qa.reset();
         self.retrain_pending = false;
@@ -517,14 +522,16 @@ impl OnlineLarp {
             return (None, None, HealthState::Healthy);
         }
 
-        // Rung 1: the k-NN choice, if not quarantined. The current window is
-        // already normalised in the mirror ring; no re-normalisation pass.
-        // Borrowed field-by-field so the `f32` widening buffer can live in
-        // the same scratch the ranking writes into.
+        // Normalise, once, the tail every rung reads: the current window
+        // for the ranking, each member's span for its forecast.
+        let model = self.model.as_ref().expect("model checked above");
+        let len = self.history.len();
+        let read = serve_span(&self.config).map_or(len, |span| span.min(len));
+        self.history.normalized_into(len - read..len, model.zscore(), &mut scratch.norm);
+
+        // Rung 1: the k-NN choice, if not quarantined.
         let first = {
-            let model = self.model.as_ref().expect("model checked above");
-            let Scratch { features, neighbors, votes, nearest, ranked, norm64, .. } = scratch;
-            let norm = self.norm.materialized(norm64);
+            let Scratch { features, neighbors, votes, nearest, ranked, norm, .. } = scratch;
             match model.select_ranked_fields(norm, features, neighbors, votes, nearest, ranked) {
                 Ok(()) => ranked.first().copied(),
                 Err(_) => None,
@@ -532,7 +539,7 @@ impl OnlineLarp {
         };
         if let Some(first) = first {
             if !self.is_quarantined(first) {
-                if let Some(f) = self.checked_predict(first, &mut scratch.norm64) {
+                if let Some(f) = self.checked_predict(first, &scratch.norm) {
                     return (Some(f), Some(first), HealthState::Healthy);
                 }
             }
@@ -547,7 +554,7 @@ impl OnlineLarp {
                 })
             });
             let Some(id) = best else { break };
-            if let Some(f) = self.checked_predict(id, &mut scratch.norm64) {
+            if let Some(f) = self.checked_predict(id, &scratch.norm) {
                 return (Some(f), Some(id), HealthState::Degraded);
             }
             // checked_predict quarantined it; the next iteration excludes it.
@@ -560,17 +567,12 @@ impl OnlineLarp {
         }
     }
 
-    /// Runs one pool member and validates its output; a non-finite or failed
-    /// forecast quarantines the producer and yields `None`. `norm64` is the
-    /// widening buffer for `f32` mirror rings (untouched in `f64` mode).
-    fn checked_predict(&mut self, id: PredictorId, norm64: &mut Vec<f64>) -> Option<f64> {
-        let forecast = {
-            let Self { model, norm, .. } = &*self;
-            model.as_ref().and_then(|m| {
-                let normalized = norm.materialized(norm64);
-                m.predict_with_normalized(id, normalized).ok()
-            })
-        };
+    /// Runs one pool member on the normalised tail and validates its output;
+    /// a non-finite or failed forecast quarantines the producer and yields
+    /// `None`.
+    fn checked_predict(&mut self, id: PredictorId, normalized: &[f64]) -> Option<f64> {
+        let forecast =
+            self.model.as_ref().and_then(|m| m.predict_with_normalized(id, normalized).ok());
         match forecast {
             Some(f) if f.is_finite() => Some(f),
             _ => {
@@ -661,9 +663,10 @@ impl OnlineLarp {
     }
 
     /// Feeds the fallback error tracker one revealed value (normalised into
-    /// the model's training units), using the history *before* `value`.
-    fn observe_tracker(&mut self, value: f64, norm64: &mut Vec<f64>) {
-        let Self { model, tracker, history, norm, config, .. } = self;
+    /// the model's training units), using the `4·m` values *before* `value`,
+    /// normalised into `normalized`.
+    fn observe_tracker(&mut self, value: f64, normalized: &mut Vec<f64>) {
+        let Self { model, tracker, history, config, .. } = self;
         let Some(model) = model.as_ref() else { return };
         let Some(tracker) = tracker.as_mut() else { return };
         let upto = history.len() - 1; // `value` is already pushed
@@ -672,22 +675,9 @@ impl OnlineLarp {
             return;
         }
         let start = upto.saturating_sub(4 * m);
-        // The mirror ring is in lockstep with the raw history whenever a
-        // model exists, so the normalised lookback is a plain subslice.
-        let full = norm.materialized(norm64);
-        let normalized = &full[start..upto];
+        history.normalized_into(start..upto, model.zscore(), normalized);
         let actual = model.zscore().apply(value);
         tracker.observe(model.pool(), normalized, actual);
-    }
-
-    /// Rebuilds the normalised mirror ring from the raw history with the
-    /// current model's coefficients (or empties it when no model exists).
-    /// Called after every successful (re)train and after snapshot restore.
-    pub(crate) fn rebuild_norm(&mut self) {
-        match &self.model {
-            Some(model) => self.norm.refill_normalized(&self.history, model.zscore()),
-            None => self.norm.clear(),
-        }
     }
 
     /// How many most-recent observations this stream retains: derived from
@@ -696,14 +686,12 @@ impl OnlineLarp {
         self.history.cap()
     }
 
-    /// Replaces both (still empty) rings with ones of capacity `cap`, so a
-    /// test can run the same stream at another bound.
+    /// Replaces the (still empty) ring with one of capacity `cap`, so a test
+    /// can run the same stream at another bound.
     #[cfg(test)]
     pub(crate) fn set_history_cap(&mut self, cap: usize) {
         assert!(self.history.is_empty(), "set the cap before the first push");
-        let f32_mode = self.resilience.f32_history;
-        self.history = HistoryRing::new_mode(cap, f32_mode);
-        self.norm = HistoryRing::new_mode(cap, f32_mode);
+        self.history = HistoryRing::new_mode(cap, self.resilience.f32_history);
     }
 
     /// Number of (re)trainings performed, including the initial one.
@@ -941,7 +929,6 @@ mod tests {
         }
         assert_eq!(o.seen(), 500);
         assert_eq!(o.history.len(), 40);
-        assert_eq!(o.norm.len(), 40);
         assert!(o.is_trained());
     }
 
@@ -1083,7 +1070,6 @@ mod tests {
                 let o = g.online();
                 let report = g.mem_report();
                 assert_eq!(report.history_bytes, ring, "f32 {f32_history}, minute {t}");
-                assert_eq!(report.norm_bytes, if o.is_trained() { ring } else { 0 });
                 assert_eq!(report.sanitizer_bytes, 2 * ingest.robust_window * 8 + sentinels);
                 assert_eq!(report.qa_bytes, o.qa().audit_window * 8);
                 match &o.tracker {

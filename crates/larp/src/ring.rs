@@ -24,6 +24,8 @@
 //! zero-copy borrow in `f64` mode, a widening copy into caller scratch in
 //! `f32` mode.
 
+use std::ops::Range;
+
 use timeseries::ZScore;
 
 /// Backing storage: full-precision or quantized.
@@ -45,12 +47,6 @@ pub(crate) struct HistoryRing {
 }
 
 impl HistoryRing {
-    /// Creates an `f64` ring retaining the last `cap` values.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn new(cap: usize) -> Self {
-        Self::new_mode(cap, false)
-    }
-
     /// Creates a ring in the requested storage mode. The backing buffer is
     /// allocated lazily on the first push (`cap + slack` values), so a
     /// registered but never-pushed stream holds no ring memory at all.
@@ -60,28 +56,16 @@ impl HistoryRing {
         Self { buf, start: 0, cap }
     }
 
-    /// Builds an `f64` ring from logical contents (used by snapshot restore);
-    /// keeps at most the last `cap` values.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn from_vec(values: Vec<f64>, cap: usize) -> Self {
-        Self::from_vec_mode(values, cap, false)
-    }
-
-    /// [`HistoryRing::from_vec`] in the requested storage mode. In `f32` mode
-    /// each value goes through the same [`quantize`] step `push` applies,
-    /// so restoring a snapshot written by an `f32` ring is exact.
+    /// Builds a ring from logical contents (used by snapshot restore),
+    /// keeping at most the last `cap` values. In `f32` mode each value goes
+    /// through the same [`quantize`] step `push` applies, so restoring a
+    /// snapshot written by an `f32` ring is exact.
     pub(crate) fn from_vec_mode(values: Vec<f64>, cap: usize, f32_mode: bool) -> Self {
         let mut ring = Self::new_mode(cap, f32_mode);
         for &v in &values[values.len().saturating_sub(cap)..] {
             ring.push(v);
         }
         ring
-    }
-
-    /// Whether the ring stores quantized `f32` values.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_f32(&self) -> bool {
-        matches!(self.buf, RingBuf::F32(_))
     }
 
     /// Appends one value, evicting the oldest when over capacity.
@@ -94,12 +78,12 @@ impl HistoryRing {
         let start = &mut self.start;
         match &mut self.buf {
             RingBuf::F64(buf) => {
-                reserve_on_first_fill(buf, cap + slack, 1);
+                reserve_on_first_fill(buf, cap + slack);
                 buf.push(value);
                 evict_one(buf, start, cap, slack);
             }
             RingBuf::F32(buf) => {
-                reserve_on_first_fill(buf, cap + slack, 1);
+                reserve_on_first_fill(buf, cap + slack);
                 buf.push(quantize(value));
                 evict_one(buf, start, cap, slack);
             }
@@ -160,40 +144,23 @@ impl HistoryRing {
         }
     }
 
-    /// Replaces the contents with `zscore` applied to every value of
-    /// `source`, oldest first — exactly what clearing and pushing
-    /// `zscore.apply(v)` for each `v` of `source` leaves, without a ring push
-    /// per value (`f64` rings normalise through the batched kernel, which is
-    /// bit-identical to per-value `apply`). `source` must share this ring's
-    /// storage mode and capacity, as the normalised mirror shares its
-    /// history's.
-    pub(crate) fn refill_normalized(&mut self, source: &HistoryRing, zscore: &ZScore) {
-        debug_assert_eq!(self.cap, source.cap);
-        let backing = self.cap + self.slack();
-        self.start = 0;
-        match (&mut self.buf, &source.buf) {
-            (RingBuf::F64(buf), RingBuf::F64(src)) => {
-                let src = &src[source.start..];
-                reserve_on_first_fill(buf, backing, src.len());
-                zscore.apply_slice_into(src, buf);
+    /// Writes retained values `range` (logical positions, oldest = 0)
+    /// normalised with `zscore` into `out` (cleared first). An `f32` ring
+    /// quantizes each normalised value as it quantizes a reading —
+    /// `quantize(zscore.apply(v))`, widened back. An `f64` ring goes through
+    /// the batched kernel, bit-identical to per-value `apply`.
+    /// Allocation-free once `out` has held a range this long.
+    pub(crate) fn normalized_into(&self, range: Range<usize>, zscore: &ZScore, out: &mut Vec<f64>) {
+        let (from, to) = (self.start + range.start, self.start + range.end);
+        match &self.buf {
+            RingBuf::F64(buf) => zscore.apply_slice_into(&buf[from..to], out),
+            RingBuf::F32(buf) => {
+                out.clear();
+                out.extend(
+                    buf[from..to].iter().map(|&v| f64::from(quantize(zscore.apply(f64::from(v))))),
+                );
             }
-            (RingBuf::F32(buf), RingBuf::F32(src)) => {
-                let src = &src[source.start..];
-                reserve_on_first_fill(buf, backing, src.len());
-                buf.clear();
-                buf.extend(src.iter().map(|&v| quantize(zscore.apply(f64::from(v)))));
-            }
-            _ => unreachable!("a normalised mirror shares its history's storage mode"),
         }
-    }
-
-    /// Drops all retained values (capacity preserved).
-    pub(crate) fn clear(&mut self) {
-        match &mut self.buf {
-            RingBuf::F64(buf) => buf.clear(),
-            RingBuf::F32(buf) => buf.clear(),
-        }
-        self.start = 0;
     }
 
     /// The retention capacity.
@@ -248,10 +215,10 @@ fn quantize(value: f64) -> f32 {
 }
 
 /// The lazy `cap + slack` backing reservation (`backing` values), made when
-/// the first `len > 0` values go into a ring's still-unallocated buffer.
+/// the first value goes into a ring's still-unallocated buffer.
 #[inline]
-fn reserve_on_first_fill<T>(buf: &mut Vec<T>, backing: usize, len: usize) {
-    if buf.capacity() == 0 && len > 0 {
+fn reserve_on_first_fill<T>(buf: &mut Vec<T>, backing: usize) {
+    if buf.capacity() == 0 {
         buf.reserve_exact(backing);
     }
 }
@@ -280,33 +247,27 @@ mod tests {
     }
 
     #[test]
-    fn refill_normalized_matches_clear_then_push() {
+    fn normalized_into_matches_a_pushed_normalised_ring() {
+        // What a second ring fed `zscore.apply(v)` on every push would hold,
+        // read over every range, bit for bit — in both modes, across
+        // evictions and compactions.
         let zscore = ZScore::fit(&[3.0, 7.5, -1.25, 4.0]).unwrap();
         for f32_mode in [false, true] {
-            for pushed in [0usize, 3, 7, 8, 9, 20, 23] {
-                // Two mirrors with the same push history (a clone would not
-                // keep the backing capacity).
-                let mut source = HistoryRing::new_mode(8, f32_mode);
-                let mut pushed_norm = HistoryRing::new_mode(8, f32_mode);
-                let mut refilled = HistoryRing::new_mode(8, f32_mode);
-                for i in 0..pushed {
-                    source.push((i as f64 * 0.37).sin() * 5.0);
-                    pushed_norm.push(0.5);
-                    refilled.push(0.5);
+            let mut source = HistoryRing::new_mode(8, f32_mode);
+            let mut pushed = HistoryRing::new_mode(8, f32_mode);
+            let mut out = Vec::new();
+            for i in 0..23 {
+                source.push((i as f64 * 0.37).sin() * 5.0 + 1e-9 * i as f64);
+                pushed.push(zscore.apply(source.last().unwrap()));
+                let expected: Vec<u64> = pushed.iter64().map(f64::to_bits).collect();
+                let len = source.len();
+                for from in 0..=len {
+                    for to in from..=len {
+                        source.normalized_into(from..to, &zscore, &mut out);
+                        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+                        assert_eq!(got, expected[from..to], "f32 {f32_mode}, push {i}");
+                    }
                 }
-                pushed_norm.clear();
-                for v in source.iter64() {
-                    pushed_norm.push(zscore.apply(v));
-                }
-                refilled.refill_normalized(&source, &zscore);
-                let bits = |r: &HistoryRing| -> Vec<u64> {
-                    contents(r).iter().map(|v| v.to_bits()).collect()
-                };
-                assert_eq!(bits(&refilled), bits(&pushed_norm), "f32 {f32_mode}, {pushed}");
-                assert_eq!(refilled.heap_bytes(), pushed_norm.heap_bytes());
-                refilled.push(1.0);
-                pushed_norm.push(1.0);
-                assert_eq!(bits(&refilled), bits(&pushed_norm));
             }
         }
     }
@@ -339,7 +300,7 @@ mod tests {
     #[test]
     fn steady_state_never_reallocates() {
         let cap = 32;
-        let mut r = HistoryRing::new(cap);
+        let mut r = HistoryRing::new_mode(cap, false);
         for i in 0..cap {
             r.push(i as f64);
         }
@@ -379,7 +340,6 @@ mod tests {
     fn f32_mode_quantizes_once_and_reads_back_stably() {
         let max = f64::from(f32::MAX);
         let mut r = HistoryRing::new_mode(8, true);
-        assert!(r.is_f32());
         for (pushed, stored) in [
             (0.1, 0.1f32 as f64), // not f32-representable
             // A finite value beyond f32 range saturates instead of
@@ -400,14 +360,14 @@ mod tests {
         r.push(f64::NAN);
         assert!(r.last().unwrap().is_nan());
 
-        // The normalised mirror quantizes the same way.
+        // A normalised read quantizes the same way: finite stays finite.
         let mut source = HistoryRing::new_mode(4, true);
         for v in [0.0, 1.0, 3.0e38, 3.4e38] {
             source.push(v);
         }
-        let mut mirror = HistoryRing::new_mode(4, true);
-        mirror.refill_normalized(&source, &ZScore::fit(&[0.0, 1e-30]).unwrap());
-        assert!(mirror.iter64().all(f64::is_finite));
+        let mut normalized = Vec::new();
+        source.normalized_into(0..4, &ZScore::fit(&[0.0, 1e-30]).unwrap(), &mut normalized);
+        assert!(normalized.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -424,9 +384,9 @@ mod tests {
 
     #[test]
     fn from_vec_truncates_to_cap() {
-        let r = HistoryRing::from_vec((0..10).map(f64::from).collect(), 4);
+        let r = HistoryRing::from_vec_mode((0..10).map(f64::from).collect(), 4, false);
         assert_eq!(contents(&r), &[6.0, 7.0, 8.0, 9.0]);
-        let r = HistoryRing::from_vec(vec![1.0, 2.0], 4);
+        let r = HistoryRing::from_vec_mode(vec![1.0, 2.0], 4, false);
         assert_eq!(contents(&r), &[1.0, 2.0]);
         assert_eq!(r.cap(), 4);
     }
@@ -442,19 +402,5 @@ mod tests {
         // the stored values are f32-representable, so `as f32` is lossless.
         let restored = HistoryRing::from_vec_mode(contents(&live), 8, true);
         assert_eq!(contents(&restored), contents(&live));
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_capacity() {
-        let mut r = HistoryRing::new(8);
-        for i in 0..20 {
-            r.push(i as f64);
-        }
-        let backing = r.heap_bytes();
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.heap_bytes(), backing);
-        r.push(5.0);
-        assert_eq!(contents(&r), &[5.0]);
     }
 }

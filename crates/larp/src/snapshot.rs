@@ -706,11 +706,10 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
     let cap = history_cap(&config, train_size);
     // The fallback error tracker is advisory, windowed state: it restarts
     // cold, created before the restored stream's first read of it.
-    let mut online = OnlineLarp {
+    Ok(OnlineLarp {
         config,
         qa,
         history: HistoryRing::from_vec_mode(history, cap, resilience.f32_history),
-        norm: HistoryRing::new_mode(cap, resilience.f32_history),
         resilience,
         seen,
         train_size,
@@ -725,11 +724,7 @@ fn get_online(r: &mut Reader) -> Result<OnlineLarp> {
         next_retrain_at,
         retrain_pending,
         obs: None,
-    };
-    // The normalised mirror is derived runtime state, not part of the wire
-    // format; rebuild it from the restored fields.
-    online.rebuild_norm();
-    Ok(online)
+    })
 }
 
 fn put_sanitizer(w: &mut Writer, s: &Sanitizer) {

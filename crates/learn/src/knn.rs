@@ -104,6 +104,36 @@ impl KnnClassifier {
         k: usize,
         backend: KnnBackend,
     ) -> Result<Self> {
+        let mut knn = Self {
+            k,
+            points: Arc::new([]),
+            dim,
+            labels: Box::new([]),
+            n_classes: 0,
+            backend,
+            tree: None,
+        };
+        knn.refit_flat(points, dim, labels, k, backend)?;
+        Ok(knn)
+    }
+
+    /// [`KnnClassifier::fit_flat`] into this classifier's storage: a refit
+    /// with as many points of the same width overwrites the point store and
+    /// the labels in place, so a brute-force refit allocates nothing (a k-d
+    /// tree is rebuilt). Same index as a fresh fit.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`KnnClassifier::fit_flat`]. After an error the
+    /// classifier must be refit before it is queried again.
+    pub fn refit_flat(
+        &mut self,
+        points: &[f64],
+        dim: usize,
+        labels: &[usize],
+        k: usize,
+        backend: KnnBackend,
+    ) -> Result<()> {
         if k == 0 {
             return Err(LearnError::InvalidParameter("k must be >= 1".into()));
         }
@@ -132,15 +162,26 @@ impl KnnClassifier {
                 "label {max_label} exceeds the largest class id {MAX_LABEL}"
             )));
         }
-        let labels: Box<[u8]> = labels.iter().map(|&l| l as u8).collect();
-        let n_classes = max_label + 1;
-        let points: Arc<[f64]> = points.into();
-        let tree = match backend {
+        self.n_classes = max_label + 1;
+        // The tree shares the point store: drop it so the store is ours.
+        self.tree = None;
+        match Arc::get_mut(&mut self.points) {
+            Some(store) if store.len() == points.len() => store.copy_from_slice(points),
+            _ => self.points = points.into(),
+        }
+        if self.labels.len() == labels.len() {
+            for (stored, &label) in self.labels.iter_mut().zip(labels) {
+                *stored = label as u8;
+            }
+        } else {
+            self.labels = labels.iter().map(|&l| l as u8).collect();
+        }
+        (self.k, self.dim, self.backend) = (k, dim, backend);
+        if backend == KnnBackend::KdTree {
             // The tree shares the flat buffer — no second copy of the points.
-            KnnBackend::KdTree => Some(KdTree::build_flat(Arc::clone(&points), dim)?),
-            KnnBackend::BruteForce => None,
-        };
-        Ok(Self { k, points, dim, labels, n_classes, backend, tree })
+            self.tree = Some(KdTree::build_flat(Arc::clone(&self.points), dim)?);
+        }
+        Ok(())
     }
 
     /// Heap bytes held by the classifier: the shared point store (counted
@@ -368,6 +409,37 @@ mod tests {
             labels.push(label);
         }
         (pts, labels)
+    }
+
+    #[test]
+    fn refit_matches_a_fresh_fit() {
+        // One classifier's storage refit across sizes, widths and backends
+        // answers every query exactly as a fresh fit does.
+        let (pts, labels) = blobs(7, 40);
+        let flat: Vec<f64> = pts.concat();
+        let mut knn =
+            KnnClassifier::fit_flat(&flat, 2, &labels, 3, KnnBackend::BruteForce).unwrap();
+        for (seed, n, dim, k, backend) in [
+            (1, 40, 2, 3, KnnBackend::BruteForce),
+            (2, 40, 2, 1, KnnBackend::BruteForce),
+            (3, 64, 1, 5, KnnBackend::KdTree),
+            (4, 40, 2, 3, KnnBackend::BruteForce),
+        ] {
+            let (pts, labels) = blobs(seed, n);
+            let flat: Vec<f64> = pts.concat();
+            let points = &flat[..n * dim];
+            knn.refit_flat(points, dim, &labels, k, backend).unwrap();
+            let fresh = KnnClassifier::fit_flat(points, dim, &labels, k, backend).unwrap();
+            assert_eq!((knn.k(), knn.dim(), knn.backend()), (k, dim, backend));
+            assert_eq!(knn.points_flat(), fresh.points_flat());
+            assert_eq!(knn.labels(), fresh.labels());
+            assert_eq!(knn.n_classes(), fresh.n_classes());
+            for q in pts.iter().take(10) {
+                let q = &q[..dim];
+                assert_eq!(knn.neighbors(q).unwrap(), fresh.neighbors(q).unwrap());
+            }
+        }
+        assert!(knn.refit_flat(&flat, 2, &labels, 0, KnnBackend::BruteForce).is_err());
     }
 
     #[test]

@@ -39,12 +39,20 @@ impl Pca {
     /// Same conditions as [`Pca::fit`], plus [`LearnError::ShapeMismatch`]
     /// if `rows.len()` is not a multiple of `d`.
     pub fn fit_rows(rows: &[f64], d: usize, n: usize) -> Result<Self> {
-        if n == 0 || n > d {
-            return Err(LearnError::InvalidParameter(format!(
-                "PCA dimension must be in 1..={d}, got {n}"
-            )));
-        }
+        check_dims(d, n)?;
         Self::fit_with(rows, d, |_| n)
+    }
+
+    /// [`Pca::fit_rows`] into this projection's storage: a refit to the
+    /// same shape allocates nothing. Same bits as a fresh fit.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Pca::fit_rows`]. After an error the projection
+    /// must be refit before it is used again.
+    pub fn refit_rows(&mut self, rows: &[f64], d: usize, n: usize) -> Result<()> {
+        check_dims(d, n)?;
+        self.refit_with(rows, d, |_| n)
     }
 
     /// Fits PCA keeping the smallest number of components whose cumulative
@@ -65,33 +73,46 @@ impl Pca {
     ///
     /// Same conditions as [`Pca::fit_fraction`] and [`Pca::fit_rows`].
     pub fn fit_fraction_rows(rows: &[f64], d: usize, min_fraction: f64) -> Result<Self> {
-        if !(min_fraction.is_finite() && 0.0 < min_fraction && min_fraction <= 1.0) {
-            return Err(LearnError::InvalidParameter(format!(
-                "variance fraction must be in (0, 1], got {min_fraction}"
-            )));
-        }
-        Self::fit_with(rows, d, |eigenvalues| {
-            let total: f64 = eigenvalues.iter().sum();
-            if total <= 0.0 {
-                // Constant data: one component is as good as any.
-                return 1;
-            }
-            let mut acc = 0.0;
-            for (i, &l) in eigenvalues.iter().enumerate() {
-                acc += l;
-                if acc / total >= min_fraction {
-                    return i + 1;
-                }
-            }
-            eigenvalues.len()
-        })
+        check_fraction(min_fraction)?;
+        Self::fit_with(rows, d, |eigenvalues| components_for(eigenvalues, min_fraction))
     }
 
-    /// One decomposition, keeping the leading `keep(clamped eigenvalues)`
-    /// components. Truncating a full decomposition gives the same bits as
-    /// decomposing again for fewer components: the eigensolver does not
-    /// depend on how many vectors the caller keeps.
+    /// [`Pca::fit_fraction_rows`] into this projection's storage, as
+    /// [`Pca::refit_rows`] is to [`Pca::fit_rows`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Pca::fit_fraction_rows`]. After an error the
+    /// projection must be refit before it is used again.
+    pub fn refit_fraction_rows(&mut self, rows: &[f64], d: usize, min_fraction: f64) -> Result<()> {
+        check_fraction(min_fraction)?;
+        self.refit_with(rows, d, |eigenvalues| components_for(eigenvalues, min_fraction))
+    }
+
+    /// A fresh projection: [`Pca::refit_with`] into new storage.
     fn fit_with(rows: &[f64], d: usize, keep: impl FnOnce(&[f64]) -> usize) -> Result<Self> {
+        let mut pca = Self {
+            mean: Vec::new(),
+            // A placeholder the fit replaces; a matrix has at least one cell.
+            components: Matrix::zeros(1, 1),
+            eigenvalues: Vec::new(),
+            total_variance: 0.0,
+        };
+        pca.refit_with(rows, d, keep)?;
+        Ok(pca)
+    }
+
+    /// One decomposition into this projection's storage, keeping the leading
+    /// `keep(clamped eigenvalues)` components. Truncating a full
+    /// decomposition gives the same bits as decomposing again for fewer
+    /// components: the eigensolver does not depend on how many vectors the
+    /// caller keeps.
+    fn refit_with(
+        &mut self,
+        rows: &[f64],
+        d: usize,
+        keep: impl FnOnce(&[f64]) -> usize,
+    ) -> Result<()> {
         if d == 0 || !rows.len().is_multiple_of(d) {
             return Err(LearnError::ShapeMismatch(format!(
                 "{} values are not rows of dim {d}",
@@ -116,18 +137,26 @@ impl Pca {
             vectors_heap.resize(d * d, 0.0);
             (&mut values_heap, &mut vectors_heap)
         };
-        let mut mean = vec![0.0; d];
-        linalg::fixed::principal_axes(rows, d, &mut mean, values, vectors)
+        // Exact sizes, as a fresh fit holds: a basis refit from a wider one
+        // gives back the excess.
+        self.mean.clear();
+        self.mean.reserve_exact(d);
+        self.mean.resize(d, 0.0);
+        self.mean.shrink_to(d);
+        linalg::fixed::principal_axes(rows, d, &mut self.mean, values, vectors)
             .map_err(|e| LearnError::Numerical(e.to_string()))?;
         // Covariance eigenvalues are >= 0 up to rounding; clamp tiny negatives.
         for l in values.iter_mut() {
             *l = l.max(0.0);
         }
-        let total_variance: f64 = values.iter().sum();
+        self.total_variance = values.iter().sum();
         let n = keep(values);
-        let components =
-            Matrix::from_vec(n, d, vectors[..n * d].to_vec()).expect("n >= 1 rows of dim d");
-        Ok(Self { mean, components, eigenvalues: values[..n].to_vec(), total_variance })
+        self.components.assign(n, d, &vectors[..n * d]).expect("n >= 1 rows of dim d");
+        self.eigenvalues.clear();
+        self.eigenvalues.reserve_exact(n);
+        self.eigenvalues.extend_from_slice(&values[..n]);
+        self.eigenvalues.shrink_to(n);
+        Ok(())
     }
 
     /// Reconstructs a fitted projection from its parts (the accessors are the
@@ -316,9 +345,73 @@ impl Pca {
     }
 }
 
+fn check_dims(d: usize, n: usize) -> Result<()> {
+    if n == 0 || n > d {
+        return Err(LearnError::InvalidParameter(format!(
+            "PCA dimension must be in 1..={d}, got {n}"
+        )));
+    }
+    Ok(())
+}
+
+fn check_fraction(min_fraction: f64) -> Result<()> {
+    if !(min_fraction.is_finite() && 0.0 < min_fraction && min_fraction <= 1.0) {
+        return Err(LearnError::InvalidParameter(format!(
+            "variance fraction must be in (0, 1], got {min_fraction}"
+        )));
+    }
+    Ok(())
+}
+
+/// The smallest number of leading components whose cumulative share of the
+/// variance reaches `min_fraction`, at least one.
+fn components_for(eigenvalues: &[f64], min_fraction: f64) -> usize {
+    let total: f64 = eigenvalues.iter().sum();
+    if total <= 0.0 {
+        // Constant data: one component is as good as any.
+        return 1;
+    }
+    let mut acc = 0.0;
+    for (i, &l) in eigenvalues.iter().enumerate() {
+        acc += l;
+        if acc / total >= min_fraction {
+            return i + 1;
+        }
+    }
+    eigenvalues.len()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn refit_matches_a_fresh_fit_bit_for_bit() {
+        // One projection's storage refit across shapes and both criteria.
+        let rows = |n: usize, d: usize, phase: f64| -> Vec<f64> {
+            (0..n * d).map(|i| (i as f64 * 0.37 + phase).sin() * (1 + i % d) as f64).collect()
+        };
+        let bits = |p: &Pca| -> Vec<u64> {
+            p.mean()
+                .iter()
+                .chain(p.components().as_slice())
+                .chain(p.eigenvalues())
+                .chain([p.total_variance()].iter())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        let mut pca = Pca::fit_rows(&rows(35, 5, 0.0), 5, 2).unwrap();
+        for (n, d, phase, dims) in
+            [(35, 5, 1.0, 2), (35, 5, 2.0, 2), (60, 16, 0.5, 3), (20, 3, 0.2, 1)]
+        {
+            let data = rows(n, d, phase);
+            pca.refit_rows(&data, d, dims).unwrap();
+            assert_eq!(bits(&pca), bits(&Pca::fit_rows(&data, d, dims).unwrap()));
+            pca.refit_fraction_rows(&data, d, 0.9).unwrap();
+            assert_eq!(bits(&pca), bits(&Pca::fit_fraction_rows(&data, d, 0.9).unwrap()));
+        }
+        assert!(pca.refit_rows(&rows(35, 5, 0.0), 5, 6).is_err());
+    }
 
     /// Data stretched along the (1, 1) diagonal with slight noise off-axis.
     fn diagonal_data() -> Matrix {

@@ -46,6 +46,29 @@ impl Matrix {
         Ok(Self { rows, cols, data })
     }
 
+    /// Replaces shape and contents with `rows × cols` row-major `data`,
+    /// reusing the storage: no allocation when it holds exactly
+    /// `data.len()` values. Storage left over from a larger matrix is given
+    /// back.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Matrix::from_vec`]; the matrix is unchanged.
+    pub fn assign(&mut self, rows: usize, cols: usize, data: &[f64]) -> Result<()> {
+        if rows == 0 || cols == 0 || data.len() != rows * cols {
+            return Err(LinalgError::InvalidArgument(format!(
+                "cannot assign {} values as {rows}x{cols}",
+                data.len()
+            )));
+        }
+        self.data.clear();
+        self.data.reserve_exact(data.len());
+        self.data.extend_from_slice(data);
+        self.data.shrink_to(data.len());
+        (self.rows, self.cols) = (rows, cols);
+        Ok(())
+    }
+
     /// Creates a matrix from a slice of equal-length rows.
     ///
     /// # Errors
@@ -300,6 +323,18 @@ impl std::fmt::Display for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn assign_reuses_storage_and_checks_shape() {
+        let mut m = Matrix::zeros(2, 3);
+        let ptr = m.as_slice().as_ptr();
+        m.assign(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(m, Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap());
+        assert_eq!(m.as_slice().as_ptr(), ptr, "same-size assign moved the storage");
+        assert!(m.assign(2, 2, &[1.0; 3]).is_err());
+        assert!(m.assign(0, 2, &[]).is_err());
+        assert_eq!((m.rows(), m.cols()), (3, 2), "a rejected assign changes nothing");
+    }
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-12

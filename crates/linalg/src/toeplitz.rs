@@ -30,6 +30,32 @@ pub struct LevinsonResult {
 ///   collapses to a non-positive value mid-recursion (perfectly predictable or
 ///   degenerate input).
 pub fn levinson_durbin(r: &[f64], p: usize) -> Result<LevinsonResult> {
+    let (mut phi, mut prev) = (vec![0.0; p], vec![0.0; p]);
+    let mut reflection = Vec::with_capacity(p);
+    let innovation_variance = levinson_durbin_into(r, &mut phi, &mut prev, |k| reflection.push(k))?;
+    Ok(LevinsonResult { coefficients: phi, reflection, innovation_variance })
+}
+
+/// [`levinson_durbin`] at order `p = phi.len()` into caller storage: the
+/// coefficients land in `phi`, `prev` (same length) is the recursion's
+/// workspace, and each reflection coefficient goes to `reflection` as it is
+/// found. Returns the innovation variance. Allocates nothing — the AR refit
+/// runs it on reused buffers. On error `phi` holds a partial recursion.
+///
+/// # Errors
+///
+/// Same conditions as [`levinson_durbin`].
+///
+/// # Panics
+///
+/// Panics if `prev` is shorter than `phi`.
+pub fn levinson_durbin_into(
+    r: &[f64],
+    phi: &mut [f64],
+    prev: &mut [f64],
+    mut reflection: impl FnMut(f64),
+) -> Result<f64> {
+    let p = phi.len();
     if p == 0 {
         return Err(LinalgError::InvalidArgument("levinson_durbin: order must be >= 1".into()));
     }
@@ -47,9 +73,10 @@ pub fn levinson_durbin(r: &[f64], p: usize) -> Result<LevinsonResult> {
         )));
     }
 
-    let mut phi = vec![0.0; p]; // phi[i] = φ_{i+1} at the current order
-    let mut prev = vec![0.0; p];
-    let mut reflection = Vec::with_capacity(p);
+    // phi[i] = φ_{i+1} at the current order.
+    phi.fill(0.0);
+    let prev = &mut prev[..p];
+    prev.fill(0.0);
     let mut e = r[0];
 
     for k in 0..p {
@@ -64,7 +91,7 @@ pub fn levinson_durbin(r: &[f64], p: usize) -> Result<LevinsonResult> {
             )));
         }
         let kk = acc / e;
-        reflection.push(kk);
+        reflection(kk);
 
         prev[..k].copy_from_slice(&phi[..k]);
         phi[k] = kk;
@@ -73,8 +100,7 @@ pub fn levinson_durbin(r: &[f64], p: usize) -> Result<LevinsonResult> {
         }
         e *= 1.0 - kk * kk;
     }
-
-    Ok(LevinsonResult { coefficients: phi, reflection, innovation_variance: e })
+    Ok(e)
 }
 
 /// Multiplies the symmetric Toeplitz matrix defined by first column `r[0..n]`

@@ -109,6 +109,21 @@ pub trait Predictor: Send + Sync {
         }
     }
 
+    /// Refits the train-derived state on `train` in place, reusing the
+    /// model's own storage, so a warm refit allocates nothing. `work` is fit
+    /// scratch the caller keeps across refits. The same fit as the model's
+    /// constructor, bit for bit. The non-parametric models have nothing to
+    /// refit.
+    ///
+    /// # Errors
+    ///
+    /// The constructor's fitting errors. After an error the model must be
+    /// refit before it predicts again.
+    fn refit(&mut self, train: &[f64], work: &mut Vec<f64>) -> Result<()> {
+        let _ = (train, work);
+        Ok(())
+    }
+
     /// Train-derived state as a flat `f64` vector, for serialization.
     ///
     /// Empty for the non-parametric models (their behaviour is fully

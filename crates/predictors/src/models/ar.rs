@@ -7,7 +7,7 @@
 //! [`Ari`] adds a differenced variant (the "I" of ARIMA) as the pool extension
 //! the paper's future-work section anticipates.
 
-use linalg::toeplitz::levinson_durbin;
+use linalg::toeplitz::levinson_durbin_into;
 use timeseries::stats;
 
 use crate::{Predictor, PredictorError, Result};
@@ -39,6 +39,26 @@ impl Ar {
     /// * [`PredictorError::InsufficientData`] if `train.len() < 2 * order`
     ///   (too few points for meaningful autocovariance estimates).
     pub fn fit(train: &[f64], order: usize) -> Result<Self> {
+        let mut ar = Self::unfitted(order);
+        ar.refit(train, &mut Vec::new())?;
+        Ok(ar)
+    }
+
+    /// An AR(`order`) with no coefficients yet, for a fit to fill.
+    fn unfitted(order: usize) -> Self {
+        Self {
+            order,
+            coefficients: Vec::new(),
+            mean: 0.0,
+            innovation_variance: 0.0,
+            degenerate: false,
+        }
+    }
+
+    /// The Yule–Walker fit on caller storage: `acov` holds lags `0..=p`,
+    /// `prev` (length `p`) is the recursion's workspace.
+    fn fit_with(&mut self, train: &[f64], acov: &mut [f64], prev: &mut [f64]) -> Result<()> {
+        let order = self.order;
         if order == 0 {
             return Err(PredictorError::InvalidParameter("AR order must be >= 1".into()));
         }
@@ -49,40 +69,33 @@ impl Ar {
                 got: train.len(),
             });
         }
-        let mean = stats::mean(train);
-        let acov = stats::autocovariance(train, order)
+        self.mean = stats::mean(train);
+        stats::autocovariance_into(train, acov)
             .map_err(|e| PredictorError::Numerical(e.to_string()))?;
+        self.coefficients.clear();
+        self.coefficients.reserve_exact(order);
+        self.coefficients.resize(order, 0.0);
 
-        // Degenerate series (constant, or numerically so): fall back to
-        // persistence instead of failing the whole pool.
+        // Degenerate series (constant, or numerically so) and perfectly
+        // predictable input mid-recursion fall back to persistence instead
+        // of failing the whole pool.
         let rel_floor = 1e-12 * linalg::kernels::dot(train, train).max(1e-300);
-        if acov[0] <= rel_floor {
-            let mut coefficients = vec![0.0; order];
-            coefficients[0] = 1.0;
-            return Ok(Self {
-                order,
-                coefficients,
-                mean,
-                innovation_variance: 0.0,
-                degenerate: true,
-            });
-        }
-
-        match levinson_durbin(&acov, order) {
-            Ok(sol) => Ok(Self {
-                order,
-                coefficients: sol.coefficients,
-                mean,
-                innovation_variance: sol.innovation_variance,
-                degenerate: false,
-            }),
-            // Perfectly predictable input mid-recursion: also persistence.
-            Err(_) => {
-                let mut coefficients = vec![0.0; order];
-                coefficients[0] = 1.0;
-                Ok(Self { order, coefficients, mean, innovation_variance: 0.0, degenerate: true })
+        let solved = (acov[0] > rel_floor)
+            .then(|| levinson_durbin_into(acov, &mut self.coefficients, prev, |_| {}).ok())
+            .flatten();
+        match solved {
+            Some(innovation_variance) => {
+                self.innovation_variance = innovation_variance;
+                self.degenerate = false;
+            }
+            None => {
+                self.coefficients.fill(0.0);
+                self.coefficients[0] = 1.0;
+                self.innovation_variance = 0.0;
+                self.degenerate = true;
             }
         }
+        Ok(())
     }
 
     /// Reconstructs a fitted model from previously extracted parameters
@@ -150,6 +163,14 @@ impl Predictor for Ar {
         self.order
     }
 
+    /// The autocovariances and the Levinson workspace live in `work`.
+    fn refit(&mut self, train: &[f64], work: &mut Vec<f64>) -> Result<()> {
+        work.clear();
+        work.resize(2 * self.order + 1, 0.0);
+        let (acov, prev) = work.split_at_mut(self.order + 1);
+        self.fit_with(train, acov, prev)
+    }
+
     fn predict(&self, history: &[f64]) -> f64 {
         let n = history.len();
         debug_assert!(n >= self.order, "AR({}) fed {} points", self.order, n);
@@ -195,14 +216,9 @@ impl Ari {
                 "ARI with d = 0 is plain AR; use Ar::fit".into(),
             ));
         }
-        let diffed = timeseries::diff::difference_n(train, diff_order).map_err(|_| {
-            PredictorError::InsufficientData {
-                model: "ARI",
-                needed: diff_order + 1,
-                got: train.len(),
-            }
-        })?;
-        Ok(Self { ar: Ar::fit(&diffed, order)?, diff_order })
+        let mut ari = Self { ar: Ar::unfitted(order), diff_order };
+        ari.refit(train, &mut Vec::new())?;
+        Ok(ari)
     }
 
     /// Reconstructs a fitted ARI from an [`Ar`] restored via
@@ -238,6 +254,33 @@ impl Predictor for Ari {
 
     fn min_history(&self) -> usize {
         self.ar.min_history() + self.diff_order
+    }
+
+    /// `work` holds the differenced series, then the inner AR fit's
+    /// workspace.
+    fn refit(&mut self, train: &[f64], work: &mut Vec<f64>) -> Result<()> {
+        let d = self.diff_order;
+        if train.len() <= d {
+            return Err(PredictorError::InsufficientData {
+                model: "ARI",
+                needed: d + 1,
+                got: train.len(),
+            });
+        }
+        let p = self.ar.order;
+        work.clear();
+        work.extend_from_slice(train);
+        work.resize(train.len() + 2 * p + 1, 0.0);
+        let (diffed, rest) = work.split_at_mut(train.len());
+        // Difference in place, `d` times: each pass is
+        // `timeseries::diff::difference` on one fewer value.
+        for len in (train.len() - d + 1..=train.len()).rev() {
+            for i in 0..len - 1 {
+                diffed[i] = diffed[i + 1] - diffed[i];
+            }
+        }
+        let (acov, prev) = rest.split_at_mut(p + 1);
+        self.ar.fit_with(&diffed[..train.len() - d], acov, prev)
     }
 
     fn predict(&self, history: &[f64]) -> f64 {

@@ -29,11 +29,34 @@ impl PredictorPool {
     /// Returns the first build error, or
     /// [`PredictorError::InvalidParameter`] for an empty spec list.
     pub fn from_specs(specs: &[ModelSpec], train: &[f64]) -> Result<Self> {
+        let mut pool = Self { models: Vec::new(), specs: Vec::new() };
+        pool.refit(specs, train, &mut Vec::new())?;
+        Ok(pool)
+    }
+
+    /// [`PredictorPool::from_specs`] into this pool's storage. A pool built
+    /// from the same `specs` refits every member in place
+    /// ([`Predictor::refit`]), so a warm refit allocates nothing; any other
+    /// pool is rebuilt. `work` is the members' fit scratch, kept by the
+    /// caller across refits.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PredictorPool::from_specs`]. After an error the
+    /// pool must be refit before it predicts again.
+    pub fn refit(&mut self, specs: &[ModelSpec], train: &[f64], work: &mut Vec<f64>) -> Result<()> {
         if specs.is_empty() {
             return Err(PredictorError::InvalidParameter("pool must contain a model".into()));
         }
-        let models = specs.iter().map(|s| s.build(train)).collect::<Result<Vec<_>>>()?;
-        Ok(Self { models, specs: specs.to_vec() })
+        if self.specs == specs {
+            return self.models.iter_mut().try_for_each(|m| m.refit(train, work));
+        }
+        let mut models = Vec::with_capacity(specs.len());
+        for spec in specs {
+            models.push(spec.build(train)?);
+        }
+        (self.models, self.specs) = (models, specs.to_vec());
+        Ok(())
     }
 
     /// The paper's pool {LAST, AR(order), SW_AVG(order)} fitted on `train`.
@@ -325,6 +348,45 @@ mod tests {
                 assert_eq!(out, expected, "len {len}");
             }
         }
+    }
+
+    #[test]
+    fn refit_in_place_matches_a_fresh_pool() {
+        // One pool's storage refit across trains (a constant one included,
+        // where AR degrades to persistence) and across spec lists: every
+        // member's state and forecast equals a freshly built pool's.
+        let wave: Vec<f64> =
+            (0..120).map(|i| (i as f64 * 0.37).sin() * 2.0 + i as f64 * 0.01).collect();
+        let flat = [0.75; 40];
+        let mut pool = PredictorPool::standard(&wave[..40], 5).unwrap();
+        let mut work = Vec::new();
+        for (specs, t) in [
+            (ModelSpec::standard_pool(5), &wave[20..60]),
+            (ModelSpec::standard_pool(5), &flat[..]),
+            (ModelSpec::extended_pool(5), &wave[..120]),
+            (ModelSpec::extended_pool(5), &wave[50..90]),
+            (ModelSpec::standard_pool(3), &wave[10..50]),
+            (ModelSpec::standard_pool(3), &wave[60..100]),
+        ] {
+            pool.refit(&specs, t, &mut work).unwrap();
+            let fresh = PredictorPool::from_specs(&specs, t).unwrap();
+            assert_eq!(pool.specs(), fresh.specs());
+            let bits = |p: &PredictorPool| -> Vec<Vec<u64>> {
+                p.fitted_states().iter().map(|s| s.iter().map(|v| v.to_bits()).collect()).collect()
+            };
+            assert_eq!(bits(&pool), bits(&fresh), "{specs:?}");
+            assert_eq!(pool.heap_bytes(), fresh.heap_bytes(), "{specs:?}");
+            let h = &wave[70..90];
+            for id in pool.ids() {
+                assert_eq!(pool.predict_one(id, h).to_bits(), fresh.predict_one(id, h).to_bits());
+            }
+        }
+        // A failed refit leaves a pool the next refit restores.
+        assert!(pool.refit(&ModelSpec::extended_pool(5), &wave[..6], &mut work).is_err());
+        assert!(pool.refit(&ModelSpec::standard_pool(5), &wave[..6], &mut work).is_err());
+        pool.refit(&ModelSpec::standard_pool(5), &wave[..40], &mut work).unwrap();
+        let fresh = PredictorPool::standard(&wave[..40], 5).unwrap();
+        assert_eq!(pool.fitted_states(), fresh.fitted_states());
     }
 
     #[test]

@@ -157,23 +157,30 @@ pub fn trimmed_mean(xs: &[f64], alpha: f64) -> Result<f64> {
 ///
 /// Returns [`TsError::TooShort`] unless `xs.len() > max_lag`.
 pub fn autocovariance(xs: &[f64], max_lag: usize) -> Result<Vec<f64>> {
-    if xs.len() <= max_lag {
-        return Err(TsError::TooShort {
-            what: "autocovariance",
-            needed: max_lag + 1,
-            got: xs.len(),
-        });
+    let mut acov = vec![0.0; max_lag + 1];
+    autocovariance_into(xs, &mut acov)?;
+    Ok(acov)
+}
+
+/// [`autocovariance`] at lags `0..out.len()` into caller storage — the
+/// allocation-free form the AR refit uses.
+///
+/// # Errors
+///
+/// Returns [`TsError::TooShort`] unless `xs.len() >= out.len()`.
+pub fn autocovariance_into(xs: &[f64], out: &mut [f64]) -> Result<()> {
+    if xs.len() < out.len() {
+        return Err(TsError::TooShort { what: "autocovariance", needed: out.len(), got: xs.len() });
     }
     let n = xs.len();
     let m = mean(xs);
-    let mut acov = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
+    for (lag, acov) in out.iter_mut().enumerate() {
         // Lag-`lag` autocovariance is the centered dot of the series against
         // its own `lag`-shifted view.
         let s = linalg::kernels::centered_dot(&xs[lag..], &xs[..n - lag], m);
-        acov.push(s / n as f64);
+        *acov = s / n as f64;
     }
-    Ok(acov)
+    Ok(())
 }
 
 /// Autocorrelation at lags `0..=max_lag` (autocovariance scaled by `r(0)`).
