@@ -14,7 +14,7 @@ use std::hint::black_box;
 
 use larp::{GuardedLarp, IngestConfig, LarpConfig, OnlineLarp, QualityAssuror, Scratch};
 use larp_bench::microbench::BenchGroup;
-use learn::{KnnBackend, KnnClassifier, Pca};
+use learn::{KnnClassifier, Pca};
 use linalg::Matrix;
 use simrng::{Rng64, Xoshiro256pp};
 
@@ -45,7 +45,7 @@ fn bench_knn_query(rows: &mut Vec<(String, f64)>) {
         let points: Vec<Vec<f64>> =
             (0..n).map(|_| vec![rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]).collect();
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
-        let knn = KnnClassifier::fit(points, labels, 3, KnnBackend::BruteForce).unwrap();
+        let knn = KnnClassifier::fit_flat(&points.concat(), 2, &labels, 3).unwrap();
         let query = vec![0.3, -0.7];
         g.bench(&format!("classify_alloc_{n}"), || knn.classify(black_box(&query)).unwrap());
         let mut scratch: Vec<(usize, f64)> = Vec::new();

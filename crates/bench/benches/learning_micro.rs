@@ -1,10 +1,11 @@
 //! PERF — microbenchmarks of the learning substrate (paper §7.3): PCA cost,
-//! k-NN query cost (brute force O(N) vs kd-tree), and training indexing.
+//! brute-force k-NN query cost against the index size N (35 is a served
+//! model's index), and training indexing.
 
 use std::hint::black_box;
 
 use larp_bench::microbench::BenchGroup;
-use learn::{KnnBackend, KnnClassifier, Pca};
+use learn::{KnnClassifier, Pca};
 use linalg::Matrix;
 use simrng::{Rng64, Xoshiro256pp};
 
@@ -25,19 +26,15 @@ fn bench_pca() {
     }
 }
 
-fn bench_knn_backends() {
+fn bench_knn_query() {
     let g = BenchGroup::new("knn_query");
     let mut rng = Xoshiro256pp::seed_from_u64(2);
-    for n in [256usize, 1024, 4096, 16384] {
-        let points: Vec<Vec<f64>> =
-            (0..n).map(|_| vec![rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]).collect();
+    for n in [35usize, 256, 1024, 4096, 16384] {
+        let points: Vec<f64> = (0..2 * n).map(|_| rng.uniform(-3.0, 3.0)).collect();
         let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
         let query = vec![0.3, -0.7];
-        let brute =
-            KnnClassifier::fit(points.clone(), labels.clone(), 3, KnnBackend::BruteForce).unwrap();
-        g.bench(&format!("brute_{n}"), || brute.classify(black_box(&query)).unwrap());
-        let tree = KnnClassifier::fit(points, labels, 3, KnnBackend::KdTree).unwrap();
-        g.bench(&format!("kdtree_{n}"), || tree.classify(black_box(&query)).unwrap());
+        let knn = KnnClassifier::fit_flat(&points, 2, &labels, 3).unwrap();
+        g.bench(&format!("brute_{n}"), || knn.classify(black_box(&query)).unwrap());
     }
 }
 
@@ -45,19 +42,15 @@ fn bench_knn_index_build() {
     let g = BenchGroup::new("knn_index");
     let mut rng = Xoshiro256pp::seed_from_u64(3);
     let n = 4096;
-    let points: Vec<Vec<f64>> =
-        (0..n).map(|_| vec![rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)]).collect();
+    let points: Vec<f64> = (0..2 * n).map(|_| rng.uniform(-3.0, 3.0)).collect();
     let labels: Vec<usize> = (0..n).map(|i| i % 3).collect();
     g.bench("brute_fit_4096", || {
-        KnnClassifier::fit(points.clone(), labels.clone(), 3, KnnBackend::BruteForce).unwrap()
-    });
-    g.bench("kdtree_fit_4096", || {
-        KnnClassifier::fit(points.clone(), labels.clone(), 3, KnnBackend::KdTree).unwrap()
+        KnnClassifier::fit_flat(black_box(&points), 2, &labels, 3).unwrap()
     });
 }
 
 fn main() {
     bench_pca();
-    bench_knn_backends();
+    bench_knn_query();
     bench_knn_index_build();
 }

@@ -1,6 +1,5 @@
 //! LARPredictor configuration.
 
-use learn::KnnBackend;
 use predictors::ModelSpec;
 
 use crate::{LarpError, Result};
@@ -37,8 +36,6 @@ pub struct LarpConfig {
     pub reduction: FeatureReduction,
     /// Neighbour count `k` for the k-NN classifier (paper: 3).
     pub k: usize,
-    /// Neighbour-search implementation.
-    pub backend: KnnBackend,
     /// The predictor pool specification.
     pub pool: Vec<ModelSpec>,
 }
@@ -60,7 +57,6 @@ impl LarpConfig {
             window,
             reduction: FeatureReduction::Pca { dims: 2 },
             k: 3,
-            backend: KnnBackend::BruteForce,
             pool: ModelSpec::standard_pool(window),
         }
     }

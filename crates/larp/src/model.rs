@@ -31,8 +31,6 @@ pub struct Scratch {
     pub(crate) nearest: Vec<f64>,
     /// Ranked predictor ids, most preferred first.
     pub(crate) ranked: Vec<PredictorId>,
-    /// Rolling window for iterated horizon forecasting.
-    pub(crate) rolling: Vec<f64>,
     /// Sanitized values produced by one ingest step.
     pub(crate) clean: Vec<f64>,
     /// Widened raw history for `f32`-ring streams (see
@@ -257,8 +255,8 @@ impl TrainedLarp {
         };
         let knn = reuse(
             knn,
-            |knn| knn.refit_flat(points, dim, labels, config.k, config.backend),
-            || KnnClassifier::fit_flat(points, dim, labels, config.k, config.backend),
+            |knn| knn.refit_flat(points, dim, labels, config.k),
+            || KnnClassifier::fit_flat(points, dim, labels, config.k),
         )?;
 
         Ok(Self { config: Arc::clone(config), zscore, pool, pca, knn, train_len: train.len() })
@@ -520,91 +518,6 @@ impl TrainedLarp {
         })
     }
 
-    /// Iterated multi-step forecasting on a *normalised* history: predicts
-    /// `horizon` steps ahead by feeding each one-step forecast back as the
-    /// newest observation, re-selecting the best predictor at every step.
-    ///
-    /// This serves the paper's provisioning use case ("the prediction of the
-    /// resource performance of VMs in a given time frame"): a resource
-    /// manager planning several intervals ahead. Uncertainty compounds with
-    /// the horizon — iterated forecasts converge toward the conditional mean.
-    ///
-    /// # Errors
-    ///
-    /// * [`LarpError::InvalidConfig`] if `horizon == 0`;
-    /// * [`LarpError::InsufficientData`] if `history` is shorter than `m`.
-    pub fn predict_horizon(
-        &self,
-        history: &[f64],
-        horizon: usize,
-    ) -> Result<Vec<(PredictorId, f64)>> {
-        let mut scratch = Scratch::new();
-        let mut out = Vec::with_capacity(horizon);
-        self.predict_horizon_into(history, horizon, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`TrainedLarp::predict_horizon`] writing the `(chosen model, forecast)`
-    /// pairs into a caller-owned `out` (cleared first) and doing all rolling
-    /// window and classification work in `scratch` — no per-call allocation
-    /// once the buffers are warm.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainedLarp::predict_horizon`].
-    pub fn predict_horizon_into(
-        &self,
-        history: &[f64],
-        horizon: usize,
-        scratch: &mut Scratch,
-        out: &mut Vec<(PredictorId, f64)>,
-    ) -> Result<()> {
-        out.clear();
-        if horizon == 0 {
-            return Err(LarpError::InvalidConfig("horizon must be >= 1".into()));
-        }
-        let m = self.config.window;
-        if history.len() < m {
-            return Err(LarpError::InsufficientData(format!(
-                "horizon forecasting needs a window of {m} points, got {}",
-                history.len()
-            )));
-        }
-        // Keep only the window the models can see; slide it step by step.
-        let Scratch { features, neighbors, rolling, .. } = scratch;
-        rolling.clear();
-        rolling.extend_from_slice(&history[history.len() - m..]);
-        for _ in 0..horizon {
-            self.features_for_into(rolling, features)?;
-            let id = PredictorId(self.knn.classify_into(features, neighbors)?);
-            let forecast = self.pool.predict_one(id, rolling);
-            out.push((id, forecast));
-            rolling.copy_within(1.., 0);
-            let newest = rolling.len() - 1;
-            rolling[newest] = forecast;
-        }
-        Ok(())
-    }
-
-    /// [`TrainedLarp::predict_horizon`] on a raw-scale history, returning
-    /// raw-scale forecasts.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainedLarp::predict_horizon`].
-    pub fn predict_horizon_raw(
-        &self,
-        history: &[f64],
-        horizon: usize,
-    ) -> Result<Vec<(PredictorId, f64)>> {
-        let normalized = self.zscore.apply_slice(history);
-        Ok(self
-            .predict_horizon(&normalized, horizon)?
-            .into_iter()
-            .map(|(id, z)| (id, self.zscore.invert(z)))
-            .collect())
-    }
-
     /// A fresh [`KnnSelector`] view over this model for use with
     /// [`crate::run_selector`].
     pub fn selector(&self) -> KnnSelector<'_> {
@@ -751,58 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn horizon_forecasts_have_requested_length_and_stay_finite() {
-        let s = regime_series(300);
-        let model = TrainedLarp::train(&s[..150], &LarpConfig::default()).unwrap();
-        let norm = model.zscore().apply_slice(&s[150..]);
-        let fs = model.predict_horizon(&norm[..30], 12).unwrap();
-        assert_eq!(fs.len(), 12);
-        for (id, f) in fs {
-            assert!(id.0 < 3);
-            assert!(f.is_finite());
-        }
-    }
-
-    #[test]
-    fn horizon_first_step_equals_one_step_prediction() {
-        let s = regime_series(300);
-        let model = TrainedLarp::train(&s[..150], &LarpConfig::default()).unwrap();
-        let norm = model.zscore().apply_slice(&s[150..]);
-        let one = model.predict_next(&norm[..40]).unwrap();
-        let multi = model.predict_horizon(&norm[..40], 3).unwrap();
-        assert_eq!(multi[0], one);
-    }
-
-    #[test]
-    fn horizon_on_constant_history_stays_constant() {
-        // Train on a regime series, then forecast from a flat window: every
-        // pool model forecasts the flat value, so the whole horizon is flat.
-        let s = regime_series(300);
-        let model = TrainedLarp::train(&s[..150], &LarpConfig::default()).unwrap();
-        let flat = vec![0.0; 10];
-        for (_, f) in model.predict_horizon(&flat, 8).unwrap() {
-            assert!(f.abs() < 0.3, "{f}");
-        }
-    }
-
-    #[test]
-    fn horizon_raw_round_trips_units() {
-        let s: Vec<f64> = (0..300).map(|t| 500.0 + 20.0 * ((t as f64) * 0.15).sin()).collect();
-        let model = TrainedLarp::train(&s[..150], &LarpConfig::default()).unwrap();
-        for (_, f) in model.predict_horizon_raw(&s[150..200], 6).unwrap() {
-            assert!((420.0..580.0).contains(&f), "{f}");
-        }
-    }
-
-    #[test]
-    fn horizon_validation() {
-        let s = regime_series(300);
-        let model = TrainedLarp::train(&s[..150], &LarpConfig::default()).unwrap();
-        assert!(model.predict_horizon(&s[..40], 0).is_err());
-        assert!(model.predict_horizon(&[1.0, 2.0], 3).is_err());
-    }
-
-    #[test]
     fn ranked_selection_covers_pool_and_leads_with_select() {
         let s = regime_series(400);
         let model = TrainedLarp::train(&s[..200], &LarpConfig::default()).unwrap();
@@ -841,7 +702,6 @@ mod tests {
         let model = TrainedLarp::train(&s[..200], &LarpConfig::default()).unwrap();
         let norm = model.zscore().apply_slice(&s[200..]);
         let mut scratch = Scratch::new();
-        let mut horizon = Vec::new();
         for t in 5..norm.len() {
             let h = &norm[..t];
             let window = &h[t - 5..];
@@ -852,9 +712,6 @@ mod tests {
 
             model.select_ranked_into(h, &mut scratch).unwrap();
             assert_eq!(scratch.ranked()[0], model.select(h).unwrap());
-
-            model.predict_horizon_into(h, 4, &mut scratch, &mut horizon).unwrap();
-            assert_eq!(horizon, model.predict_horizon(h, 4).unwrap());
         }
         // predict_with_normalized must agree with predict_with on the same
         // normalised bytes.
@@ -905,7 +762,8 @@ mod tests {
     #[test]
     fn train_reusing_matches_a_fresh_fit() {
         // One model's storage passed from fit to fit across windows, pools,
-        // reductions and backends: each fit equals a fresh one bit for bit.
+        // reductions and neighbour counts: each fit equals a fresh one bit
+        // for bit.
         let s = wave(400);
         let configs = [
             LarpConfig::default(),
@@ -917,7 +775,7 @@ mod tests {
                 ..LarpConfig::default()
             },
             LarpConfig::extended(5),
-            LarpConfig { backend: learn::KnnBackend::KdTree, ..LarpConfig::default() },
+            LarpConfig { k: 5, ..LarpConfig::default() },
             LarpConfig::default(),
         ];
         let mut spent = TrainedLarp::train(&s[..40], &LarpConfig::default()).unwrap();

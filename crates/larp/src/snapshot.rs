@@ -38,7 +38,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use learn::{KnnBackend, KnnClassifier, Pca};
+use learn::{KnnClassifier, Pca};
 use linalg::Matrix;
 use predictors::{ModelSpec, PredictorId, PredictorPool};
 use timeseries::ZScore;
@@ -261,11 +261,16 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Reads a sequence length and checks it against the remaining bytes
     /// assuming at least `min_item_bytes` per item.
     pub(crate) fn checked_len(&mut self, min_item_bytes: usize) -> Result<usize> {
         let n = self.usize()?;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if n.saturating_mul(min_item_bytes) > remaining {
             return Err(err(format!(
                 "corrupt snapshot: sequence of {n} items cannot fit in {remaining} remaining bytes"
@@ -366,10 +371,7 @@ fn put_larp_config(w: &mut Writer, c: &LarpConfig) {
         FeatureReduction::None => w.u8(2),
     }
     w.usize(c.k);
-    w.u8(match c.backend {
-        KnnBackend::BruteForce => 0,
-        KnnBackend::KdTree => 1,
-    });
+    w.u8(BRUTE_FORCE_TAG);
     w.usize(c.pool.len());
     for spec in &c.pool {
         put_model_spec(w, spec);
@@ -385,19 +387,24 @@ fn get_larp_config(r: &mut Reader) -> Result<LarpConfig> {
         t => return Err(err(format!("unknown FeatureReduction tag {t}"))),
     };
     let k = r.usize()?;
-    let backend = get_backend(r)?;
+    skip_search_tag(r)?;
     let n = r.checked_len(1)?;
     let pool = (0..n).map(|_| get_model_spec(r)).collect::<Result<Vec<_>>>()?;
-    let config = LarpConfig { window, reduction, k, backend, pool };
+    let config = LarpConfig { window, reduction, k, pool };
     config.validate()?;
     Ok(config)
 }
 
-fn get_backend(r: &mut Reader) -> Result<KnnBackend> {
+/// The k-NN search tag the config and model blocks carry: brute force.
+const BRUTE_FORCE_TAG: u8 = 0;
+
+/// Reads a k-NN search tag. Older writers could record a k-d tree (1); it
+/// reads as brute force, since the two searches returned the same
+/// neighbours in the same order.
+fn skip_search_tag(r: &mut Reader) -> Result<()> {
     match r.u8()? {
-        0 => Ok(KnnBackend::BruteForce),
-        1 => Ok(KnnBackend::KdTree),
-        t => Err(err(format!("unknown KnnBackend tag {t}"))),
+        0 | 1 => Ok(()),
+        t => Err(err(format!("unknown k-NN search tag {t}"))),
     }
 }
 
@@ -506,10 +513,7 @@ fn put_trained(w: &mut Writer, m: &TrainedLarp) {
         }
     }
     w.usize(m.knn.k());
-    w.u8(match m.knn.backend() {
-        KnnBackend::BruteForce => 0,
-        KnnBackend::KdTree => 1,
-    });
+    w.u8(BRUTE_FORCE_TAG);
     // The k-NN index stores its points as one flat row-major buffer; emit
     // them point-by-point to keep the wire layout identical to the nested
     // representation this format was defined with.
@@ -557,13 +561,44 @@ fn get_trained(r: &mut Reader, online: (&Arc<LarpConfig>, &[u8])) -> Result<Trai
         t => return Err(err(format!("unknown PCA tag {t}"))),
     };
     let k = r.usize()?;
-    let backend = get_backend(r)?;
-    let n_points = r.checked_len(8)?;
-    let points = (0..n_points).map(|_| r.f64_seq()).collect::<Result<Vec<_>>>()?;
-    let labels = (0..n_points).map(|_| r.usize()).collect::<Result<Vec<_>>>()?;
-    let knn = KnnClassifier::fit(points, labels, k, backend)?;
+    skip_search_tag(r)?;
+    let knn = get_knn(r, k)?;
     let train_len = r.usize()?;
     Ok(TrainedLarp { config, zscore, pool, pca, knn, train_len })
+}
+
+/// Reads the k-NN index: the points, stored one length-prefixed sequence
+/// per point, go into one flat row-major buffer whose width is the first
+/// point's, then one label per point. A point of another width is a
+/// snapshot error.
+fn get_knn(r: &mut Reader, k: usize) -> Result<KnnClassifier> {
+    let n_points = r.checked_len(8)?;
+    let mut points = Vec::new();
+    let mut dim = 0;
+    for i in 0..n_points {
+        let len = r.checked_len(8)?;
+        if i == 0 {
+            dim = len;
+            // All points take `n_points · (dim + 1)` words, the first length
+            // already read: check they fit before sizing the buffer.
+            let need = n_points.saturating_mul(dim.saturating_add(1)).saturating_mul(8) - 8;
+            if need > r.remaining() {
+                return Err(err(format!(
+                    "corrupt snapshot: {n_points} k-NN points of dim {dim} cannot fit in {} \
+                     remaining bytes",
+                    r.remaining()
+                )));
+            }
+            points.reserve_exact(n_points * dim);
+        } else if len != dim {
+            return Err(err(format!("k-NN point {i} has dim {len}, expected {dim}")));
+        }
+        for _ in 0..len {
+            points.push(r.f64()?);
+        }
+    }
+    let labels = (0..n_points).map(|_| r.usize()).collect::<Result<Vec<_>>>()?;
+    Ok(KnnClassifier::fit_flat(&points, dim, &labels, k)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1045,6 +1080,24 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
+        // A ragged k-NN point set: the second point claims one value where
+        // the first holds two.
+        let knn = live.model.as_ref().expect("trained").knn();
+        let first: Vec<u8> = [2u64, knn.point(0)[0].to_bits(), knn.point(0)[1].to_bits()]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let at = bytes.windows(first.len()).position(|w| w == first).expect("first point") + 24;
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+        let mut ragged = bytes.clone();
+        ragged[at..at + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert!(matches!(
+            OnlineLarp::from_snapshot_bytes(&ragged),
+            Err(LarpError::Snapshot(e)) if e.contains("k-NN point 1 has dim 1")
+        ));
+        // A first point wider than the rest of the bytes can hold.
+        ragged[at - 24..at - 16].copy_from_slice(&40u64.to_le_bytes());
+        assert!(matches!(OnlineLarp::from_snapshot_bytes(&ragged), Err(LarpError::Snapshot(_))));
         // A guarded snapshot is not an online snapshot.
         let guarded = GuardedLarp::new(
             crate::ingest::IngestConfig::default(),

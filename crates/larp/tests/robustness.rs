@@ -4,7 +4,6 @@
 use larp::config::FeatureReduction;
 use larp::eval::{observed_best_scored, run_selector_scored, TraceReport};
 use larp::{LarpConfig, TrainedLarp};
-use learn::KnnBackend;
 
 /// A well-behaved base trace.
 fn base_trace(n: usize) -> Vec<f64> {
@@ -66,20 +65,6 @@ fn minimum_viable_training_length() {
         assert!(TrainedLarp::train(&values[..len], &config).is_err(), "len {len}");
     }
     assert!(TrainedLarp::train(&values[..10], &config).is_ok());
-}
-
-#[test]
-fn kdtree_backend_matches_brute_force_through_full_pipeline() {
-    let values = base_trace(400);
-    let brute_cfg = LarpConfig { backend: KnnBackend::BruteForce, ..LarpConfig::default() };
-    let tree_cfg = LarpConfig { backend: KnnBackend::KdTree, ..LarpConfig::default() };
-
-    let brute = TrainedLarp::train(&values[..200], &brute_cfg).unwrap();
-    let tree = TrainedLarp::train(&values[..200], &tree_cfg).unwrap();
-    let norm = brute.zscore().apply_slice(&values);
-    for t in 5..norm.len() {
-        assert_eq!(brute.select(&norm[..t]).unwrap(), tree.select(&norm[..t]).unwrap(), "step {t}");
-    }
 }
 
 #[test]

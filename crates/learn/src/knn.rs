@@ -2,41 +2,24 @@
 //!
 //! Memory-based: "training" stores the labelled points; classification finds
 //! the `k` closest training points by Euclidean distance and takes the
-//! majority vote. Two interchangeable back-ends implement the neighbour
-//! search — brute force (`O(N)` per query, what the paper uses) and a k-d tree
-//! (`O(log N)` expected, the fast alternative the paper cites) — and a test
-//! asserts they classify identically.
+//! majority vote. The neighbour search is brute force, `O(N)` per query as
+//! in the paper: a served model indexes about 35 points and the paper's
+//! tables a few hundred, too few for a logarithmic index to pay for itself.
 //!
 //! # Hot-path layout
 //!
-//! Training points live in one flat row-major `Arc<[f64]>` (stride =
-//! [`dim`](KnnClassifier::dim)) shared with the k-d tree backend, so the
-//! index never stores a second copy and queries walk contiguous memory
-//! instead of chasing per-point heap pointers. The brute-force search is one
-//! fused pass that computes each point's distance and keeps the `k` best in
-//! the output buffer (see `keep_nearest`) rather than sorting all `N`
-//! candidates, and the `_into` query variants write into caller-owned
-//! scratch so the steady-state serving path performs no heap allocation.
-
-use std::sync::Arc;
+//! Training points live in one flat row-major buffer (stride =
+//! [`dim`](KnnClassifier::dim)), so queries walk contiguous memory instead of
+//! chasing per-point heap pointers. The search is one fused pass that
+//! computes each point's distance and keeps the `k` best in the output
+//! buffer (see `keep_nearest`) rather than sorting all `N` candidates, and
+//! the `_into` query variants write into caller-owned scratch so the
+//! steady-state serving path performs no heap allocation.
 
 use linalg::vecops::squared_distance;
 
-use crate::kdtree::KdTree;
 use crate::vote::majority_vote;
 use crate::{LearnError, Result};
-
-/// Neighbour-search implementation choice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KnnBackend {
-    /// Linear scan over all training points. Matches the paper's `O(N)` cost
-    /// model and is fastest for small N or high dimensions.
-    #[default]
-    BruteForce,
-    /// Exact k-d tree (Friedman–Bentley–Finkel). Fastest for the post-PCA
-    /// 2-dimensional feature spaces of this workspace.
-    KdTree,
-}
 
 /// The largest class id a classifier stores: labels are kept as bytes.
 pub const MAX_LABEL: usize = u8::MAX as usize;
@@ -44,83 +27,35 @@ pub const MAX_LABEL: usize = u8::MAX as usize;
 /// A fitted k-NN classifier over a flat struct-of-arrays point store.
 pub struct KnnClassifier {
     k: usize,
-    /// Row-major `len × dim` training points, shared with the k-d tree.
-    points: Arc<[f64]>,
+    /// Row-major `len × dim` training points.
+    points: Box<[f64]>,
     dim: usize,
     /// One class per point; a class fits a byte (at most 256 classes).
     labels: Box<[u8]>,
     n_classes: usize,
-    backend: KnnBackend,
-    tree: Option<KdTree>,
 }
 
 impl KnnClassifier {
-    /// "Trains" (indexes) the classifier on labelled points.
+    /// "Trains" (indexes) the classifier on labelled points given as one
+    /// flat row-major buffer (`points.len() == n · dim`), copied once into
+    /// the index's store.
     ///
     /// # Errors
     ///
     /// * [`LearnError::InvalidParameter`] if `k == 0` or a label exceeds
     ///   [`MAX_LABEL`];
     /// * [`LearnError::InsufficientData`] if `points` is empty;
-    /// * [`LearnError::ShapeMismatch`] if `points`/`labels` lengths differ or
-    ///   point dimensions are inconsistent.
-    pub fn fit(
-        points: Vec<Vec<f64>>,
-        labels: Vec<usize>,
-        k: usize,
-        backend: KnnBackend,
-    ) -> Result<Self> {
-        if points.is_empty() {
-            return Err(LearnError::InsufficientData("k-NN with no training points".into()));
-        }
-        let dim = points[0].len();
-        if let Some(i) = points.iter().position(|p| p.len() != dim) {
-            return Err(LearnError::ShapeMismatch(format!(
-                "point {i} has dim {}, expected {dim}",
-                points[i].len()
-            )));
-        }
-        let mut flat = Vec::with_capacity(points.len() * dim);
-        for p in &points {
-            flat.extend_from_slice(p);
-        }
-        Self::fit_flat(&flat, dim, &labels, k, backend)
-    }
-
-    /// [`KnnClassifier::fit`] over an already-flat row-major point buffer
-    /// (`points.len() == n · dim`), copied once into the index's shared
-    /// store — the path training takes, which builds its features flat in a
-    /// buffer it reuses across fits.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`KnnClassifier::fit`], plus
-    /// [`LearnError::ShapeMismatch`] if `points.len()` is not a multiple of
-    /// `dim`.
-    pub fn fit_flat(
-        points: &[f64],
-        dim: usize,
-        labels: &[usize],
-        k: usize,
-        backend: KnnBackend,
-    ) -> Result<Self> {
-        let mut knn = Self {
-            k,
-            points: Arc::new([]),
-            dim,
-            labels: Box::new([]),
-            n_classes: 0,
-            backend,
-            tree: None,
-        };
-        knn.refit_flat(points, dim, labels, k, backend)?;
+    /// * [`LearnError::ShapeMismatch`] if `dim == 0`, `points.len()` is not a
+    ///   multiple of `dim`, or the point and label counts differ.
+    pub fn fit_flat(points: &[f64], dim: usize, labels: &[usize], k: usize) -> Result<Self> {
+        let mut knn = Self { k, points: Box::new([]), dim, labels: Box::new([]), n_classes: 0 };
+        knn.refit_flat(points, dim, labels, k)?;
         Ok(knn)
     }
 
     /// [`KnnClassifier::fit_flat`] into this classifier's storage: a refit
     /// with as many points of the same width overwrites the point store and
-    /// the labels in place, so a brute-force refit allocates nothing (a k-d
-    /// tree is rebuilt). Same index as a fresh fit.
+    /// the labels in place and allocates nothing. Same index as a fresh fit.
     ///
     /// # Errors
     ///
@@ -132,7 +67,6 @@ impl KnnClassifier {
         dim: usize,
         labels: &[usize],
         k: usize,
-        backend: KnnBackend,
     ) -> Result<()> {
         if k == 0 {
             return Err(LearnError::InvalidParameter("k must be >= 1".into()));
@@ -163,11 +97,10 @@ impl KnnClassifier {
             )));
         }
         self.n_classes = max_label + 1;
-        // The tree shares the point store: drop it so the store is ours.
-        self.tree = None;
-        match Arc::get_mut(&mut self.points) {
-            Some(store) if store.len() == points.len() => store.copy_from_slice(points),
-            _ => self.points = points.into(),
+        if self.points.len() == points.len() {
+            self.points.copy_from_slice(points);
+        } else {
+            self.points = points.into();
         }
         if self.labels.len() == labels.len() {
             for (stored, &label) in self.labels.iter_mut().zip(labels) {
@@ -176,21 +109,14 @@ impl KnnClassifier {
         } else {
             self.labels = labels.iter().map(|&l| l as u8).collect();
         }
-        (self.k, self.dim, self.backend) = (k, dim, backend);
-        if backend == KnnBackend::KdTree {
-            // The tree shares the flat buffer — no second copy of the points.
-            self.tree = Some(KdTree::build_flat(Arc::clone(&self.points), dim)?);
-        }
+        (self.k, self.dim) = (k, dim);
         Ok(())
     }
 
-    /// Heap bytes held by the classifier: the shared point store (counted
-    /// here, not again by the kd-tree that borrows it), labels, and tree
-    /// nodes. Used for per-stream memory accounting.
+    /// Heap bytes held by the classifier: the point store and the labels.
+    /// Used for per-stream memory accounting.
     pub fn heap_bytes(&self) -> usize {
-        self.points.len() * std::mem::size_of::<f64>()
-            + self.labels.len()
-            + self.tree.as_ref().map_or(0, KdTree::heap_bytes)
+        self.points.len() * std::mem::size_of::<f64>() + self.labels.len()
     }
 
     /// The configured neighbour count `k`.
@@ -203,7 +129,7 @@ impl KnnClassifier {
         self.labels.len()
     }
 
-    /// Whether the classifier has no training points (never after `fit`).
+    /// Whether the classifier has no training points (never after a fit).
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
@@ -213,14 +139,9 @@ impl KnnClassifier {
         self.n_classes
     }
 
-    /// The active back-end.
-    pub fn backend(&self) -> KnnBackend {
-        self.backend
-    }
-
     /// The flat row-major training points (`len() · dim()` values, insertion
-    /// order). Together with [`labels`](Self::labels), `k` and the backend
-    /// these fully describe the classifier — feed them back through
+    /// order). Together with [`labels`](Self::labels) and `k` these fully
+    /// describe the classifier — feed them back through
     /// [`KnnClassifier::fit_flat`] to restore a serialized instance.
     pub fn points_flat(&self) -> &[f64] {
         &self.points
@@ -271,23 +192,18 @@ impl KnnClassifier {
             )));
         }
         out.clear();
-        match (&self.tree, self.backend) {
-            (Some(tree), KnnBackend::KdTree) => tree.nearest_into(query, self.k, out)?,
-            _ => {
-                // One fused pass: each point's squared distance (the 2-d
-                // post-PCA space spelled out, any other dim through the
-                // shared kernel) goes straight into the bounded top-k.
-                if self.dim == 2 {
-                    let (qx, qy) = (query[0], query[1]);
-                    for (i, p) in self.points.chunks_exact(2).enumerate() {
-                        let (dx, dy) = (qx - p[0], qy - p[1]);
-                        keep_nearest(out, self.k, i, dx * dx + dy * dy);
-                    }
-                } else {
-                    for (i, p) in self.points.chunks_exact(self.dim).enumerate() {
-                        keep_nearest(out, self.k, i, squared_distance(query, p));
-                    }
-                }
+        // One fused pass: each point's squared distance (the 2-d post-PCA
+        // space spelled out, any other dim through the shared kernel) goes
+        // straight into the bounded top-k.
+        if self.dim == 2 {
+            let (qx, qy) = (query[0], query[1]);
+            for (i, p) in self.points.chunks_exact(2).enumerate() {
+                let (dx, dy) = (qx - p[0], qy - p[1]);
+                keep_nearest(out, self.k, i, dx * dx + dy * dy);
+            }
+        } else {
+            for (i, p) in self.points.chunks_exact(self.dim).enumerate() {
+                keep_nearest(out, self.k, i, squared_distance(query, p));
             }
         }
         for entry in out.iter_mut() {
@@ -315,46 +231,6 @@ impl KnnClassifier {
     pub fn classify_into(&self, query: &[f64], scratch: &mut Vec<(usize, f64)>) -> Result<usize> {
         self.neighbors_into(query, scratch)?;
         Ok(majority_vote(scratch).expect("k >= 1 guarantees a neighbour"))
-    }
-
-    /// Classifies a batch of queries, splitting the work across `threads`
-    /// scoped worker threads (the training-free k-NN query is embarrassingly
-    /// parallel). `threads == 1` runs inline.
-    ///
-    /// # Errors
-    ///
-    /// * [`LearnError::InvalidParameter`] if `threads == 0`;
-    /// * the first per-query error, if any.
-    pub fn classify_batch(&self, queries: &[Vec<f64>], threads: usize) -> Result<Vec<usize>> {
-        if threads == 0 {
-            return Err(LearnError::InvalidParameter("threads must be >= 1".into()));
-        }
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        if threads == 1 || queries.len() < 2 * threads {
-            let mut scratch = Vec::with_capacity(self.k + 1);
-            return queries.iter().map(|q| self.classify_into(q, &mut scratch)).collect();
-        }
-        let chunk = queries.len().div_ceil(threads);
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut scratch = Vec::with_capacity(self.k + 1);
-                        part.iter()
-                            .map(|q| self.classify_into(q, &mut scratch))
-                            .collect::<Result<Vec<_>>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("k-NN worker panicked"))
-                .collect::<Result<Vec<Vec<usize>>>>()
-        });
-        Ok(results?.into_iter().flatten().collect())
     }
 }
 
@@ -388,7 +264,6 @@ impl std::fmt::Debug for KnnClassifier {
             .field("k", &self.k)
             .field("points", &self.len())
             .field("classes", &self.n_classes)
-            .field("backend", &self.backend)
             .finish()
     }
 }
@@ -411,74 +286,58 @@ mod tests {
         (pts, labels)
     }
 
+    /// Fits on equal-width points given one `Vec` per point.
+    fn fit(pts: &[Vec<f64>], labels: &[usize], k: usize) -> Result<KnnClassifier> {
+        KnnClassifier::fit_flat(&pts.concat(), pts[0].len(), labels, k)
+    }
+
     #[test]
     fn refit_matches_a_fresh_fit() {
-        // One classifier's storage refit across sizes, widths and backends
-        // answers every query exactly as a fresh fit does.
+        // One classifier's storage refit across sizes and widths answers
+        // every query exactly as a fresh fit does.
         let (pts, labels) = blobs(7, 40);
         let flat: Vec<f64> = pts.concat();
-        let mut knn =
-            KnnClassifier::fit_flat(&flat, 2, &labels, 3, KnnBackend::BruteForce).unwrap();
-        for (seed, n, dim, k, backend) in [
-            (1, 40, 2, 3, KnnBackend::BruteForce),
-            (2, 40, 2, 1, KnnBackend::BruteForce),
-            (3, 64, 1, 5, KnnBackend::KdTree),
-            (4, 40, 2, 3, KnnBackend::BruteForce),
-        ] {
+        let mut knn = KnnClassifier::fit_flat(&flat, 2, &labels, 3).unwrap();
+        for (seed, n, dim, k) in [(1, 40, 2, 3), (2, 40, 2, 1), (3, 64, 1, 5), (4, 40, 2, 3)] {
             let (pts, labels) = blobs(seed, n);
             let flat: Vec<f64> = pts.concat();
             let points = &flat[..n * dim];
-            knn.refit_flat(points, dim, &labels, k, backend).unwrap();
-            let fresh = KnnClassifier::fit_flat(points, dim, &labels, k, backend).unwrap();
-            assert_eq!((knn.k(), knn.dim(), knn.backend()), (k, dim, backend));
+            knn.refit_flat(points, dim, &labels, k).unwrap();
+            let fresh = KnnClassifier::fit_flat(points, dim, &labels, k).unwrap();
+            assert_eq!((knn.k(), knn.dim()), (k, dim));
             assert_eq!(knn.points_flat(), fresh.points_flat());
             assert_eq!(knn.labels(), fresh.labels());
             assert_eq!(knn.n_classes(), fresh.n_classes());
-            for q in pts.iter().take(10) {
-                let q = &q[..dim];
+            for i in 0..10 {
+                let q = fresh.point(i);
                 assert_eq!(knn.neighbors(q).unwrap(), fresh.neighbors(q).unwrap());
             }
         }
-        assert!(knn.refit_flat(&flat, 2, &labels, 0, KnnBackend::BruteForce).is_err());
+        assert!(knn.refit_flat(&flat, 2, &labels, 0).is_err());
     }
 
     #[test]
     fn separable_blobs_classify_perfectly() {
         let (pts, labels) = blobs(1, 100);
-        let knn = KnnClassifier::fit(pts, labels, 3, KnnBackend::BruteForce).unwrap();
+        let knn = fit(&pts, &labels, 3).unwrap();
         assert_eq!(knn.classify(&[-5.0, -4.5]).unwrap(), 0);
         assert_eq!(knn.classify(&[4.5, 5.5]).unwrap(), 1);
     }
 
     #[test]
     fn one_nn_returns_label_of_closest_point() {
-        let pts = vec![vec![0.0, 0.0], vec![10.0, 0.0]];
-        let knn = KnnClassifier::fit(pts, vec![4, 9], 1, KnnBackend::BruteForce).unwrap();
+        let knn = KnnClassifier::fit_flat(&[0.0, 0.0, 10.0, 0.0], 2, &[4, 9], 1).unwrap();
         assert_eq!(knn.classify(&[1.0, 0.0]).unwrap(), 4);
         assert_eq!(knn.classify(&[9.0, 0.0]).unwrap(), 9);
         assert_eq!(knn.n_classes(), 10);
     }
 
     #[test]
-    fn backends_agree_on_every_query() {
-        let (pts, labels) = blobs(2, 301);
-        let brute =
-            KnnClassifier::fit(pts.clone(), labels.clone(), 3, KnnBackend::BruteForce).unwrap();
-        let tree = KnnClassifier::fit(pts, labels, 3, KnnBackend::KdTree).unwrap();
-        let mut rng = Xoshiro256pp::seed_from_u64(3);
-        for _ in 0..200 {
-            let q = vec![rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)];
-            assert_eq!(brute.classify(&q).unwrap(), tree.classify(&q).unwrap(), "query {q:?}");
-        }
-    }
-
-    #[test]
     fn bounded_topk_matches_full_sort_reference() {
-        // Satellite pin: the bounded top-k selection must return exactly the
-        // (index, distance) pairs the old sort-everything path produced —
-        // byte-for-byte, including tie order. Labels are set to the point
-        // indices so `neighbors` exposes indices directly. Duplicated points
-        // force exact distance ties.
+        // The bounded top-k selection must return exactly the (index,
+        // distance) pairs a sort-everything search produces, including tie
+        // order. Labels are set to the point indices so `neighbors` exposes
+        // indices directly. Duplicated points force exact distance ties.
         let mut rng = Xoshiro256pp::seed_from_u64(42);
         let mut pts: Vec<Vec<f64>> =
             (0..200).map(|_| vec![rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)]).collect();
@@ -489,11 +348,10 @@ mod tests {
         let n = pts.len();
         let labels: Vec<usize> = (0..n).collect();
         for k in [1, 3, 7, 50, n + 5] {
-            let knn =
-                KnnClassifier::fit(pts.clone(), labels.clone(), k, KnnBackend::BruteForce).unwrap();
+            let knn = fit(&pts, &labels, k).unwrap();
             for _ in 0..50 {
                 let q = vec![rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)];
-                // The old implementation: score all N, full sort, truncate.
+                // Score all N, full sort, truncate.
                 let mut reference: Vec<(usize, f64)> =
                     pts.iter().enumerate().map(|(i, p)| (i, squared_distance(&q, p))).collect();
                 reference.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
@@ -506,7 +364,7 @@ mod tests {
     #[test]
     fn neighbors_into_reuses_the_buffer_without_reallocating() {
         let (pts, labels) = blobs(9, 120);
-        let knn = KnnClassifier::fit(pts, labels, 5, KnnBackend::BruteForce).unwrap();
+        let knn = fit(&pts, &labels, 5).unwrap();
         let mut buf = Vec::with_capacity(6);
         let ptr = buf.as_ptr();
         let mut rng = Xoshiro256pp::seed_from_u64(10);
@@ -521,7 +379,7 @@ mod tests {
     #[test]
     fn neighbors_are_sorted_nearest_first() {
         let (pts, labels) = blobs(4, 50);
-        let knn = KnnClassifier::fit(pts, labels, 5, KnnBackend::BruteForce).unwrap();
+        let knn = fit(&pts, &labels, 5).unwrap();
         let n = knn.neighbors(&[0.0, 0.0]).unwrap();
         assert_eq!(n.len(), 5);
         for w in n.windows(2) {
@@ -531,78 +389,27 @@ mod tests {
 
     #[test]
     fn k_exceeding_training_size_uses_all_points() {
-        let pts = vec![vec![0.0], vec![1.0], vec![2.0]];
-        let knn = KnnClassifier::fit(pts, vec![0, 0, 1], 9, KnnBackend::BruteForce).unwrap();
+        let knn = KnnClassifier::fit_flat(&[0.0, 1.0, 2.0], 1, &[0, 0, 1], 9).unwrap();
         // All three points vote: 0 wins 2:1.
         assert_eq!(knn.classify(&[0.5]).unwrap(), 0);
     }
 
     #[test]
-    fn flat_fit_matches_nested_fit() {
-        let (pts, labels) = blobs(11, 60);
-        let flat: Vec<f64> = pts.iter().flatten().copied().collect();
-        let nested = KnnClassifier::fit(pts, labels.clone(), 3, KnnBackend::KdTree).unwrap();
-        let from_flat = KnnClassifier::fit_flat(&flat, 2, &labels, 3, KnnBackend::KdTree).unwrap();
-        assert_eq!(nested.points_flat(), from_flat.points_flat());
-        assert_eq!(nested.dim(), from_flat.dim());
-        for i in 0..nested.len() {
-            assert_eq!(nested.point(i), from_flat.point(i));
-        }
-        let q = [0.5, -0.5];
-        assert_eq!(nested.neighbors(&q).unwrap(), from_flat.neighbors(&q).unwrap());
-    }
-
-    #[test]
-    fn batch_matches_sequential_across_thread_counts() {
-        let (pts, labels) = blobs(5, 200);
-        let knn = KnnClassifier::fit(pts, labels, 3, KnnBackend::BruteForce).unwrap();
-        let mut rng = Xoshiro256pp::seed_from_u64(6);
-        let queries: Vec<Vec<f64>> =
-            (0..97).map(|_| vec![rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0)]).collect();
-        let seq = knn.classify_batch(&queries, 1).unwrap();
-        for threads in [2, 3, 8] {
-            assert_eq!(knn.classify_batch(&queries, threads).unwrap(), seq);
-        }
-    }
-
-    #[test]
-    fn batch_empty_and_validation() {
-        let (pts, labels) = blobs(7, 10);
-        let knn = KnnClassifier::fit(pts, labels, 1, KnnBackend::BruteForce).unwrap();
-        assert_eq!(knn.classify_batch(&[], 4).unwrap(), Vec::<usize>::new());
-        assert!(knn.classify_batch(&[vec![0.0, 0.0]], 0).is_err());
-    }
-
-    #[test]
     fn fit_validation() {
-        assert!(KnnClassifier::fit(vec![], vec![], 3, KnnBackend::BruteForce).is_err());
-        assert!(KnnClassifier::fit(vec![vec![1.0]], vec![0], 0, KnnBackend::BruteForce).is_err());
-        assert!(KnnClassifier::fit(vec![vec![1.0]], vec![0, 1], 1, KnnBackend::BruteForce).is_err());
-        assert!(KnnClassifier::fit(
-            vec![vec![1.0], vec![1.0, 2.0]],
-            vec![0, 1],
-            1,
-            KnnBackend::BruteForce
-        )
-        .is_err());
-        // Flat-specific shapes.
-        assert!(
-            KnnClassifier::fit_flat(&[1.0, 2.0, 3.0], 2, &[0], 1, KnnBackend::BruteForce).is_err()
-        );
-        assert!(KnnClassifier::fit_flat(&[1.0, 2.0], 0, &[0], 1, KnnBackend::BruteForce).is_err());
-        assert!(KnnClassifier::fit_flat(&[], 2, &[], 1, KnnBackend::BruteForce).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0], 1, &[0], 0).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0], 1, &[0, 1], 1).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0, 3.0], 2, &[0], 1).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0], 0, &[0], 1).is_err());
+        assert!(KnnClassifier::fit_flat(&[], 2, &[], 1).is_err());
         // Labels are stored as bytes: class 255 is the largest.
-        let two = vec![vec![1.0], vec![2.0]];
-        assert!(
-            KnnClassifier::fit(two.clone(), vec![0, MAX_LABEL], 1, KnnBackend::BruteForce).is_ok()
-        );
-        assert!(KnnClassifier::fit(two, vec![0, MAX_LABEL + 1], 1, KnnBackend::BruteForce).is_err());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0], 1, &[0, MAX_LABEL], 1).is_ok());
+        assert!(KnnClassifier::fit_flat(&[1.0, 2.0], 1, &[0, MAX_LABEL + 1], 1).is_err());
     }
 
     #[test]
     fn query_dim_checked() {
         let (pts, labels) = blobs(8, 10);
-        let knn = KnnClassifier::fit(pts, labels, 1, KnnBackend::KdTree).unwrap();
+        let knn = fit(&pts, &labels, 1).unwrap();
         assert!(knn.classify(&[1.0]).is_err());
     }
 }

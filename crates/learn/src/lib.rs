@@ -1,5 +1,5 @@
-//! Learning substrate: PCA, k-nearest-neighbour classification, and the
-//! supporting machinery (splits, classification metrics).
+//! Learning substrate: PCA, k-nearest-neighbour classification and the
+//! paper's train/test split.
 //!
 //! This crate implements §5 of the paper:
 //!
@@ -7,23 +7,21 @@
 //!   `linalg` crate, used to project prediction windows from dimension `m`
 //!   down to `n` (the paper fixes `n = 2`);
 //! * [`KnnClassifier`] — majority-vote k-NN with Euclidean distance over
-//!   z-scored features (the paper fixes `k = 3`), with interchangeable
-//!   brute-force and kd-tree back-ends;
+//!   z-scored features (the paper fixes `k = 3`), searched by brute force;
 //! * [`split`] — the paper's "randomly chosen timestamp" contiguous 50/50
-//!   train/test split plus k-fold utilities;
-//! * [`eval`] — confusion matrices and accuracy (the best-predictor
-//!   *forecasting accuracy* the paper reports).
+//!   train/test split and its repetition;
+//! * [`vote`] — the majority vote with a nearest-neighbour tie-break.
+//!
+//! The paper's forecasting accuracy (the share of steps where the selected
+//! predictor was the best one) is `larp::eval::forecasting_accuracy`.
 #![warn(missing_docs)]
 
-pub mod eval;
-pub mod kdtree;
 pub mod knn;
 pub mod pca;
 pub mod split;
 pub mod vote;
 
-pub use kdtree::KdTree;
-pub use knn::{KnnBackend, KnnClassifier};
+pub use knn::KnnClassifier;
 pub use pca::Pca;
 
 /// Errors produced by the learning substrate.

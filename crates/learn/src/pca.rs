@@ -55,23 +55,15 @@ impl Pca {
         self.refit_with(rows, d, |_| n)
     }
 
-    /// Fits PCA keeping the smallest number of components whose cumulative
-    /// explained variance reaches `min_fraction` (the paper's "predefined
-    /// minimal fraction variance" criterion), with at least one component.
+    /// Fits PCA on a row-major slice of `d`-wide observations keeping the
+    /// smallest number of components whose cumulative explained variance
+    /// reaches `min_fraction` (the paper's "predefined minimal fraction
+    /// variance" criterion), with at least one component.
     ///
     /// # Errors
     ///
     /// * [`LearnError::InvalidParameter`] if `min_fraction` is outside `(0, 1]`;
-    /// * same data conditions as [`Pca::fit`].
-    pub fn fit_fraction(data: &Matrix, min_fraction: f64) -> Result<Self> {
-        Self::fit_fraction_rows(data.as_slice(), data.cols(), min_fraction)
-    }
-
-    /// [`Pca::fit_fraction`] over a row-major slice of `d`-wide observations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Pca::fit_fraction`] and [`Pca::fit_rows`].
+    /// * same data conditions as [`Pca::fit_rows`].
     pub fn fit_fraction_rows(rows: &[f64], d: usize, min_fraction: f64) -> Result<Self> {
         check_fraction(min_fraction)?;
         Self::fit_with(rows, d, |eigenvalues| components_for(eigenvalues, min_fraction))
@@ -240,14 +232,6 @@ impl Pca {
             * std::mem::size_of::<f64>()
     }
 
-    /// Fraction of total training variance captured by each retained component.
-    pub fn explained_variance_ratio(&self) -> Vec<f64> {
-        if self.total_variance <= 0.0 {
-            return vec![0.0; self.eigenvalues.len()];
-        }
-        self.eigenvalues.iter().map(|&l| l / self.total_variance).collect()
-    }
-
     /// Projects one observation into the component space.
     ///
     /// # Errors
@@ -283,24 +267,6 @@ impl Pca {
         Ok(())
     }
 
-    /// Projects every row of `data`, producing an `N × n` matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LearnError::ShapeMismatch`] if `data.cols() != input_dim()`.
-    pub fn transform_matrix(&self, data: &Matrix) -> Result<Matrix> {
-        if data.cols() != self.input_dim() {
-            return Err(LearnError::ShapeMismatch(format!(
-                "PCA::transform_matrix: expected dim {}, got {}",
-                self.input_dim(),
-                data.cols()
-            )));
-        }
-        let mut out = Vec::new();
-        self.transform_rows_into(data.as_slice(), &mut out)?;
-        Ok(Matrix::from_vec(data.rows(), self.n_components(), out).expect("non-empty projection"))
-    }
-
     /// Projects every row of the row-major `rows` (`input_dim()` columns)
     /// into `out` (cleared first; `n_components()` values per row) with one
     /// batched kernel dispatch. Bit-identical to [`Pca::transform`] per row.
@@ -321,27 +287,6 @@ impl Pca {
         out.resize(rows.len() / d * self.n_components(), 0.0);
         linalg::kernels::project_rows(rows, &self.mean, self.components.as_slice(), out);
         Ok(())
-    }
-
-    /// Maps a projected point back to the input space (`μ + V_qᵀ λ`, Eq. 7) —
-    /// the least-squares reconstruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LearnError::ShapeMismatch`] if `z.len() != n_components()`.
-    pub fn inverse_transform(&self, z: &[f64]) -> Result<Vec<f64>> {
-        if z.len() != self.n_components() {
-            return Err(LearnError::ShapeMismatch(format!(
-                "PCA::inverse_transform: expected dim {}, got {}",
-                self.n_components(),
-                z.len()
-            )));
-        }
-        let mut out = self.mean.clone();
-        for (c, &zc) in z.iter().enumerate() {
-            linalg::kernels::axpy(zc, self.components.row(c), &mut out);
-        }
-        Ok(out)
     }
 }
 
@@ -436,81 +381,52 @@ mod tests {
     }
 
     #[test]
-    fn explained_variance_concentrates_on_first_component() {
+    fn variance_concentrates_on_first_component() {
         let pca = Pca::fit(&diagonal_data(), 2).unwrap();
-        let ratio = pca.explained_variance_ratio();
-        assert!(ratio[0] > 0.99, "{ratio:?}");
-        assert!((ratio.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        let share = pca.eigenvalues()[0] / pca.total_variance();
+        assert!(share > 0.99, "{share}");
+        assert!((pca.eigenvalues().iter().sum::<f64>() - pca.total_variance()).abs() < 1e-9);
     }
 
     #[test]
     fn transform_centers_data() {
         let data = diagonal_data();
         let pca = Pca::fit(&data, 2).unwrap();
-        let projected = pca.transform_matrix(&data).unwrap();
-        let means = projected.column_means();
-        for m in means {
+        let mut projected = Vec::new();
+        pca.transform_rows_into(data.as_slice(), &mut projected).unwrap();
+        for c in 0..2 {
+            let m = projected.iter().skip(c).step_by(2).sum::<f64>() / data.rows() as f64;
             assert!(m.abs() < 1e-9, "projected mean {m}");
         }
     }
 
     #[test]
-    fn full_rank_projection_reconstructs_exactly() {
-        let data = diagonal_data();
-        let pca = Pca::fit(&data, 2).unwrap();
-        for row in data.iter_rows() {
-            let z = pca.transform(row).unwrap();
-            let back = pca.inverse_transform(&z).unwrap();
-            for (a, b) in back.iter().zip(row) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn rank_one_reconstruction_is_least_squares() {
-        // Reconstruction error through 1 component must not exceed the
-        // variance orthogonal to the leading direction.
-        let data = diagonal_data();
-        let pca1 = Pca::fit(&data, 1).unwrap();
-        let mut total_err = 0.0;
-        for row in data.iter_rows() {
-            let z = pca1.transform(row).unwrap();
-            let back = pca1.inverse_transform(&z).unwrap();
-            total_err += back.iter().zip(row).map(|(a, b)| (a - b).powi(2)).sum::<f64>();
-        }
-        // Off-diagonal noise is ±0.1 in a direction orthogonal to (1,1):
-        // squared distance to the axis is 2 * 0.1^2 = 0.02 per point.
-        let expected = 0.02 * data.rows() as f64;
-        assert!((total_err - expected).abs() < expected * 0.1, "{total_err} vs {expected}");
-    }
-
-    #[test]
     fn fit_fraction_selects_minimal_components() {
         let data = diagonal_data();
+        let rows = data.as_slice();
         // 99% of variance lives on the diagonal: one component suffices.
-        let pca = Pca::fit_fraction(&data, 0.95).unwrap();
+        let pca = Pca::fit_fraction_rows(rows, 2, 0.95).unwrap();
         assert_eq!(pca.n_components(), 1);
         // Requiring 99.999% forces the second component in.
-        let pca2 = Pca::fit_fraction(&data, 0.99999).unwrap();
+        let pca2 = Pca::fit_fraction_rows(rows, 2, 0.99999).unwrap();
         assert_eq!(pca2.n_components(), 2);
     }
 
     #[test]
     fn fit_fraction_validates() {
         let data = diagonal_data();
-        assert!(Pca::fit_fraction(&data, 0.0).is_err());
-        assert!(Pca::fit_fraction(&data, 1.5).is_err());
+        assert!(Pca::fit_fraction_rows(data.as_slice(), 2, 0.0).is_err());
+        assert!(Pca::fit_fraction_rows(data.as_slice(), 2, 1.5).is_err());
     }
 
     #[test]
     fn constant_data_fits_with_zero_variance() {
         let data = Matrix::from_rows(&[vec![2.0, 3.0], vec![2.0, 3.0], vec![2.0, 3.0]]).unwrap();
         let pca = Pca::fit(&data, 1).unwrap();
-        assert_eq!(pca.explained_variance_ratio(), vec![0.0]);
+        assert_eq!(pca.total_variance(), 0.0);
         // Everything projects to the origin.
         assert_eq!(pca.transform(&[2.0, 3.0]).unwrap(), vec![0.0]);
-        let frac = Pca::fit_fraction(&data, 0.9).unwrap();
+        let frac = Pca::fit_fraction_rows(data.as_slice(), 2, 0.9).unwrap();
         assert_eq!(frac.n_components(), 1);
     }
 
@@ -527,9 +443,7 @@ mod tests {
     fn shape_mismatches_rejected() {
         let pca = Pca::fit(&diagonal_data(), 2).unwrap();
         assert!(pca.transform(&[1.0]).is_err());
-        assert!(pca.inverse_transform(&[1.0, 2.0, 3.0]).is_err());
-        let wrong = Matrix::zeros(3, 5);
-        assert!(pca.transform_matrix(&wrong).is_err());
+        assert!(pca.transform_rows_into(&[1.0, 2.0, 3.0], &mut Vec::new()).is_err());
     }
 
     #[test]

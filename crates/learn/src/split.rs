@@ -4,15 +4,14 @@
 //! performance data … into two parts: 50% of the data was used to train … and
 //! the other 50% was used as test set", repeated as "ten-fold cross
 //! validation". [`random_contiguous_split`] implements one such draw;
-//! [`repeated_splits`] the repetition; [`kfold`] a conventional k-fold for the
-//! workspace's own model-selection tests.
+//! [`repeated_splits`] the repetition.
 
 use simrng::Rng64;
 
 /// A train/test index split over `0..len`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Split {
-    /// Index range `[0, cut)` or the fold complement, depending on the maker.
+    /// The training range `[0, cut)`.
     pub train: std::ops::Range<usize>,
     /// The held-out range.
     pub test: std::ops::Range<usize>,
@@ -50,26 +49,6 @@ pub fn repeated_splits<R: Rng64 + ?Sized>(
     rng: &mut R,
 ) -> Vec<Split> {
     (0..folds).filter_map(|_| random_contiguous_split(len, min_each, rng)).collect()
-}
-
-/// Conventional contiguous k-fold: fold `i` is the test block, the training
-/// range is everything *before* it (time-series safe: never trains on the
-/// future). Folds 0 yields an empty training range and is skipped, so this
-/// returns `k - 1` splits.
-///
-/// Returns an empty vector if `k < 2` or `len < k`.
-pub fn kfold(len: usize, k: usize) -> Vec<Split> {
-    if k < 2 || len < k {
-        return Vec::new();
-    }
-    let fold_size = len / k;
-    (1..k)
-        .map(|i| {
-            let start = i * fold_size;
-            let end = if i == k - 1 { len } else { start + fold_size };
-            Split { train: 0..start, test: start..end }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -114,22 +93,5 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(4);
         assert_eq!(repeated_splits(100, 10, 10, &mut rng).len(), 10);
         assert!(repeated_splits(5, 10, 10, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn kfold_covers_tail_and_never_trains_on_future() {
-        let folds = kfold(103, 5);
-        assert_eq!(folds.len(), 4);
-        for s in &folds {
-            assert!(s.train.end == s.test.start);
-            assert!(!s.train.is_empty());
-        }
-        assert_eq!(folds.last().unwrap().test.end, 103);
-    }
-
-    #[test]
-    fn kfold_degenerate_inputs() {
-        assert!(kfold(10, 1).is_empty());
-        assert!(kfold(3, 5).is_empty());
     }
 }

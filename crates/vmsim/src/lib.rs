@@ -16,11 +16,8 @@
 //! * [`profiles`] — the five VM personalities of §7 (grid head node, VNC
 //!   proxy, WindowsXP calendar, web+list+wiki server, web server);
 //! * [`monitor`] — the per-minute sampling agent (the VMM-side collector);
-//! * [`rrd`] — the flat round-robin database with interval consolidation
+//! * [`rrd`] — the round-robin database with interval consolidation
 //!   (1-minute samples, consolidated averages on read);
-//! * [`tiered`] — the full multi-archive RRD (vmkusage layout: 1-minute ×
-//!   2 h, 5-minute × 24 h, 30-minute × 7 days) with cascade consolidation
-//!   on write and finest-available-archive reads;
 //! * [`profiler`] — extraction by (vmID, metric, time window, interval) into
 //!   [`timeseries::Series`];
 //! * [`db`] — the prediction database keyed `[vmID, metric, timeStamp]`
@@ -48,7 +45,6 @@ pub mod profiler;
 pub mod profiles;
 pub mod rrd;
 pub mod signal;
-pub mod tiered;
 pub mod traceset;
 pub mod workload;
 
@@ -59,7 +55,6 @@ pub use monitor::MonitorAgent;
 pub use profiler::Profiler;
 pub use profiles::{VmProfile, VmWorkload};
 pub use rrd::RoundRobinDatabase;
-pub use tiered::{ArchiveSpec, TieredDatabase};
 pub use traceset::{paper_traces, TraceKey};
 
 /// Errors from the monitoring substrate.

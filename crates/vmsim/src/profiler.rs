@@ -12,7 +12,6 @@ use timeseries::Series;
 
 use crate::metric::{MetricKind, VmId};
 use crate::rrd::RoundRobinDatabase;
-use crate::tiered::TieredDatabase;
 use crate::{Result, VmSimError};
 
 /// A profiler bound to one performance database.
@@ -77,27 +76,6 @@ impl Profiler {
     }
 }
 
-/// Extracts a series from a multi-archive [`TieredDatabase`] — the profiler
-/// front-end for the full vmkusage storage layout. The database picks the
-/// finest archive that retains the range.
-///
-/// # Errors
-///
-/// Propagates tiered query errors; fails if the consolidated data would be
-/// empty.
-pub fn extract_tiered(
-    db: &TieredDatabase,
-    vm: VmId,
-    metric: MetricKind,
-    start_minute: u64,
-    end_minute: u64,
-    interval_minutes: u64,
-) -> Result<Series> {
-    let values = db.query(vm, metric, start_minute, end_minute, interval_minutes)?;
-    Series::new(values, start_minute * 60, interval_minutes * 60)
-        .map_err(|e| VmSimError::Series(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,26 +115,6 @@ mod tests {
         let profiler = Profiler::new(rrd);
         let s = profiler.extract_all(VmId(3), MetricKind::CpuUsedSec, 5).unwrap();
         assert_eq!(s.len(), 20); // 100 minutes / 5
-    }
-
-    #[test]
-    fn tiered_extraction_serves_old_ranges_from_coarse_archives() {
-        use crate::tiered::TieredDatabase;
-        let db = TieredDatabase::vmkusage_layout();
-        let mut workload = VmProfile::Vm2.build(4);
-        for minute in 0..600 {
-            for (metric, value) in workload.sample_all(minute) {
-                db.record(VmId(2), metric, minute, value);
-            }
-        }
-        // Recent minutes at raw resolution.
-        let fine = extract_tiered(&db, VmId(2), MetricKind::CpuUsedSec, 590, 600, 1).unwrap();
-        assert_eq!(fine.len(), 10);
-        // Old minutes only at 5-minute consolidation.
-        let old = extract_tiered(&db, VmId(2), MetricKind::CpuUsedSec, 0, 100, 5).unwrap();
-        assert_eq!(old.len(), 20);
-        assert_eq!(old.interval_secs(), 300);
-        assert!(extract_tiered(&db, VmId(2), MetricKind::CpuUsedSec, 0, 100, 1).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   online operation with QA-triggered retraining;
 //! * [`predictors`] — the model pool (LAST, AR via Yule–Walker, SW_AVG, plus
 //!   the extended EWMA/median/tendency/polynomial/ARI family);
-//! * [`learn`] — PCA, k-NN (brute-force and kd-tree), splits, metrics;
+//! * [`learn`] — PCA, brute-force k-NN, majority vote, the train/test split;
 //! * [`timeseries`] — series containers, normalisation, windowing, metrics;
 //! * [`linalg`] — the numerical kernels (Jacobi eigensolver, Levinson–Durbin);
 //! * [`vmsim`] — the simulated VM monitoring testbed (5 VM profiles,
